@@ -159,16 +159,14 @@ def _require_tree_child_pair(n, m):
                 ["%s network is not tree-child" % side])
 
 
-def mtc(n: Network, m: Network, subset_budget=None):
-    """Minimum total cut over the pair's shared tree-child digraphs.
+def _min_total_cut(n, m, floor=1, subset_budget=None):
+    """Smallest total cut over the pair's shared tree-child digraphs.
 
-    Returns (count, witness). The witness is the first optimum in
-    enumeration order; each side carries a grown extension certifying
-    its cut. subset_budget caps how many edge subsets of n are read
-    before giving up.
+    Returns (total, witness) for the first optimum in enumeration order.
+    The search stops once the best total drops below floor; under the
+    default floor of 1 that is a total of zero, which nothing improves.
+    subset_budget caps how many distinct candidate digraphs of n are read.
     """
-    _require_tree_child_pair(n, m)
-    _check_pair(n, m)
     best = None
     best_w = None
     examined = 0
@@ -192,8 +190,23 @@ def mtc(n: Network, m: Network, subset_budget=None):
         if best is None or total < best:
             best = total
             best_w = AgreementWitness(d, emb, emb_m, rn, rm, cut_n, cut_m)
-            if best == 0:
+            if best < floor:
                 break
+    return best, best_w
+
+
+def mtc(n: Network, m: Network, subset_budget=None):
+    """Minimum total cut over the pair's shared tree-child digraphs.
+
+    Returns (count, witness). The witness is the first optimum in
+    enumeration order; each side carries a grown extension certifying
+    its cut. subset_budget caps how many distinct candidate digraphs of
+    n (one per isomorphism class, tree-child or not) are read before
+    giving up; the edge subsets behind them are not counted.
+    """
+    _require_tree_child_pair(n, m)
+    _check_pair(n, m)
+    best, best_w = _min_total_cut(n, m, subset_budget=subset_budget)
     if best_w is None:
         # the all-singletons digraph is displayed by every network pair
         raise ContractViolationError("no shared digraph found")
@@ -214,8 +227,7 @@ def _cross_check_root_cuts(n, m, w):
 def check_bounds(n: Network, m: Network, cap=None) -> BoundsReport:
     """Certify half-measure <= distance <= measure for one pair."""
     measure, _ = mtc(n, m)
-    # meeting in the middle changes nothing about the weight, only the time
-    d, _ = dtc(n, m, reticulation_cap=cap, witness=False, bidirectional=True)
+    d, _ = dtc(n, m, reticulation_cap=cap, witness=False)
     return BoundsReport(half_m=Fraction(measure, 2), d=d, m=measure)
 
 
@@ -332,26 +344,6 @@ def maf_rspr(t: Network, u: Network) -> int:
     return best - 1
 
 
-def _measure_at_least(n, m, floor):
-    """Exact measure of the pair, or nothing once it drops below floor."""
-    best = None
-    for d, emb in _distinct_candidates(n):
-        if not is_tree_child_digraph(d):
-            continue
-        cn = cut_size(n, extend(emb, n))
-        if best is not None and cn >= best:
-            continue
-        em = find_embedding(d, m)
-        if em is None:
-            continue
-        total = cn + cut_size(m, extend(em, m))
-        if best is None or total < best:
-            best = total
-            if best < floor:
-                return None
-    return best
-
-
 def _leaf_tail_moves(n):
     from .snpr import enumerate_moves
 
@@ -390,7 +382,7 @@ def gap_witness_search(n_leaves, r, budget, seed=0):
                 if left <= 0:
                     return None
                 left -= 1
-                if _measure_at_least(base, s2, floor=5) is None:
+                if _min_total_cut(base, s2, floor=5)[0] < 5:
                     continue
                 report = check_bounds(base, s2)
                 if report.holds and report.d < report.m:

@@ -166,8 +166,9 @@ def _cmd_normalize_seq(args):
 
 
 def _cmd_gap_search(args):
-    hit = gap_witness_search(args.leaves, args.retics, args.budget,
-                             seed=args.seed)
+    # only this subcommand has a default budget; the others run unbounded
+    budget = 200 if args.budget is None else args.budget
+    hit = gap_witness_search(args.leaves, args.retics, budget, seed=args.seed)
     if hit is None:
         _log("budget exhausted without a witness")
         return ""
@@ -193,8 +194,6 @@ def _build_parser():
                         help="reticulation ceiling for distance searches")
     common.add_argument("--budget", type=int, default=None,
                         help="work budget; exhaustion exits with status 2")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallelism hint; results never depend on it")
     common.add_argument("--tree-child-only", action=argparse.BooleanOptionalAction,
                         default=True, help="stay inside tree-child space")
     common.add_argument("--out", default=None, metavar="PATH",
@@ -240,8 +239,7 @@ def _build_parser():
         p.add_argument("--leaves", type=int, required=True)
         p.add_argument("--retics", type=int, default=1)
 
-    gap = add("gap-search", _cmd_gap_search, "hunt for a pair whose distance beats the lower bound", extra=gap_args)
-    gap.set_defaults(budget=200)
+    add("gap-search", _cmd_gap_search, "hunt for a pair whose distance beats the lower bound", extra=gap_args)
     return top
 
 

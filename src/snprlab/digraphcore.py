@@ -6,13 +6,9 @@ components whose leaf label sets partition the taxon set, with exactly one
 component carrying the root marker rho (possibly as an isolated vertex).
 """
 
-import re
-
 from . import _canon
 from .errors import InvalidDigraphError
-from .netcore import Edge, Network, _normalize_edges
-
-_LABEL_RE = re.compile(r"^[A-Za-z0-9_]+$")
+from .netcore import _LABEL_RE, Edge, Network, _normalize_edges
 
 RHO_SINGLETON = "rho_singleton"
 LEAF_SINGLETON = "leaf_singleton"

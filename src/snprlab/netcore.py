@@ -13,7 +13,7 @@ import re
 from typing import NamedTuple
 
 from . import _canon
-from .errors import BudgetExceededError, ContractViolationError, InvalidNetworkError, MoveError
+from .errors import BudgetExceededError, InvalidNetworkError, MoveError
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -279,10 +279,9 @@ class TreeChildReport(NamedTuple):
 def tree_child_report(n: Network) -> TreeChildReport:
     """Classify how a network fails to be tree-child, if it does.
 
-    Two characterisations are evaluated: the absence of stacks, sibling
-    reticulations and parallel edges, and the definition (every non-leaf
-    vertex has a child of in-degree one or zero). They provably agree on
-    valid networks, and disagreement raises.
+    On a valid network the tree-child property is exactly the absence of
+    stacks, sibling reticulations and parallel edges, so the verdict is
+    read off those patterns.
     """
     retics = set(n.reticulations())
     stacks = tuple(sorted(e for e in n.edges if e.dst in retics and e.src in retics))
@@ -299,20 +298,15 @@ def tree_child_report(n: Network) -> TreeChildReport:
         if e.slot > 0 and (e.src, e.dst) not in seen:
             seen.add((e.src, e.dst))
             parallel.append((e.src, e.dst))
-    by_patterns = not (stacks or siblings or parallel)
-
-    by_definition = all(
-        any(n.in_degree(c) <= 1 for c in n.children(v))
-        for v in n.vertices if n.out_degree(v) > 0)
-
-    if by_patterns != by_definition:
-        raise ContractViolationError(
-            "tree-child characterisations disagree; this network should not validate")
-    return TreeChildReport(by_definition, stacks, tuple(siblings), tuple(parallel))
+    return TreeChildReport(not (stacks or siblings or parallel), stacks,
+                           tuple(siblings), tuple(parallel))
 
 
 def is_tree_child(n: Network) -> bool:
-    return tree_child_report(n).is_tree_child
+    """Every non-leaf vertex has a child of in-degree at most one."""
+    return all(
+        any(n.in_degree(c) <= 1 for c in n.children(v))
+        for v in n.vertices if n.out_degree(v) > 0)
 
 
 def _seed_map(n: Network, label_index):
@@ -359,7 +353,8 @@ def isomorphism_map(n: Network, m: Network):
 
 
 def isomorphic(n: Network, m: Network) -> bool:
-    return isomorphism_map(n, m) is not None
+    """Label-preserving isomorphism, decided by canonical signatures."""
+    return n.taxa == m.taxa and canonical_signature(n) == canonical_signature(m)
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +435,14 @@ class _Builder:
         return v
 
     def delete_edge(self, eid):
+        """Remove an edge; returns its origin."""
         u, v = self.src.pop(eid), self.dst.pop(eid)
         self.out[u].discard(eid)
         self.inn[v].discard(eid)
         origin = self.origin.pop(eid)
         for orig in _flatten_origin(origin):
             self._by_orig.pop(orig, None)
+        return origin
 
     def add_edge(self, u, v, origin=("new",)):
         return self._add(u, v, origin)
@@ -455,20 +452,10 @@ class _Builder:
         u, v = self.src[eid], self.dst[eid]
         origin = self.origin[eid]
         mid = self.new_vertex()
-        self.delete_edge_keep_origin(eid)
+        self.delete_edge(eid)
         upper = self._add(u, mid, ("upper", origin))
         lower = self._add(mid, v, ("lower", origin))
         return mid, upper, lower
-
-    def delete_edge_keep_origin(self, eid):
-        # removal that leaves _merged_into intact; internal to subdivide/suppress
-        u, v = self.src.pop(eid), self.dst.pop(eid)
-        self.out[u].discard(eid)
-        self.inn[v].discard(eid)
-        origin = self.origin.pop(eid)
-        for orig in _flatten_origin(origin):
-            self._by_orig.pop(orig, None)
-        return origin
 
     def suppress(self, v):
         """Remove a (1,1) vertex, merging its two edges."""
@@ -478,8 +465,8 @@ class _Builder:
         ein = next(iter(self.inn[v]))
         eout = next(iter(self.out[v]))
         u, w = self.src[ein], self.dst[eout]
-        o_in = self.delete_edge_keep_origin(ein)
-        o_out = self.delete_edge_keep_origin(eout)
+        o_in = self.delete_edge(ein)
+        o_out = self.delete_edge(eout)
         merged = self._add(u, w, ("merged", (o_in, o_out)))
         for orig in list(_flatten_origin(("merged", (o_in, o_out)))):
             self._merged_into[orig] = merged
@@ -487,7 +474,7 @@ class _Builder:
         del self.out[v], self.inn[v]
         return merged
 
-    def to_network(self, check=True):
+    def to_network(self):
         """Compact ids and freeze.
 
         Returns (network, vertex_map, edge_origin) where vertex_map sends the
@@ -508,12 +495,6 @@ class _Builder:
                 edges.append(e)
                 origin_of[e] = self.origin[eid]
         labels = {vmap[v]: lab for v, lab in self.labels.items()}
-        if check:
-            problems = network_violations(set(vmap.values()), edges,
-                                          vmap[self.root], labels)
-            if problems:
-                raise ContractViolationError(
-                    "surgery produced an invalid network: " + "; ".join(problems))
         net = Network(vmap.values(), edges, vmap[self.root], labels)
         return net, vmap, origin_of
 

@@ -14,8 +14,8 @@ The regraft/attachment target must not be a descendant of the moved
 subtree's head, otherwise the added edge would close a directed cycle.
 
 `dtc` computes the exact minimum total weight over move sequences whose
-every intermediate network is tree-child, by uniform-cost search on
-canonical signatures.
+every intermediate network is tree-child, by bidirectional uniform-cost
+search on canonical signatures.
 """
 
 from dataclasses import dataclass
@@ -423,34 +423,6 @@ def _check_dtc_inputs(n, m, reticulation_cap, tree_child_only):
     return cap
 
 
-def _dijkstra(source_sig, target_sig, cache, cap, budget, tree_child_only):
-    dist = {source_sig: 0}
-    parent = {source_sig: None}
-    heap = [(0, source_sig)]
-    expansions = 0
-    while heap:
-        d, sig = heapq.heappop(heap)
-        if d > dist.get(sig, d):
-            continue
-        if sig == target_sig:
-            return d, parent
-        if budget is not None and expansions >= budget:
-            raise BudgetExceededError(
-                "distance search exceeded the expansion budget (%d)" % budget)
-        expansions += 1
-        for ssig, kind, w, retics in cache.successors(sig, tree_child_only):
-            if retics > cap:
-                continue
-            nd = d + w
-            if nd < dist.get(ssig, nd + 1):
-                dist[ssig] = nd
-                parent[ssig] = (sig, kind)
-                heapq.heappush(heap, (nd, ssig))
-    raise ContractViolationError(
-        "search space exhausted without reaching the target; the move "
-        "space at this reticulation cap should be connected")
-
-
 def _bidirectional(sig_n, sig_m, cache, cap, budget, tree_child_only):
     # two frontiers over the same undirected weighted signature graph;
     # edge weights agree in both directions because every move reverses
@@ -523,7 +495,7 @@ def _replay(start: Network, sigs, kinds, tree_child_only) -> MoveSequence:
 
 def dtc(n: Network, m: Network, reticulation_cap=None, *, budget=None,
         cache: NeighborCache = None, witness: bool = True,
-        bidirectional: bool = False, tree_child_only: bool = True):
+        bidirectional=None, tree_child_only: bool = True):
     """Exact minimum weight of a tree-child move sequence from n to m.
 
     Every intermediate network is tree-child with at most
@@ -531,6 +503,11 @@ def dtc(n: Network, m: Network, reticulation_cap=None, *, budget=None,
     maximum). Returns (weight, sequence); the witness sequence ends at a
     network isomorphic to m and is None when witness is False. A shared
     NeighborCache makes repeated calls over a corpus much cheaper.
+    budget caps the number of signature expansions.
+
+    The search always meets in the middle from both ends. bidirectional
+    is deprecated and ignored; it is accepted so existing callers keep
+    working.
 
     tree_child_only=False searches the wider space of all valid binary
     networks under the cap. No published optimality claims attach to
@@ -545,21 +522,13 @@ def dtc(n: Network, m: Network, reticulation_cap=None, *, budget=None,
     if sig_n == sig_m:
         return 0, (MoveSequence(n) if witness else None)
 
-    if bidirectional:
-        weight, meet, parents = _bidirectional(sig_n, sig_m, cache, cap,
-                                               budget, tree_child_only)
-        if not witness:
-            return weight, None
-        sigs_f, kinds_f = _chain(parents[0], meet)
-        sigs_b, kinds_b = _chain(parents[1], meet)
-        # the backward half lists moves out of m; invert them to run m-ward
-        sigs = sigs_f + sigs_b[-2::-1]
-        kinds = kinds_f + [REVERSE_KIND[k] for k in reversed(kinds_b)]
-        return weight, _replay(n, sigs, kinds, tree_child_only)
-
-    weight, parents = _dijkstra(sig_n, sig_m, cache, cap, budget,
-                                tree_child_only)
+    weight, meet, parents = _bidirectional(sig_n, sig_m, cache, cap,
+                                           budget, tree_child_only)
     if not witness:
         return weight, None
-    sigs, kinds = _chain(parents, sig_m)
+    sigs_f, kinds_f = _chain(parents[0], meet)
+    sigs_b, kinds_b = _chain(parents[1], meet)
+    # the backward half lists moves out of m; invert them to run m-ward
+    sigs = sigs_f + sigs_b[-2::-1]
+    kinds = kinds_f + [REVERSE_KIND[k] for k in reversed(kinds_b)]
     return weight, _replay(n, sigs, kinds, tree_child_only)

@@ -159,8 +159,7 @@ def test_criterion_03_tree_specialization(capsys):
         for b in trees4:
             forest = maf_rspr(a, b)
             measure, _ = mtc(a, b)
-            d, _ = dtc(a, b, reticulation_cap=1, witness=False,
-                       bidirectional=True, cache=cache)
+            d, _ = dtc(a, b, reticulation_cap=1, witness=False, cache=cache)
             assert d == 2 * forest == measure, (write_enewick(a), write_enewick(b))
             pairs4 += 1
 
@@ -172,8 +171,7 @@ def test_criterion_03_tree_specialization(capsys):
         a, b = rng.choice(trees5), rng.choice(trees5)
         forest = maf_rspr(a, b)
         measure, _ = mtc(a, b)
-        d, _ = dtc(a, b, reticulation_cap=1, witness=False,
-                   bidirectional=True, cache=cache5)
+        d, _ = dtc(a, b, reticulation_cap=1, witness=False, cache=cache5)
         assert d == 2 * forest == measure, (write_enewick(a), write_enewick(b))
         pairs5 += 1
     elapsed = time.time() - t0
@@ -214,8 +212,7 @@ def test_criterion_04_bound_sandwich(capsys):
     for n, m in pairs:
         cap = max(n.reticulation_count, m.reticulation_count) + 1
         measure, _ = mtc(n, m)
-        d, seq = dtc(n, m, reticulation_cap=cap, witness=True,
-                     bidirectional=True, cache=cache)
+        d, seq = dtc(n, m, reticulation_cap=cap, witness=True, cache=cache)
         assert d <= measure <= 2 * d, (write_enewick(n), write_enewick(m), d, measure)
         same = isomorphic(n, m)
         assert (d == 0) == (measure == 0) == same

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from snprlab.cli import main
+from snprlab import cli
+from snprlab.cli import _build_parser, main
 
 TRIPLE_AB_C = "((a,b),c);"
 TRIPLE_AC_B = "((a,c),b);"
@@ -176,6 +177,18 @@ def test_gap_search_budget_zero(capsys):
                        "--budget", "0")
     assert code == 0
     assert out == ""
+
+
+def test_budget_default_belongs_to_gap_search_alone(capsys, monkeypatch):
+    parser = _build_parser()
+    assert parser.parse_args(["mtc", "a", "b"]).budget is None
+    assert parser.parse_args(["distance", "a", "b"]).budget is None
+    budgets = []
+    monkeypatch.setattr(cli, "gap_witness_search",
+                        lambda leaves, r, budget, seed: budgets.append(budget))
+    assert run(capsys, "gap-search", "--leaves", "4")[:2] == (0, "")
+    assert run(capsys, "gap-search", "--leaves", "4", "--budget", "7")[:2] == (0, "")
+    assert budgets == [200, 7]
 
 
 def test_log_env_only_touches_stderr(files, capsys, monkeypatch):

@@ -1,9 +1,13 @@
+import heapq
+
 import pytest
 
 from snprlab.errors import (BudgetExceededError, ContractViolationError,
                             InvalidNetworkError, MoveError)
-from snprlab.netcore import (Edge, canonical_signature, is_tree_child,
-                             isomorphic, random_tree_child, validate)
+from snprlab.netcore import (Edge, canonical_signature, enumerate_tree_child,
+                             is_tree_child, isomorphic, isomorphism_map,
+                             network_violations, random_network,
+                             random_tree_child, validate)
 from snprlab.snpr import (Move, MoveSequence, NeighborCache, apply_move,
                           apply_move_detailed, dtc, enforce_global_assumption,
                           enumerate_moves, moves_from_json, moves_to_json,
@@ -104,6 +108,27 @@ def test_move_kind_and_target_validation():
         Move("pm", Edge(0, 1))
     with pytest.raises(MoveError):
         Move("plus", Edge(0, 1))
+
+
+def test_apply_move_gives_a_valid_network_or_a_move_error():
+    # every (kind, edge, target) triple, legal or not, and a foreign edge:
+    # moves also arrive from JSON documents
+    nets = [n for leaves in (1, 2, 3) for n in enumerate_tree_child(leaves, 2)]
+    nets += list(enumerate_tree_child(4, 0))
+    # general networks too, which searches outside tree-child space visit
+    nets += [random_network(3, 2, seed=s) for s in range(10)]
+    for n in nets:
+        edges = list(n.edges) + [Edge(98, 99)]
+        moves = [Move("minus", e) for e in edges]
+        moves += [Move(kind, e, t) for kind in ("pm", "plus")
+                  for e in edges for t in edges]
+        for mv in moves:
+            try:
+                out = apply_move(n, mv)
+            except MoveError:
+                continue
+            assert not network_violations(out.vertices, out.edges, out.root,
+                                          out.leaf_labels), (n.edges, mv)
 
 
 # --- enumerate_moves --------------------------------------------------------
@@ -354,17 +379,39 @@ def test_dtc_unsafe_space(parallel_one_leaf, leaf_a):
     assert [mv.kind for mv in s.moves] == ["minus"]
 
 
-def test_dtc_bidirectional_agrees(triple_ab_c, triple_ac_b, retic_ab_c,
-                                  triple_a_bc):
-    for a, b in [(triple_ab_c, triple_ac_b), (retic_ab_c, triple_a_bc),
-                 (retic_ab_c, triple_ac_b)]:
-        w_uni, _ = dtc(a, b)
-        w_bi, s_bi = dtc(a, b, bidirectional=True)
-        assert w_bi == w_uni
-        assert sequence_weight(s_bi) == w_bi
-        assert isomorphic(s_bi.end, b)
-        for net in s_bi.networks:
-            assert is_tree_child(net)
+def _plain_dijkstra(cache, source_sig, cap):
+    """Distances from one signature to every signature reachable under the
+    cap, by one-sided uniform-cost search: the oracle for dtc."""
+    dist = {source_sig: 0}
+    heap = [(0, source_sig)]
+    while heap:
+        d, sig = heapq.heappop(heap)
+        if d > dist[sig]:
+            continue
+        for ssig, _, w, retics in cache.successors(sig):
+            if retics <= cap and d + w < dist.get(ssig, d + w + 1):
+                dist[ssig] = d + w
+                heapq.heappush(heap, (d + w, ssig))
+    return dist
+
+
+def test_dtc_matches_plain_dijkstra():
+    # every ordered pair of 3-leaf networks with at most one reticulation,
+    # at the default cap of the larger reticulation count plus one
+    nets = list(enumerate_tree_child(3, 1))
+    assert len(nets) ** 2 == 576
+    cache = NeighborCache()
+    for a in nets:
+        sig_a = canonical_signature(a)
+        cache.representative(sig_a, a)
+        oracle = {cap: _plain_dijkstra(cache, sig_a, cap) for cap in (1, 2)}
+        for b in nets:
+            cap = max(a.reticulation_count, b.reticulation_count) + 1
+            w, s = dtc(a, b, reticulation_cap=cap, cache=cache)
+            assert w == oracle[cap][canonical_signature(b)]
+            assert sequence_weight(s) == w
+            assert isomorphism_map(s.end, b) is not None
+            assert all(is_tree_child(net) for net in s.networks)
 
 
 def test_dtc_metric_on_random_corpus():
