@@ -1,6 +1,5 @@
 """Shared digraphs of network pairs, the cut-count measure, and its bounds."""
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,6 +69,9 @@ def candidate_from_edges(n: Network, edge_subset):
     vertices yields well-formed components that assemble into a digraph on
     the host's taxa, the digraph comes back paired with the embedding that
     the subset itself witnesses.
+
+    On a binary host the result is not None exactly when the subset passes
+    the local rule stated in _distinct_candidates.
     """
     subset = set(edge_subset)
     stray = subset - set(n.edges)
@@ -105,24 +107,92 @@ def _check_pair(n: Network, m: Network):
                              % (sorted(n.taxa), sorted(m.taxa)))
 
 
+def _local_checks(n: Network):
+    """Per edge index, the vertex rules that become decidable with that edge.
+
+    A tree vertex gives (True, in, out, out) and a reticulation gives
+    (False, out, in, in), as edge indices, filed under the largest of its
+    three indices. The root and the leaves have no rule.
+    """
+    index = {e: i for i, e in enumerate(n.edges)}
+    checks = [[] for _ in n.edges]
+    for v in n.vertices:
+        ins = [index[e] for e in n.in_edges(v)]
+        outs = [index[e] for e in n.out_edges(v)]
+        if ins and outs:
+            rule = (True, *ins, *outs) if len(outs) == 2 else (False, *outs, *ins)
+            checks[max(rule[1:])].append(rule)
+    return checks
+
+
+def _valid_drops(n: Network):
+    """Index tuples of dropped host edges whose kept rest passes the local rule.
+
+    Fewest dropped edges first, then lexicographic. One depth-first walk per
+    size decides the edges in order, dropping before keeping so that the
+    tuples come out in lexicographic order, and abandons a branch once a
+    fully decided vertex breaks the rule. The walk keeps its own stack, one
+    entry per open branch, so the stream is lazy and its depth is not
+    bounded by the interpreter's recursion limit.
+    """
+    checks = _local_checks(n)
+    size = len(checks)
+
+    def holds(i, dropped):
+        for tree, x, y, z in checks[i]:
+            kx, ky, kz = x not in dropped, y not in dropped, z not in dropped
+            if tree:  # keeps 0, 2 or 3 of its edges
+                if kx + ky + kz == 1:
+                    return False
+            elif kx != (ky or kz):  # keeps its out-edge iff an in-edge
+                return False
+        return True
+
+    for k in range(size + 1):
+        stack = [(0, ())]
+        while stack:
+            i, dropped = stack.pop()
+            if i == size:
+                yield dropped
+                continue
+            # keep is pushed first so that the drop branch is walked first
+            if k - len(dropped) < size - i and holds(i, dropped):
+                stack.append((i + 1, dropped))
+            if len(dropped) < k and holds(i, dropped + (i,)):
+                stack.append((i + 1, dropped + (i,)))
+
+
 def _distinct_candidates(n: Network):
     """Candidate digraphs of n, one per isomorphism class, smallest cut first
-    within each exclusion level."""
-    edges = list(n.edges)
+    within each exclusion level.
+
+    Only the edge subsets that pass a local rule are read, in the order of
+    their dropped edge indices (fewest first, then lexicographic). On a
+    binary host, candidate_from_edges accepts a subset exactly when
+      - every tree vertex keeps 0, 2 or 3 of its edges, and
+      - every reticulation keeps its out-edge exactly when it keeps at
+        least one in-edge.
+    Proof: component_violations rejects exactly the kept degree (0,1) at a
+    vertex other than rho and (1,0) or (2,0) at an unlabelled vertex; of a
+    tree vertex's kept pairs those are the ones with one edge, of a
+    reticulation's those with in- and out-edges not kept together.
+    Contracting (1,1) chains changes no degree of a surviving vertex, a
+    subgraph of a DAG has no cycle, and the root, (0,0) or (0,1), and the
+    leaves, (0,0) or (1,0), always pass. So the skipped subsets are exactly
+    those candidate_from_edges would reject, and the stream is the one a
+    read of all 2^|E| subsets in the same order gives.
+    """
+    edges = n.edges
     seen = set()
-    for k in range(len(edges) + 1):
-        for dropped in itertools.combinations(range(len(edges)), k):
-            gone = set(dropped)
-            subset = [e for i, e in enumerate(edges) if i not in gone]
-            got = candidate_from_edges(n, subset)
-            if got is None:
-                continue
-            d, emb = got
-            sig = digraph_signature(d)
-            if sig in seen:
-                continue
-            seen.add(sig)
-            yield d, emb
+    for dropped in _valid_drops(n):
+        gone = set(dropped)
+        d, emb = candidate_from_edges(
+            n, [e for i, e in enumerate(edges) if i not in gone])
+        sig = digraph_signature(d)
+        if sig in seen:
+            continue
+        seen.add(sig)
+        yield d, emb
 
 
 def _witness(d, emb_n, m: Network, emb_m=None):

@@ -29,38 +29,31 @@ class Embedding:
     vertices of those paths are private to their path.
     """
 
-    __slots__ = ("digraph", "host", "vertex_map", "edge_map",
-                 "_edges", "_comp_of")
+    __slots__ = ("digraph", "host", "vertex_map", "edge_map")
 
     def __init__(self, digraph, host, vertex_map, edge_map):
         self.digraph = digraph
         self.host = host
         self.vertex_map = dict(vertex_map)
         self.edge_map = {de: tuple(path) for de, path in edge_map.items()}
-        self._edges = None
-        self._comp_of = None
 
     def host_edges(self):
-        if self._edges is None:
-            got = set()
-            for path in self.edge_map.values():
-                got.update(path)
-            self._edges = frozenset(got)
-        return self._edges
+        got = set()
+        for path in self.edge_map.values():
+            got.update(path)
+        return frozenset(got)
 
     def component_of_host(self):
         """Host vertex -> index of the digraph component occupying it."""
-        if self._comp_of is None:
-            owner = self.digraph.component_of()
-            comp = {}
-            for dv, hv in self.vertex_map.items():
-                comp[hv] = owner[dv]
-            for de, path in self.edge_map.items():
-                idx = owner[de.src]
-                for he in path[:-1]:
-                    comp[he.dst] = idx
-            self._comp_of = comp
-        return dict(self._comp_of)
+        owner = self.digraph.component_of()
+        comp = {}
+        for dv, hv in self.vertex_map.items():
+            comp[hv] = owner[dv]
+        for de, path in self.edge_map.items():
+            idx = owner[de.src]
+            for he in path[:-1]:
+                comp[he.dst] = idx
+        return comp
 
     def host_vertices(self):
         return frozenset(self.component_of_host())
@@ -364,27 +357,24 @@ class Extension:
     follows from that order.
     """
 
-    __slots__ = ("embedding", "added_edges", "allow_e2", "_comp_of")
+    __slots__ = ("embedding", "added_edges", "allow_e2")
 
     def __init__(self, embedding, added_edges, allow_e2=True):
         self.embedding = embedding
         self.added_edges = tuple(added_edges)
         self.allow_e2 = bool(allow_e2)
-        self._comp_of = None
 
     def edges(self):
         return self.embedding.host_edges() | set(self.added_edges)
 
     def component_of_host(self):
-        if self._comp_of is None:
-            comp = self.embedding.component_of_host()
-            for e in self.added_edges:
-                if e.dst not in comp:
-                    raise ContractViolationError(
-                        "added edge %r does not attach to the extension" % (e,))
-                comp.setdefault(e.src, comp[e.dst])
-            self._comp_of = comp
-        return dict(self._comp_of)
+        comp = self.embedding.component_of_host()
+        for e in self.added_edges:
+            if e.dst not in comp:
+                raise ContractViolationError(
+                    "added edge %r does not attach to the extension" % (e,))
+            comp.setdefault(e.src, comp[e.dst])
+        return comp
 
     def host_vertices(self):
         return frozenset(self.component_of_host())

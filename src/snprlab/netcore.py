@@ -55,7 +55,7 @@ class Network:
     """
 
     __slots__ = ("vertices", "edges", "root", "leaf_labels",
-                 "_out", "_in", "_sig", "_reach")
+                 "_out", "_in", "_sig", "_reach", "_leaves")
 
     def __init__(self, vertices, edges, root, leaf_labels):
         self.vertices = frozenset(vertices)
@@ -66,6 +66,7 @@ class Network:
         self._in = None
         self._sig = None
         self._reach = {}
+        self._leaves = None
 
     def _adjacency(self):
         if self._out is None:
@@ -98,7 +99,10 @@ class Network:
 
     @property
     def leaves(self):
-        return frozenset(v for v in self.vertices if self.out_degree(v) == 0)
+        if self._leaves is None:
+            out = self._adjacency()[0]
+            self._leaves = frozenset(v for v in self.vertices if not out[v])
+        return self._leaves
 
     @property
     def taxa(self):

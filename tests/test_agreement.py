@@ -1,5 +1,6 @@
 """Shared-digraph measure, its bounds, and the independent tree oracle."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from snprlab import (
     candidate_from_edges,
     check_bounds,
     dtc,
+    digraph_signature,
     embedding_violations,
     enumerate_agreement_digraphs,
+    enumerate_tree_child,
     extension_violations,
     find_embedding,
     gap_witness_search,
@@ -21,10 +24,12 @@ from snprlab import (
     maf_rspr,
     mtc,
     parse_enewick,
+    random_network,
     random_tree_child,
     write_enewick,
     write_witness_bundle,
 )
+from snprlab.agreement import _distinct_candidates, _valid_drops
 
 
 @pytest.fixture
@@ -171,6 +176,67 @@ def test_foreign_edges_are_a_contract_violation(triples):
     assert foreign
     with pytest.raises(ContractViolationError):
         candidate_from_edges(n, [foreign[0]])
+
+
+def _level(leaves, retics):
+    return [n for n in enumerate_tree_child(leaves, retics)
+            if n.reticulation_count == retics]
+
+
+def _all_drops(n):
+    """Every dropped-index tuple of n.edges, fewest first, then lexicographic."""
+    for k in range(len(n.edges) + 1):
+        yield from itertools.combinations(range(len(n.edges)), k)
+
+
+def _kept(n, dropped):
+    gone = set(dropped)
+    return [e for i, e in enumerate(n.edges) if i not in gone]
+
+
+def _candidates_of_every_subset(n):
+    """The 2^|E| read that _distinct_candidates replaces, kept as its oracle."""
+    seen = set()
+    for dropped in _all_drops(n):
+        got = candidate_from_edges(n, _kept(n, dropped))
+        if got is None:
+            continue
+        d, emb = got
+        sig = digraph_signature(d)
+        if sig in seen:
+            continue
+        seen.add(sig)
+        yield d, emb
+
+
+# two random_network(3, 2) hosts with a parallel pair, neither tree-child
+PARALLEL_HOSTS = (2, 10)
+
+
+def test_local_rule_is_exactly_candidate_acceptance():
+    # 32,104 subsets of 60 hosts: every kept-degree pair of tree vertices
+    # and reticulations occurs, so a weaker or a stricter rule shows up here
+    hosts = (list(enumerate_tree_child(2, 2)) + list(enumerate_tree_child(3, 1))
+             + _level(4, 0) + _level(3, 2)[::11] + _level(4, 1)[::20]
+             + [random_network(3, 2, seed=s) for s in PARALLEL_HOSTS])
+    for n in hosts:
+        accepted = [dropped for dropped in _all_drops(n)
+                    if candidate_from_edges(n, _kept(n, dropped)) is not None]
+        assert list(_valid_drops(n)) == accepted, write_enewick(n)
+
+
+def test_candidate_stream_equals_the_every_subset_read():
+    hosts = ([parse_enewick("(((((c)#H1,f),a),((#H1,b),e)),d);")]
+             + _level(3, 2)[::22]
+             + [random_network(3, 2, seed=s) for s in PARALLEL_HOSTS])
+    for n in hosts:
+        got = list(_distinct_candidates(n))
+        want = list(_candidates_of_every_subset(n))
+        assert len(got) == len(want), write_enewick(n)
+        for (d, emb), (d0, emb0) in zip(got, want):
+            assert digraph_signature(d) == digraph_signature(d0)
+            assert emb.vertex_map == emb0.vertex_map
+            assert emb.edge_map == emb0.edge_map
 
 
 # ------------------------------------------------------------------ bounds

@@ -1,6 +1,7 @@
 """Golden tests for the command-line surface: exact bytes, exact exit codes."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ TRIPLE_AC_B = "((a,c),b);"
 RETIC_AB_C = "((a,(b)#H1),(#H1,c));"
 TRIPLE_A_BC = "(a,(b,c));"
 STACKED = "((((b)#H2)#H1,#H2),(#H1,a));"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -105,6 +107,21 @@ def test_mtc_subcommand(files, capsys):
     assert out.splitlines()[0] == "2"
     assert "# agreement witness: cut 1 + 1 = 2" in out
     assert "begin digraph" in out
+
+
+@pytest.mark.parametrize("first, second, golden", [
+    ("((a,b),(c,d));", "((a,c),(b,d));", "mtc_four_leaf_trees.txt"),
+    # the measure anchor pair of the benchmark: a 14-edge host
+    ("(((((c)#H1,f),a),((#H1,b),e)),d);", "(((((c)#H1,f),a),((#H1,e),b)),d);",
+     "mtc_anchor.txt"),
+], ids=["four_leaf_trees", "anchor"])
+def test_mtc_golden_witness(files, capsys, first, second, golden):
+    # the value and the whole bundle pin the first optimum in enumeration order
+    a = files("a.nwk", first)
+    b = files("b.nwk", second)
+    code, out, _ = run(capsys, "mtc", a, b)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_mtc_budget_exhaustion_exits_2(files, capsys):
