@@ -7,21 +7,19 @@ from fractions import Fraction
 from .errors import (
     BudgetExceededError,
     ContractViolationError,
-    EmbeddingError,
     InvalidDigraphError,
     InvalidNetworkError,
 )
 from .netcore import (Network, canonical_signature, is_tree_child,
                       random_tree_child)
 from .digraphcore import (
-    component_violations,
     digraph_signature,
     is_tree_child_digraph,
     validate_component,
     validate_digraph,
     _quotient_with_paths,
 )
-from .embed import Embedding, cut_size, extend, find_embedding, root_extend
+from .embed import Embedding, _check_taxa, cut_size, extend, find_embedding
 from .snpr import dtc
 
 
@@ -87,24 +85,14 @@ def candidate_from_edges(n: Network, edge_subset):
         vertices, subset, n.root, labels)
     if problems:
         return None
-    components = []
-    for vs, es, labs, r in raw:
-        if component_violations(vs, es, labs, r):
-            return None
-        components.append(validate_component(es, labs, rho=r, vertices=vs))
     try:
-        d = validate_digraph(components, n.taxa)
+        d = validate_digraph([validate_component(es, labs, rho=r, vertices=vs)
+                              for vs, es, labs, r in raw], n.taxa)
     except InvalidDigraphError:
         return None
     vmap = {v: v for v in d.all_vertices()}
     emap = {e: edge_paths[e] for e in d.all_edges()}
     return d, Embedding(d, n, vmap, emap)
-
-
-def _check_pair(n: Network, m: Network):
-    if n.taxa != m.taxa:
-        raise EmbeddingError("leaf sets differ: %r vs %r"
-                             % (sorted(n.taxa), sorted(m.taxa)))
 
 
 def _local_checks(n: Network):
@@ -213,7 +201,7 @@ def enumerate_agreement_digraphs(n: Network, m: Network,
 
     Deterministic order; one witness per digraph isomorphism class.
     """
-    _check_pair(n, m)
+    _check_taxa(n, m)
     for d, emb in _distinct_candidates(n):
         if tree_child_only and not is_tree_child_digraph(d):
             continue
@@ -275,23 +263,12 @@ def mtc(n: Network, m: Network, subset_budget=None):
     giving up; the edge subsets behind them are not counted.
     """
     _require_tree_child_pair(n, m)
-    _check_pair(n, m)
+    _check_taxa(n, m)
     best, best_w = _min_total_cut(n, m, subset_budget=subset_budget)
     if best_w is None:
         # the all-singletons digraph is displayed by every network pair
         raise ContractViolationError("no shared digraph found")
-    _cross_check_root_cuts(n, m, best_w)
     return best, best_w
-
-
-def _cross_check_root_cuts(n, m, w):
-    # both hosts are tree-child, so root-only growth must agree on the cuts
-    for net, emb, cut in ((n, w.embedding_n, w.cut_n),
-                          (m, w.embedding_m, w.cut_m)):
-        root_cut = cut_size(net, root_extend(emb, net))
-        if root_cut != cut:
-            raise ContractViolationError(
-                "root extension cut %d disagrees with %d" % (root_cut, cut))
 
 
 def check_bounds(n: Network, m: Network, cap=None) -> BoundsReport:
@@ -383,7 +360,7 @@ def maf_rspr(t: Network, u: Network) -> int:
         if net.reticulation_count:
             raise InvalidNetworkError(
                 ["%s input has reticulations" % side])
-    _check_pair(t, u)
+    _check_taxa(t, u)
     maps_t = _tree_maps(t)
     maps_u = _tree_maps(u)
     labels = [_RHO] + sorted(t.taxa)

@@ -396,11 +396,10 @@ def quotient(vertices, edges, rho=None, leaf_labels=None) -> list:
     raw, _, problems = _quotient_with_paths(vertices, edges, rho, leaf_labels)
     components = []
     for vs, es, labs, r in raw:
-        errs = component_violations(vs, es, labs, r)
-        if errs:
-            problems.extend(errs)
-        else:
+        try:
             components.append(validate_component(es, labs, rho=r, vertices=vs))
+        except InvalidDigraphError as exc:
+            problems.extend(exc.violations)
     if problems:
         raise InvalidDigraphError(problems)
     return components

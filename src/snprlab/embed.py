@@ -136,17 +136,17 @@ def embedding_violations(m: Embedding) -> list:
 
 def _leaf_depths(n: Network):
     # min edge count from each vertex down to a leaf; orders candidates
-    memo = {}
-
-    def go(v):
-        if v not in memo:
-            outs = n.out_edges(v)
-            memo[v] = 0 if not outs else 1 + min(go(e.dst) for e in outs)
-        return memo[v]
-
-    for v in n.vertices:
-        go(v)
-    return memo
+    depth = {v: 0 for v in n.leaves}
+    frontier = list(depth)
+    while frontier:
+        upper = []
+        for v in frontier:
+            for e in n.in_edges(v):
+                if e.src not in depth:
+                    depth[e.src] = depth[v] + 1
+                    upper.append(e.src)
+        frontier = upper
+    return depth
 
 
 class _Search:
@@ -188,65 +188,28 @@ class _Search:
         return (self.n.in_degree(hv) >= c.in_degree(dv)
                 and self.n.out_degree(hv) >= c.out_degree(dv))
 
-    def _down(self, c, dv, start):
-        # paths from start whose unused endpoint can carry dv
-        found = []
-        path = []
+    def _paths(self, start, forward, accept):
+        """Unclaimed host paths leaving start down- or upward, as (path, end).
 
-        def walk(x):
-            for he in sorted(self.n.out_edges(x)):
+        A path is kept when accept takes its far end and is walked on
+        while that end is unclaimed. Paths read downward either way; the
+        walk order is arbitrary, callers sort.
+        """
+        found = []
+        stack = [(start, ())]
+        while stack:
+            x, path = stack.pop()
+            for he in self.n.out_edges(x) if forward else self.n.in_edges(x):
                 if he in self.used_e:
                     continue
-                w = he.dst
-                path.append(he)
-                if self._fits(c, dv, w):
-                    found.append((tuple(path), w))
+                if forward:
+                    w, longer = he.dst, path + (he,)
+                else:
+                    w, longer = he.src, (he,) + path
+                if accept(w):
+                    found.append((longer, w))
                 if w not in self.used_v:
-                    walk(w)
-                path.pop()
-
-        walk(start)
-        found.sort(key=lambda pw: (self.depth[pw[1]], pw[1], pw[0]))
-        return found
-
-    def _up(self, c, dv, start):
-        found = []
-        path = []
-
-        def walk(x):
-            for he in sorted(self.n.in_edges(x)):
-                if he in self.used_e:
-                    continue
-                w = he.src
-                path.append(he)
-                if self._fits(c, dv, w):
-                    found.append((tuple(reversed(path)), w))
-                if w not in self.used_v:
-                    walk(w)
-                path.pop()
-
-        walk(start)
-        found.sort(key=lambda pw: (self.depth[pw[1]], pw[1], pw[0]))
-        return found
-
-    def _between(self, start, goal):
-        found = []
-        path = []
-
-        def walk(x):
-            for he in sorted(self.n.out_edges(x)):
-                if he in self.used_e:
-                    continue
-                w = he.dst
-                path.append(he)
-                if w == goal:
-                    found.append(tuple(path))
-                elif w not in self.used_v:
-                    walk(w)
-                path.pop()
-
-        walk(start)
-        found.sort()
+                    stack.append((w, longer))
         return found
 
     def _claim(self, de, path):
@@ -275,37 +238,35 @@ class _Search:
             ia = self.vmap.get(de.src)
             ib = self.vmap.get(de.dst)
             if ia is not None and ib is not None:
-                for path in self._between(ia, ib):
+                # ib is claimed, so no path runs on past it
+                for path, _ in sorted(self._paths(ia, True, lambda w: w == ib)):
                     self._claim(de, path)
                     place(i + 1)
                     self._release(de, path)
-            elif ia is not None:
-                for path, w in self._down(c, de.dst, ia):
-                    self.vmap[de.dst] = w
-                    self.used_v.add(w)
-                    self._claim(de, path)
-                    place(i + 1)
-                    self._release(de, path)
-                    self.used_v.discard(w)
-                    del self.vmap[de.dst]
-            else:
-                for path, w in self._up(c, de.src, ib):
-                    self.vmap[de.src] = w
-                    self.used_v.add(w)
-                    self._claim(de, path)
-                    place(i + 1)
-                    self._release(de, path)
-                    self.used_v.discard(w)
-                    del self.vmap[de.src]
+                return
+            forward = ia is not None
+            dv = de.dst if forward else de.src
+            found = self._paths(ia if forward else ib, forward,
+                                lambda w: self._fits(c, dv, w))
+            found.sort(key=lambda pw: (self.depth[pw[1]], pw[1], pw[0]))
+            for path, w in found:
+                self.vmap[dv] = w
+                self.used_v.add(w)
+                self._claim(de, path)
+                place(i + 1)
+                self._release(de, path)
+                self.used_v.discard(w)
+                del self.vmap[dv]
 
         place(0)
         return results
 
 
-def _check_taxa(d: PhyloDigraph, n: Network):
-    if d.taxa != n.taxa:
+def _check_taxa(a, b):
+    # a and b are networks or digraphs; both carry taxa
+    if a.taxa != b.taxa:
         raise EmbeddingError("leaf sets differ: %r vs %r"
-                             % (sorted(d.taxa), sorted(n.taxa)))
+                             % (sorted(a.taxa), sorted(b.taxa)))
 
 
 def find_embedding(d: PhyloDigraph, n: Network):
@@ -402,7 +363,7 @@ def _claim_edge(e, comp, r_edges, in_r, out_r):
     out_r[e.src] = out_r.get(e.src, 0) + 1
 
 
-def _applicable(n, comp, r_edges, in_r, out_r, allow_e2):
+def _applicable(n, comp, in_r, out_r, allow_e2):
     """Host edges the growth rules could claim right now, in pick order.
 
     Rule one feeds a vertex with no claimed in-edge from a parent outside
@@ -416,8 +377,8 @@ def _applicable(n, comp, r_edges, in_r, out_r, allow_e2):
             cands.extend(he for he in n.in_edges(v) if he.src not in comp)
         elif (allow_e2 and vin == 1 and out_r.get(v, 0) == 1
               and n.in_degree(v) == 2):
-            cands.extend(he for he in n.in_edges(v)
-                         if he not in r_edges and he.src not in comp)
+            # a claimed edge has its tail in comp, so this skips it too
+            cands.extend(he for he in n.in_edges(v) if he.src not in comp)
     return cands
 
 
@@ -430,7 +391,7 @@ def extend(m: Embedding, n: Network, policy=None) -> Extension:
     comp, r_edges, in_r, out_r = _growth_state(m)
     added = []
     while True:
-        cands = _applicable(n, comp, r_edges, in_r, out_r, policy.allow_e2)
+        cands = _applicable(n, comp, in_r, out_r, policy.allow_e2)
         if not cands:
             break
         e = rng.choice(cands) if rng else cands[0]
@@ -472,19 +433,12 @@ def _order_added_edges(n, m, added, allow_e2):
     remaining = set(added)
     order = []
     while remaining:
-        pick = None
-        for e in sorted(remaining):
-            if e.dst not in comp or e.src in comp:
-                continue
-            vin = in_r.get(e.dst, 0)
-            if vin == 0 or (allow_e2 and vin == 1
-                            and out_r.get(e.dst, 0) == 1
-                            and n.in_degree(e.dst) == 2):
-                pick = e
-                break
-        if pick is None:
+        claimable = set(_applicable(n, comp, in_r, out_r, allow_e2))
+        claimable &= remaining
+        if not claimable:
             raise ValueError("edges %r cannot arise from the growth rules"
                              % sorted(remaining))
+        pick = min(claimable)
         _claim_edge(pick, comp, r_edges, in_r, out_r)
         remaining.discard(pick)
         order.append(pick)
@@ -514,7 +468,7 @@ def extension_violations(r: Extension) -> list:
     except ValueError as exc:
         probs.append(str(exc))
         return probs
-    left = _applicable(n, comp, r_edges, in_r, out_r, r.allow_e2)
+    left = _applicable(n, comp, in_r, out_r, r.allow_e2)
     if left:
         probs.append("not a fixpoint: %r still claimable" % sorted(left)[:3])
     if r.allow_e2:

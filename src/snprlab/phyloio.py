@@ -157,14 +157,8 @@ def parse_enewick(text: str) -> Network:
             raise ParseError("tag #H%s used %d times as a child, expected 2"
                              % (tag, uses), pos)
 
-    slot_count = {}
-    triples = []
-    for u, v in edges:
-        k = slot_count.get((u, v), 0)
-        slot_count[(u, v)] = k + 1
-        triples.append((u, v, k))
     try:
-        return validate(triples, labels, root=root)
+        return validate(edges, labels, root=root)
     except InvalidNetworkError as exc:
         raise ParseError("text encodes an invalid network: "
                          + "; ".join(exc.violations)) from exc
@@ -249,17 +243,13 @@ def parse_pnd(text: str) -> Network:
         raise ParseError("missing root line")
     if root not in declared:
         raise ParseError("root %d is not declared" % root)
-    slot_count = {}
-    triples = []
     for line_no, u, v in edge_lines:
         for x in (u, v):
             if x not in declared:
                 raise ParseError("edge endpoint %d is not declared" % x, line_no)
-        k = slot_count.get((u, v), 0)
-        slot_count[(u, v)] = k + 1
-        triples.append((u, v, k))
     try:
-        return validate(triples, labels, root=root, vertices=declared)
+        return validate([(u, v) for _, u, v in edge_lines], labels, root=root,
+                        vertices=declared)
     except InvalidNetworkError as exc:
         raise ParseError("document encodes an invalid network: "
                          + "; ".join(exc.violations)) from exc
@@ -321,16 +311,8 @@ def parse_digraph_pnd(text: str, taxa=None) -> PhyloDigraph:
     if not blocks:
         raise ParseError("document has no components")
     try:
-        comps = []
-        for blk in blocks:
-            slot_count = {}
-            triples = []
-            for u, v in blk["edges"]:
-                k = slot_count.get((u, v), 0)
-                slot_count[(u, v)] = k + 1
-                triples.append((u, v, k))
-            comps.append(validate_component(triples, blk["labels"], rho=blk["rho"],
-                                            vertices=blk["declared"]))
+        comps = [validate_component(blk["edges"], blk["labels"], rho=blk["rho"],
+                                    vertices=blk["declared"]) for blk in blocks]
         if taxa is None:
             taxa = set()
             for c in comps:

@@ -211,7 +211,11 @@ def test_criterion_04_bound_sandwich(capsys):
     iso_seen = non_iso_seen = 0
     for n, m in pairs:
         cap = max(n.reticulation_count, m.reticulation_count) + 1
-        measure, _ = mtc(n, m)
+        measure, w = mtc(n, m)
+        # both hosts are tree-child, so root-only growth meets the same cuts
+        for net, emb, cut in ((n, w.embedding_n, w.cut_n),
+                              (m, w.embedding_m, w.cut_m)):
+            assert cut_size(net, root_extend(emb, net)) == cut, write_enewick(net)
         d, seq = dtc(n, m, reticulation_cap=cap, witness=True, cache=cache)
         assert d <= measure <= 2 * d, (write_enewick(n), write_enewick(m), d, measure)
         same = isomorphic(n, m)

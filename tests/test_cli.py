@@ -223,8 +223,9 @@ def test_console_entry_point(files, tmp_path):
     a.write_text(TRIPLE_AB_C, encoding="utf-8")
     b = tmp_path / "b.nwk"
     b.write_text(TRIPLE_AC_B, encoding="utf-8")
-    proc = subprocess.run([sys.executable, "-m", "snprlab.cli",
-                           "bounds", str(a), str(b)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout == "1\t2\t2\ttrue\n"
+    for module in ("snprlab.cli", "snprlab"):
+        proc = subprocess.run([sys.executable, "-m", module,
+                               "bounds", str(a), str(b)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert proc.stdout == "1\t2\t2\ttrue\n", module

@@ -30,6 +30,7 @@ from snprlab import (
     singleton_digraph,
     to_root_extension,
     transfer_extension,
+    validate,
     validate_component,
     validate_digraph,
     write_extension_pnd,
@@ -294,6 +295,26 @@ def test_cut_size_ignores_policy_and_embedding(
                 policy = ExtensionPolicy(mode="seeded", seed=seed)
                 cuts.add(cut_size(n, extend(m, n, policy)))
         assert len(cuts) == 1, (d.taxa, n, cuts)
+
+
+def test_deep_host_embeds_and_extends():
+    # a 1,200-leaf caterpillar: root 0, spine 1..L-1, leaf L+i-1 hangs off
+    # spine vertex i and the deepest leaf 2L-1 off the last one; built with
+    # validate because the eNewick parser still recurses
+    size = 1200
+    edges = [(0, 1)] + [(i, i + 1) for i in range(1, size - 1)]
+    edges += [(i, size + i - 1) for i in range(1, size)] + [(size - 1, 2 * size - 1)]
+    labels = {v: "t%d" % v for v in range(size, 2 * size)}
+    n = validate(edges, labels, root=0)
+    deepest = 2 * size - 1
+    comps = [validate_component([(0, deepest)], {deepest: labels[deepest]}, rho=0)]
+    comps += [validate_component([], {v: lab}, vertices={v})
+              for v, lab in labels.items() if v != deepest]
+    d = validate_digraph(comps, n.taxa)
+    m = find_embedding(d, n)
+    assert m is not None
+    assert len(m.host_edges()) == size
+    assert cut_size(n, extend(m, n)) == size - 1
 
 
 def random_corpus():
