@@ -95,10 +95,21 @@ def _cmd_iso(args):
     return _bool_token(isomorphic(n, m)) + "\n"
 
 
+class _Truncated(BudgetExceededError):
+    """A budget ran out after part of the output was made; that part is kept."""
+
+    def __init__(self, message, output):
+        super().__init__(message)
+        self.output = output
+
+
 def _cmd_neighbors(args):
     n = _read_network(args.file, args.format)
     out = []
     for mv, succ in enumerate_moves(n, tree_child_only=args.tree_child_only):
+        if args.budget is not None and len(out) >= args.budget:
+            raise _Truncated("stopped after the budget of %d successors; more remain"
+                             % args.budget, "".join(line + "\n" for line in out))
         target = _edge_token(mv.target) if mv.target is not None else "-"
         out.append("%s\t%s\t%s\t%s" % (mv.kind, _edge_token(mv.edge), target,
                                        write_enewick(succ)))
@@ -192,8 +203,6 @@ def _build_parser():
                         help="seed for any randomized behavior")
     common.add_argument("--cap", type=int, default=None,
                         help="reticulation ceiling for distance searches")
-    common.add_argument("--budget", type=int, default=None,
-                        help="work budget; exhaustion exits with status 2")
     common.add_argument("--tree-child-only", action=argparse.BooleanOptionalAction,
                         default=True, help="stay inside tree-child space")
     common.add_argument("--out", default=None, metavar="PATH",
@@ -201,8 +210,10 @@ def _build_parser():
 
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, help_text, files=0, extra=None):
+    def add(name, handler, help_text, files=0, extra=None,
+            budget="not used by this subcommand"):
         p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("--budget", type=int, default=None, help=budget)
         if files >= 1:
             p.add_argument("file")
         if files >= 2:
@@ -215,9 +226,14 @@ def _build_parser():
     add("validate", _cmd_validate, "parse one network and print its counts", files=1)
     add("tree-child", _cmd_tree_child, "report the tree-child property", files=1)
     add("iso", _cmd_iso, "test two networks for isomorphism", files=2)
-    add("neighbors", _cmd_neighbors, "list all one-move successors", files=1)
-    add("distance", _cmd_distance, "exact rearrangement distance with witness", files=2)
-    add("mtc", _cmd_mtc, "shared-digraph measure with witness bundle", files=2)
+    add("neighbors", _cmd_neighbors, "list all one-move successors", files=1,
+        budget="print at most this many successors; exits with status 2 "
+               "when more remain")
+    add("distance", _cmd_distance, "exact rearrangement distance with witness", files=2,
+        budget="cap on search expansions; exhaustion exits with status 2")
+    add("mtc", _cmd_mtc, "shared-digraph measure with witness bundle", files=2,
+        budget="cap on distinct candidate digraphs read; exhaustion exits "
+               "with status 2")
     add("bounds", _cmd_bounds, "half-measure, distance, measure as TSV", files=2)
     add("maf", _cmd_maf, "agreement-forest distance for trees", files=2)
 
@@ -239,14 +255,20 @@ def _build_parser():
         p.add_argument("--leaves", type=int, required=True)
         p.add_argument("--retics", type=int, default=1)
 
-    add("gap-search", _cmd_gap_search, "hunt for a pair whose distance beats the lower bound", extra=gap_args)
+    add("gap-search", _cmd_gap_search, "hunt for a pair whose distance beats the lower bound",
+        extra=gap_args, budget="candidate pairs to examine (default 200); "
+                               "prints nothing when they run out")
     return top
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    code = EXIT_OK
     try:
         output = args.handler(args)
+    except _Truncated as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        output, code = exc.output, EXIT_BUDGET
     except BudgetExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
@@ -262,7 +284,7 @@ def main(argv=None) -> int:
             return EXIT_INVALID
     else:
         sys.stdout.write(output)
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

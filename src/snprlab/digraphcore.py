@@ -8,63 +8,25 @@ component carrying the root marker rho (possibly as an isolated vertex).
 
 from . import _canon
 from .errors import InvalidDigraphError
-from .netcore import _LABEL_RE, Edge, Network, _normalize_edges
+from .netcore import (Edge, Network, _canon_input, _LabelledGraph, _normalize_edges,
+                      _scan, _signature)
 
 RHO_SINGLETON = "rho_singleton"
 LEAF_SINGLETON = "leaf_singleton"
 GENERAL = "general"
 
 
-class LeafDigraph:
+class LeafDigraph(_LabelledGraph):
     """One weakly connected component. Construct through validate_component."""
 
-    __slots__ = ("vertices", "edges", "leaf_labels", "rho", "case", "_out", "_in")
+    __slots__ = ("rho", "case")
 
     def __init__(self, vertices, edges, leaf_labels, rho, case):
-        self.vertices = frozenset(vertices)
-        self.edges = tuple(sorted(edges))
-        self.leaf_labels = dict(leaf_labels)
+        super().__init__(vertices, edges, leaf_labels)
         self.rho = rho
         self.case = case
-        self._out = None
-        self._in = None
 
-    def _adjacency(self):
-        if self._out is None:
-            out = {v: [] for v in self.vertices}
-            inn = {v: [] for v in self.vertices}
-            for e in self.edges:
-                out[e.src].append(e)
-                inn[e.dst].append(e)
-            self._out = {v: tuple(es) for v, es in out.items()}
-            self._in = {v: tuple(es) for v, es in inn.items()}
-        return self._out, self._in
-
-    def out_edges(self, v):
-        return self._adjacency()[0][v]
-
-    def in_edges(self, v):
-        return self._adjacency()[1][v]
-
-    def out_degree(self, v):
-        return len(self.out_edges(v))
-
-    def in_degree(self, v):
-        return len(self.in_edges(v))
-
-    @property
-    def taxa(self):
-        return frozenset(self.leaf_labels.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, LeafDigraph):
-            return NotImplemented
-        return (self.vertices == other.vertices and self.edges == other.edges
-                and self.leaf_labels == other.leaf_labels and self.rho == other.rho)
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges, self.rho,
-                     tuple(sorted(self.leaf_labels.items()))))
+    _top = property(lambda self: self.rho)
 
     def __repr__(self):
         return "LeafDigraph(%s, %d vertices, %d edges)" % (
@@ -72,38 +34,22 @@ class LeafDigraph:
 
 
 def component_violations(vertices, edges, leaf_labels, rho) -> list:
-    problems = []
     vertices = set(vertices)
     if not vertices:
         return ["component has no vertices"]
-    for e in edges:
-        if e.src not in vertices or e.dst not in vertices:
-            problems.append("edge %r leaves the vertex set" % (e,))
-        elif e.src == e.dst:
-            problems.append("self loop at vertex %d" % e.src)
-    if problems:
-        return problems
+    bad, slots, problems, out, inn, acyclic = _scan(
+        vertices, edges, leaf_labels, "leaves the vertex set")
+    if bad:
+        return bad
     if rho is not None and rho not in vertices:
         return ["rho %r is not a vertex" % (rho,)]
-    for v in set(leaf_labels) - vertices:
-        problems.append("labelled vertex %d is not a vertex" % v)
-    if problems:
-        return problems
+    stray = ["labelled vertex %d is not a vertex" % v
+             for v in set(leaf_labels) - vertices]
+    if stray:
+        return stray
 
-    labels = [leaf_labels[v] for v in sorted(leaf_labels)]
-    if len(set(labels)) != len(labels):
-        problems.append("leaf labels are not distinct")
-    for lab in labels:
-        if not _LABEL_RE.match(lab):
-            problems.append("label %r contains characters outside [A-Za-z0-9_]" % lab)
     if rho is not None and rho in leaf_labels:
         problems.append("rho must not carry a leaf label")
-
-    out = {v: 0 for v in vertices}
-    inn = {v: 0 for v in vertices}
-    for e in edges:
-        out[e.src] += 1
-        inn[e.dst] += 1
 
     if not edges:
         if len(vertices) != 1:
@@ -120,13 +66,7 @@ def component_violations(vertices, edges, leaf_labels, rho) -> list:
 
     # general case: a weakly connected DAG whose sinks are exactly the
     # labelled leaves, with at most one (0,1) vertex, and only if it is rho
-    by_pair = {}
-    for e in edges:
-        by_pair.setdefault((e.src, e.dst), []).append(e.slot)
-    for pair, slots in by_pair.items():
-        if sorted(slots) != list(range(len(slots))):
-            problems.append("edge slots for %r are not dense" % (pair,))
-
+    problems += slots
     for v in sorted(vertices):
         d = (inn[v], out[v])
         if v in leaf_labels:
@@ -141,22 +81,7 @@ def component_violations(vertices, edges, leaf_labels, rho) -> list:
     if rho is not None and (inn[rho], out[rho]) != (0, 1):
         problems.append("rho %d has degree %r, expected (0, 1)"
                         % (rho, (inn[rho], out[rho])))
-
-    # acyclicity
-    remaining = dict(inn)
-    succ = {v: [] for v in vertices}
-    for e in edges:
-        succ[e.src].append(e.dst)
-    queue = [v for v in vertices if remaining[v] == 0]
-    visited = 0
-    while queue:
-        v = queue.pop()
-        visited += 1
-        for w in succ[v]:
-            remaining[w] -= 1
-            if remaining[w] == 0:
-                queue.append(w)
-    if visited != len(vertices):
+    if not acyclic:
         problems.append("component contains a directed cycle")
 
     # weak connectivity
@@ -426,22 +351,8 @@ def network_as_digraph(n: Network) -> PhyloDigraph:
 
 def digraph_signature(d: PhyloDigraph) -> bytes:
     """Label- and rho-anchored canonical form of the whole component collection."""
-    if d._sig is not None:
-        return d._sig
-    labels = sorted(d.taxa)
-    index = {lab: i for i, lab in enumerate(labels)}
-    seed = {}
-    vertices = set()
-    edges = []
-    for c in d.components:
-        vertices |= c.vertices
-        edges.extend((e.src, e.dst) for e in c.edges)
-        if c.rho is not None:
-            seed[c.rho] = 1
-        for v, lab in c.leaf_labels.items():
-            seed[v] = 2 + index[lab]
-    enc, _ = _canon.canonical_labelling(vertices, edges, seed)
-    d._sig = repr(tuple(labels)).encode() + b"|" + enc
+    if d._sig is None:
+        d._sig = _signature(d.components, d.taxa)
     return d._sig
 
 
@@ -450,21 +361,6 @@ def digraph_isomorphic(d1: PhyloDigraph, d2: PhyloDigraph) -> bool:
     if d1.taxa != d2.taxa:
         return False
     labels = sorted(d1.taxa)
-    index = {lab: i for i, lab in enumerate(labels)}
-
-    def parts(d):
-        seed = {}
-        vertices = set()
-        edges = []
-        for c in d.components:
-            vertices |= c.vertices
-            edges.extend((e.src, e.dst) for e in c.edges)
-            if c.rho is not None:
-                seed[c.rho] = 1
-            for v, lab in c.leaf_labels.items():
-                seed[v] = 2 + index[lab]
-        return vertices, edges, seed
-
-    v1, e1, s1 = parts(d1)
-    v2, e2, s2 = parts(d2)
-    return _canon.isomorphism_mapping(v1, e1, s1, v2, e2, s2) is not None
+    return _canon.isomorphism_mapping(
+        *_canon_input(d1.components, labels),
+        *_canon_input(d2.components, labels)) is not None

@@ -149,6 +149,30 @@ def _leaf_depths(n: Network):
     return depth
 
 
+class _Path(tuple):
+    """(chain, forward): a host path that _Search._paths found, as the
+    linked chain (edge, rest) of its walk, last walked edge first. It is
+    read as a tuple of edges in downward order only when compared or
+    placed, so a walk costs time linear in its length however many paths
+    it finds."""
+
+    __slots__ = ()
+
+    def edges(self):
+        (he, rest), forward = self
+        if not rest:
+            return (he,)
+        walked = [he]
+        while rest:
+            he, rest = rest
+            walked.append(he)
+        # a downward walk ends at the bottom edge, an upward one at the top
+        return tuple(reversed(walked)) if forward else tuple(walked)
+
+    def __lt__(self, other):
+        return self.edges() < other.edges()
+
+
 class _Search:
     """Backtracking embedding search with global vertex and edge claims."""
 
@@ -182,83 +206,91 @@ class _Search:
                 known.update((e.src, e.dst))
                 self.order.append((c, e))
 
-    def _fits(self, c, dv, hv):
-        if hv in self.used_v:
-            return False
-        return (self.n.in_degree(hv) >= c.in_degree(dv)
-                and self.n.out_degree(hv) >= c.out_degree(dv))
-
     def _paths(self, start, forward, accept):
         """Unclaimed host paths leaving start down- or upward, as (path, end).
 
         A path is kept when accept takes its far end and is walked on
-        while that end is unclaimed. Paths read downward either way; the
-        walk order is arbitrary, callers sort.
+        while that end is unclaimed. The walk order is arbitrary, callers
+        sort.
         """
         found = []
         stack = [(start, ())]
         while stack:
-            x, path = stack.pop()
+            x, chain = stack.pop()
             for he in self.n.out_edges(x) if forward else self.n.in_edges(x):
                 if he in self.used_e:
                     continue
-                if forward:
-                    w, longer = he.dst, path + (he,)
-                else:
-                    w, longer = he.src, (he,) + path
+                w = he.dst if forward else he.src
+                longer = (he, chain)
                 if accept(w):
-                    found.append((longer, w))
+                    found.append((_Path((longer, forward)), w))
                 if w not in self.used_v:
                     stack.append((w, longer))
         return found
 
-    def _claim(self, de, path):
-        self.emap[de] = path
-        self.used_e.update(path)
-        for he in path[:-1]:
-            self.used_v.add(he.dst)
-
-    def _release(self, de, path):
-        del self.emap[de]
-        self.used_e.difference_update(path)
-        for he in path[:-1]:
-            self.used_v.discard(he.dst)
+    def _options(self, i):
+        """How step i can be placed: the digraph vertex it places (None when
+        both ends are placed) and its (path, image) pairs in the order they
+        are tried."""
+        c, de = self.order[i]
+        ia = self.vmap.get(de.src)
+        ib = self.vmap.get(de.dst)
+        if ia is not None and ib is not None:
+            # ib is claimed, so no path runs on past it
+            return None, sorted(self._paths(ia, True, lambda w: w == ib))
+        forward = ia is not None
+        dv = de.dst if forward else de.src
+        # an image is unclaimed and has at least the degrees of dv
+        need_in, need_out = c.in_degree(dv), c.out_degree(dv)
+        out, inn = self.n._adjacency()
+        found = self._paths(ia if forward else ib, forward,
+                            lambda w: (w not in self.used_v and len(inn[w]) >= need_in
+                                       and len(out[w]) >= need_out))
+        found.sort(key=lambda pw: (self.depth[pw[1]], pw[1], pw[0]))
+        return dv, found
 
     def solve(self, limit=None):
+        """Embeddings in depth-first order over the steps, each step trying
+        its options in order; at most limit of them.
+
+        The search keeps its own stack, one entry per step entered, so its
+        depth is not bounded by the interpreter's recursion limit.
+        """
         results = []
-
-        def place(i):
-            if limit is not None and len(results) >= limit:
-                return
-            if i == len(self.order):
-                results.append(Embedding(self.d, self.n,
-                                         dict(self.vmap), dict(self.emap)))
-                return
-            c, de = self.order[i]
-            ia = self.vmap.get(de.src)
-            ib = self.vmap.get(de.dst)
-            if ia is not None and ib is not None:
-                # ib is claimed, so no path runs on past it
-                for path, _ in sorted(self._paths(ia, True, lambda w: w == ib)):
-                    self._claim(de, path)
-                    place(i + 1)
-                    self._release(de, path)
-                return
-            forward = ia is not None
-            dv = de.dst if forward else de.src
-            found = self._paths(ia if forward else ib, forward,
-                                lambda w: self._fits(c, dv, w))
-            found.sort(key=lambda pw: (self.depth[pw[1]], pw[1], pw[0]))
-            for path, w in found:
-                self.vmap[dv] = w
-                self.used_v.add(w)
-                self._claim(de, path)
-                place(i + 1)
-                self._release(de, path)
-                self.used_v.discard(w)
-                del self.vmap[dv]
-
-        place(0)
+        vmap, emap, used_v, used_e = self.vmap, self.emap, self.used_v, self.used_e
+        steps = []  # per entered step: [vertex, options, index, path in place]
+        while limit is None or len(results) < limit:
+            if len(steps) == len(self.order):
+                results.append(Embedding(self.d, self.n, dict(vmap), dict(emap)))
+            else:
+                steps.append([*self._options(len(steps)), -1, None])
+            # move the deepest step that has an option left on to its next one
+            while steps:
+                step = steps[-1]
+                dv, options, k, path = step
+                de = self.order[len(steps) - 1][1]
+                if path is not None:
+                    del emap[de]
+                    used_e.difference_update(path)
+                    for he in path[:-1]:
+                        used_v.discard(he.dst)
+                    if dv is not None:
+                        used_v.discard(vmap.pop(dv))
+                k = step[2] = k + 1
+                if k < len(options):
+                    found, w = options[k]
+                    path = step[3] = found.edges()
+                    if dv is not None:
+                        vmap[dv] = w
+                        used_v.add(w)
+                    emap[de] = path
+                    used_e.update(path)
+                    for he in path[:-1]:
+                        used_v.add(he.dst)
+                    break
+                steps.pop()
+            else:
+                break
         return results
 
 

@@ -48,25 +48,22 @@ def _normalize_edges(raw) -> tuple:
     return tuple(out)
 
 
-class Network:
-    """Immutable rooted binary phylogenetic network.
+class _LabelledGraph:
+    """Vertices, edges and leaf labels, with adjacency built on first use.
 
-    Construct through validate(); the constructor itself checks nothing.
+    Networks and digraph components are both leaf-labelled DAGs. Each
+    subclass names its top vertex as _top: a network's root, or a digraph
+    component's rho, which may be None.
     """
 
-    __slots__ = ("vertices", "edges", "root", "leaf_labels",
-                 "_out", "_in", "_sig", "_reach", "_leaves")
+    __slots__ = ("vertices", "edges", "leaf_labels", "_out", "_in")
 
-    def __init__(self, vertices, edges, root, leaf_labels):
+    def __init__(self, vertices, edges, leaf_labels):
         self.vertices = frozenset(vertices)
         self.edges = tuple(sorted(edges))
-        self.root = root
         self.leaf_labels = dict(leaf_labels)
         self._out = None
         self._in = None
-        self._sig = None
-        self._reach = {}
-        self._leaves = None
 
     def _adjacency(self):
         if self._out is None:
@@ -85,12 +82,6 @@ class Network:
     def in_edges(self, v):
         return self._adjacency()[1][v]
 
-    def children(self, v):
-        return tuple(e.dst for e in self.out_edges(v))
-
-    def parents(self, v):
-        return tuple(e.src for e in self.in_edges(v))
-
     def out_degree(self, v):
         return len(self.out_edges(v))
 
@@ -98,15 +89,49 @@ class Network:
         return len(self.in_edges(v))
 
     @property
+    def taxa(self):
+        return frozenset(self.leaf_labels.values())
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.vertices == other.vertices and self.edges == other.edges
+                and self._top == other._top and self.leaf_labels == other.leaf_labels)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges, self._top,
+                     tuple(sorted(self.leaf_labels.items()))))
+
+
+class Network(_LabelledGraph):
+    """Immutable rooted binary phylogenetic network.
+
+    Construct through validate(); the constructor itself checks nothing.
+    """
+
+    __slots__ = ("root", "_sig", "_reach", "_leaves")
+
+    def __init__(self, vertices, edges, root, leaf_labels):
+        super().__init__(vertices, edges, leaf_labels)
+        self.root = root
+        self._sig = None
+        self._reach = {}
+        self._leaves = None
+
+    _top = property(lambda self: self.root)
+
+    def children(self, v):
+        return tuple(e.dst for e in self.out_edges(v))
+
+    def parents(self, v):
+        return tuple(e.src for e in self.in_edges(v))
+
+    @property
     def leaves(self):
         if self._leaves is None:
             out = self._adjacency()[0]
             self._leaves = frozenset(v for v in self.vertices if not out[v])
         return self._leaves
-
-    @property
-    def taxa(self):
-        return frozenset(self.leaf_labels.values())
 
     def leaf_of_label(self, label):
         for v, lab in self.leaf_labels.items():
@@ -120,10 +145,6 @@ class Network:
     @property
     def reticulation_count(self):
         return sum(1 for v in self.vertices if self.in_degree(v) == 2)
-
-    def tree_vertices(self):
-        return tuple(sorted(v for v in self.vertices
-                            if self.in_degree(v) == 1 and self.out_degree(v) == 2))
 
     @property
     def is_tree(self):
@@ -146,57 +167,80 @@ class Network:
         self._reach[v] = result
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, Network):
-            return NotImplemented
-        return (self.vertices == other.vertices and self.edges == other.edges
-                and self.root == other.root and self.leaf_labels == other.leaf_labels)
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges, self.root,
-                     tuple(sorted(self.leaf_labels.items()))))
-
     def __repr__(self):
         return "Network(%d vertices, %d edges, %d reticulations)" % (
             len(self.vertices), len(self.edges), self.reticulation_count)
 
 
+def _scan(vertices, edges, leaf_labels, outside, repeats=False):
+    """The structural checks networks and digraph components share.
+
+    Returns (bad edges, slots, labels, out, inn, acyclic): the endpoint,
+    self-loop and, with repeats, repeated-triple problems; the pairs whose
+    slots are not dense; the label problems; out- and in-degrees and
+    acyclicity over the well-formed edges. outside completes the message
+    for an edge leaving the vertex set. Callers order the parts.
+    """
+    labels = [leaf_labels[v] for v in sorted(leaf_labels) if v in vertices]
+    label_problems = ([] if len(set(labels)) == len(labels)
+                      else ["leaf labels are not distinct"])
+    for lab in labels:
+        if not _LABEL_RE.match(lab):
+            label_problems.append("label %r contains characters outside [A-Za-z0-9_]"
+                                  % lab)
+    out = dict.fromkeys(vertices, 0)
+    inn = dict.fromkeys(vertices, 0)
+    if not edges:  # most digraph components are isolated leaves
+        return [], [], label_problems, out, inn, True
+
+    bad = []
+    seen = set()
+    succ = {v: [] for v in vertices}  # heads of the well-formed edges by tail
+    by_pair = {}
+    for e in edges:
+        u, v, slot = e
+        if u not in vertices or v not in vertices:
+            bad.append("edge %r %s" % (e, outside))
+        elif u == v:
+            bad.append("self loop at vertex %d" % u)
+        else:
+            if repeats:
+                if e in seen:
+                    bad.append("duplicate edge %r" % (e,))
+                seen.add(e)
+            out[u] += 1
+            inn[v] += 1
+            succ[u].append(v)
+        by_pair.setdefault((u, v), []).append(slot)
+    slots = ["edge slots for %r are not dense" % (pair,)
+             for pair, ss in by_pair.items() if sorted(ss) != list(range(len(ss)))]
+
+    # Kahn: every vertex is popped exactly when the graph is acyclic
+    remaining = dict(inn)
+    queue = [v for v in vertices if not inn[v]]
+    visited = 0
+    while queue:
+        visited += 1
+        for w in succ[queue.pop()]:
+            remaining[w] -= 1
+            if not remaining[w]:
+                queue.append(w)
+    return bad, slots, label_problems, out, inn, visited == len(vertices)
+
+
 def network_violations(vertices, edges, root, leaf_labels) -> list:
     """All structural violations, as human-readable strings. Empty means valid."""
-    problems = []
     vertices = set(vertices)
     if not vertices:
         return ["network has no vertices"]
     for v in vertices:
         if not isinstance(v, int):
-            problems.append("vertex id %r is not an int" % (v,))
-            return problems
-
-    out = {v: 0 for v in vertices}
-    inn = {v: 0 for v in vertices}
-    seen_slots = set()
-    for e in edges:
-        if e.src not in vertices or e.dst not in vertices:
-            problems.append("edge %r has an endpoint outside the vertex set" % (e,))
-            continue
-        if e.src == e.dst:
-            problems.append("self loop at vertex %d" % e.src)
-            continue
-        if e in seen_slots:
-            problems.append("duplicate edge %r" % (e,))
-        seen_slots.add(e)
-        out[e.src] += 1
-        inn[e.dst] += 1
-    if problems:
-        return problems
-
-    # slots must be dense per ordered pair
-    by_pair = {}
-    for e in edges:
-        by_pair.setdefault((e.src, e.dst), []).append(e.slot)
-    for pair, slots in by_pair.items():
-        if sorted(slots) != list(range(len(slots))):
-            problems.append("edge slots for %r are not dense" % (pair,))
+            return ["vertex id %r is not an int" % (v,)]
+    bad, problems, label_problems, out, inn, acyclic = _scan(
+        vertices, edges, leaf_labels, "has an endpoint outside the vertex set",
+        repeats=True)
+    if bad:
+        return bad
 
     sources = sorted(v for v in vertices if inn[v] == 0)
     if root not in vertices:
@@ -216,35 +260,13 @@ def network_violations(vertices, edges, root, leaf_labels) -> list:
         problems.append("leaf %d has no label" % v)
     for v in sorted(labelled & vertices - sinks):
         problems.append("labelled vertex %d is not a leaf" % v)
-    labels = [leaf_labels[v] for v in sorted(labelled & vertices)]
-    if len(set(labels)) != len(labels):
-        problems.append("leaf labels are not distinct")
-    for lab in labels:
-        if not _LABEL_RE.match(lab):
-            problems.append("label %r contains characters outside [A-Za-z0-9_]" % lab)
+    problems += label_problems
 
     for v in sorted(vertices):
         d = (inn[v], out[v])
-        if v == root:
-            continue
-        if d not in ((1, 0), (1, 2), (2, 1)):
+        if v != root and d not in ((1, 0), (1, 2), (2, 1)):
             problems.append("vertex %d has degree %r" % (v, d))
-
-    # cycle check (Kahn)
-    remaining = dict(inn)
-    queue = [v for v in vertices if remaining[v] == 0]
-    visited = 0
-    succ = {v: [] for v in vertices}
-    for e in edges:
-        succ[e.src].append(e.dst)
-    while queue:
-        v = queue.pop()
-        visited += 1
-        for w in succ[v]:
-            remaining[w] -= 1
-            if remaining[w] == 0:
-                queue.append(w)
-    if visited != len(vertices):
+    if not acyclic:
         problems.append("network contains a directed cycle")
     # a unique source plus acyclicity forces weak connectivity, so no
     # separate component check is needed
@@ -313,31 +335,41 @@ def is_tree_child(n: Network) -> bool:
         for v in n.vertices if n.out_degree(v) > 0)
 
 
-def _seed_map(n: Network, label_index):
-    seed = {n.root: 1}
-    for v, lab in n.leaf_labels.items():
-        seed[v] = 2 + label_index[lab]
-    return seed
+def _canon_input(graphs, labels):
+    """Vertices, arc pairs and seeds for _canon of labelled graphs together.
+
+    Each top vertex (root or rho) is seeded 1 and each leaf 2 plus the
+    index of its label in labels, so every label anchors one class.
+    """
+    index = {lab: i for i, lab in enumerate(labels)}
+    vertices, arcs, seed = set(), [], {}
+    for g in graphs:
+        vertices |= g.vertices
+        arcs += [(e.src, e.dst) for e in g.edges]
+        if g._top is not None:
+            seed[g._top] = 1
+        for v, lab in g.leaf_labels.items():
+            seed[v] = 2 + index[lab]
+    return vertices, arcs, seed
+
+
+def _signature(graphs, taxa) -> bytes:
+    """Label-anchored canonical form of labelled graphs on taxa, together."""
+    labels = sorted(taxa)
+    enc, _ = _canon.canonical_labelling(*_canon_input(graphs, labels))
+    return repr(tuple(labels)).encode() + b"|" + enc
 
 
 def canonical_signature(n: Network) -> bytes:
     """Label-anchored canonical form; equal exactly for isomorphic networks."""
-    if n._sig is not None:
-        return n._sig
-    labels = sorted(n.taxa)
-    index = {lab: i for i, lab in enumerate(labels)}
-    enc, _ = _canon.canonical_labelling(
-        n.vertices, [(e.src, e.dst) for e in n.edges], _seed_map(n, index))
-    n._sig = repr(tuple(labels)).encode() + b"|" + enc
+    if n._sig is None:
+        n._sig = _signature([n], n.taxa)
     return n._sig
 
 
 def canonical_order(n: Network) -> tuple:
     """Vertices in canonical position order (ties impossible: positions are a bijection)."""
-    labels = sorted(n.taxa)
-    index = {lab: i for i, lab in enumerate(labels)}
-    _, rank = _canon.canonical_labelling(
-        n.vertices, [(e.src, e.dst) for e in n.edges], _seed_map(n, index))
+    _, rank = _canon.canonical_labelling(*_canon_input([n], sorted(n.taxa)))
     return tuple(sorted(n.vertices, key=lambda v: rank[v]))
 
 
@@ -350,10 +382,8 @@ def isomorphism_map(n: Network, m: Network):
     if n.taxa != m.taxa:
         return None
     labels = sorted(n.taxa)
-    index = {lab: i for i, lab in enumerate(labels)}
-    return _canon.isomorphism_mapping(
-        n.vertices, [(e.src, e.dst) for e in n.edges], _seed_map(n, index),
-        m.vertices, [(e.src, e.dst) for e in m.edges], _seed_map(m, index))
+    return _canon.isomorphism_mapping(*_canon_input([n], labels),
+                                      *_canon_input([m], labels))
 
 
 def isomorphic(n: Network, m: Network) -> bool:
@@ -507,21 +537,11 @@ def delete_reticulation_edge(n: Network, edge: Edge) -> Network:
     """Delete a reticulation edge and suppress the two degree-two vertices.
 
     The tail must be a tree vertex. On tree-child input the result is again
-    tree-child.
+    tree-child. This is the "minus" move of snpr.
     """
-    if edge not in n.edges:
-        raise MoveError("edge %r is not in the network" % (edge,))
-    u, v = edge.src, edge.dst
-    if n.in_degree(v) != 2:
-        raise MoveError("edge %r does not end in a reticulation" % (edge,))
-    if not (n.in_degree(u) == 1 and n.out_degree(u) == 2):
-        raise MoveError("tail of %r is not a tree vertex" % (edge,))
-    b = _Builder(n)
-    b.delete_edge(b.resolve(edge))
-    b.suppress(u)
-    b.suppress(v)
-    net, _, _ = b.to_network()
-    return net
+    from .snpr import Move, apply_move
+
+    return apply_move(n, Move("minus", edge))
 
 
 # ---------------------------------------------------------------------------

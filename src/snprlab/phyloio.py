@@ -15,13 +15,11 @@ optionally carrying "rho ID". Writers emit sorted lines, so writing and
 re-parsing any value reproduces it field for field.
 """
 
-import re
+import itertools
 
 from .digraphcore import PhyloDigraph, validate_component, validate_digraph
 from .errors import InvalidDigraphError, InvalidNetworkError, ParseError
-from .netcore import Network, canonical_order, validate
-
-_LABEL_RE = re.compile(r"[A-Za-z0-9_]")
+from .netcore import _LABEL_RE, Network, canonical_order, validate
 
 
 class _Cursor:
@@ -55,34 +53,49 @@ def _parse_tag(cur):
     return digits, pos
 
 
-def _parse_node(cur):
-    ch = cur.peek()
-    if ch == "(":
-        open_pos = cur.pos
-        cur.take()
-        children = [_parse_node(cur)]
-        if cur.peek() == ",":
+def _parse_tree(cur):
+    """The node tree of one eNewick string, read with an explicit stack.
+
+    Nodes are ("leaf", label, pos), ("ref", tag, pos) and
+    ("inner", children, tag or None, pos of "(").
+    """
+    groups = []  # open groups, innermost last: (children, pos of "(")
+    while True:
+        ch = cur.peek()
+        if ch == "(":
+            groups.append(([], cur.pos))
             cur.take()
-            children.append(_parse_node(cur))
-        if cur.peek() != ")":
-            cur.error("expected ',' or ')'")
-        cur.take()
-        tag = None
-        if cur.peek() == "#":
-            tag = _parse_tag(cur)
-        if len(children) == 1 and tag is None:
-            cur.error("a single-child group must carry a #H tag")
-        return ("inner", children, tag, open_pos)
-    if ch == "#":
-        tag, pos = _parse_tag(cur)
-        return ("ref", tag, pos)
-    if ch and _LABEL_RE.match(ch):
-        pos = cur.pos
-        label = ""
-        while cur.peek() and _LABEL_RE.match(cur.peek()):
-            label += cur.take()
-        return ("leaf", label, pos)
-    cur.error("expected a leaf label, '(' or '#H'")
+            continue
+        if ch == "#":
+            tag, pos = _parse_tag(cur)
+            node = ("ref", tag, pos)
+        elif ch and _LABEL_RE.match(ch):
+            pos = end = cur.pos
+            while end < len(cur.text) and _LABEL_RE.match(cur.text[end]):
+                end += 1
+            cur.pos = end
+            node = ("leaf", cur.text[pos:end], pos)
+        else:
+            cur.error("expected a leaf label, '(' or '#H'")
+        # the node just read completes every group it closes
+        while groups:
+            children, open_pos = groups[-1]
+            children.append(node)
+            if len(children) == 1 and cur.peek() == ",":
+                cur.take()
+                break
+            if cur.peek() != ")":
+                cur.error("expected ',' or ')'")
+            cur.take()
+            tag = None
+            if cur.peek() == "#":
+                tag = _parse_tag(cur)
+            if len(children) == 1 and tag is None:
+                cur.error("a single-child group must carry a #H tag")
+            groups.pop()
+            node = ("inner", children, tag, open_pos)
+        else:
+            return node
 
 
 def parse_enewick(text: str) -> Network:
@@ -94,7 +107,7 @@ def parse_enewick(text: str) -> Network:
     cur = _Cursor(text)
     while cur.peek() in " \t\r\n" and cur.peek():
         cur.take()
-    top = _parse_node(cur)
+    top = _parse_tree(cur)
     if cur.peek() != ";":
         cur.error("expected ';'")
     cur.take()
@@ -107,18 +120,18 @@ def parse_enewick(text: str) -> Network:
     labels = {}
     label_pos = {}
     tags = {}  # digits -> [vertex, defined, first_pos]
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return counter[0]
+    fresh = itertools.count(1).__next__
 
     def tag_vertex(tag, pos):
         if tag not in tags:
             tags[tag] = [fresh(), False, pos]
         return tags[tag]
 
-    def walk(node):
+    # preorder, children left to right, so vertex ids follow the text
+    root = 0
+    stack = [(root, top)]
+    while stack:
+        parent, node = stack.pop()
         kind = node[0]
         if kind == "leaf":
             _, label, pos = node
@@ -127,27 +140,24 @@ def parse_enewick(text: str) -> Network:
             label_pos[label] = pos
             v = fresh()
             labels[v] = label
-            return v
-        if kind == "ref":
+        elif kind == "ref":
             _, tag, pos = node
-            return tag_vertex(tag, pos)[0]
-        _, children, tag, pos = node
-        if tag is not None:
-            if len(children) != 1:
-                raise ParseError("a #H-tagged group must have exactly one child", pos)
-            entry = tag_vertex(tag[0], tag[1])
-            if entry[1]:
-                raise ParseError("tag #H%s is given a subtree twice" % tag[0], tag[1])
-            entry[1] = True
-            v = entry[0]
+            v = tag_vertex(tag, pos)[0]
         else:
-            v = fresh()
-        for child in children:
-            edges.append((v, walk(child)))
-        return v
-
-    root = 0
-    edges.append((root, walk(top)))
+            _, children, tag, pos = node
+            if tag is not None:
+                if len(children) != 1:
+                    raise ParseError("a #H-tagged group must have exactly one child", pos)
+                entry = tag_vertex(tag[0], tag[1])
+                if entry[1]:
+                    raise ParseError("tag #H%s is given a subtree twice" % tag[0], tag[1])
+                entry[1] = True
+                v = entry[0]
+            else:
+                v = fresh()
+            for child in reversed(children):
+                stack.append((v, child))
+        edges.append((parent, v))
 
     for tag, (v, defined, pos) in sorted(tags.items()):
         if not defined:
@@ -169,35 +179,46 @@ def write_enewick(n: Network) -> str:
     order = canonical_order(n)
     rank = {v: i for i, v in enumerate(order)}
     tags = {}
-
-    def render(v):
-        if n.out_degree(v) == 0:
-            return n.leaf_labels[v]
-        if n.in_degree(v) == 2:
-            if v in tags:
-                return "#H%d" % tags[v]
-            tags[v] = len(tags) + 1
-            child = n.children(v)[0]
-            return "(%s)#H%d" % (render(child), tags[v])
-        kids = sorted(n.children(v), key=rank.get)
-        return "(" + ",".join(render(k) for k in kids) + ")"
-
-    top = n.children(n.root)[0]
-    return render(top) + ";"
+    parts = []
+    # text pieces and vertices still to render, next one last
+    todo = [";", n.children(n.root)[0]]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif n.out_degree(item) == 0:
+            parts.append(n.leaf_labels[item])
+        elif n.in_degree(item) == 2:
+            if item in tags:
+                parts.append("#H%d" % tags[item])
+            else:
+                tags[item] = len(tags) + 1
+                parts.append("(")
+                todo += [")#H%d" % tags[item], n.children(item)[0]]
+        else:
+            kids = sorted(n.children(item), key=rank.get)
+            parts.append("(")
+            todo.append(")")
+            for k in reversed(kids[1:]):
+                todo += [k, ","]
+            todo.append(kids[0])
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
 # pnd
 
 
-def _pnd_lines(text):
-    """Significant (line_number, tokens) pairs, comments stripped."""
-    out = []
+def _pnd_body(text):
+    """Significant (line_number, tokens) pairs after the header, comments stripped."""
+    lines = []
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append((i, line.split()))
-    return out
+            lines.append((i, line.split()))
+    if not lines or lines[0][1] != ["pnd", "1"]:
+        raise ParseError("expected 'pnd 1' header", lines[0][0] if lines else 1)
+    return lines[1:]
 
 
 def _pnd_int(token, line_no, what):
@@ -207,112 +228,108 @@ def _pnd_int(token, line_no, what):
         raise ParseError("%s %r is not an integer" % (what, token), line_no) from None
 
 
-def parse_pnd(text: str) -> Network:
-    """Parse a pnd network document. Error positions are line numbers."""
-    lines = _pnd_lines(text)
-    if not lines or lines[0][1] != ["pnd", "1"]:
-        raise ParseError("expected 'pnd 1' header", lines[0][0] if lines else 1)
-    declared = set()
-    labels = {}
-    root = None
-    edge_lines = []
-    for line_no, tokens in lines[1:]:
+class _PndGraph:
+    """The vertex, leaf and edge lines of one network or digraph component."""
+
+    def __init__(self):
+        self.declared = set()
+        self.labels = {}
+        self.edges = []  # (line number, tail, head)
+        self.top = None  # the root or rho id
+
+    def read(self, tokens, line_no):
+        """Take a vertex, leaf or edge line; False for any other line."""
         kind = tokens[0]
+        if kind == "edge" and len(tokens) == 3:
+            self.edges.append((line_no, _pnd_int(tokens[1], line_no, "edge endpoint"),
+                               _pnd_int(tokens[2], line_no, "edge endpoint")))
+            return True
         if kind == "vertex" and len(tokens) == 2:
             v = _pnd_int(tokens[1], line_no, "vertex id")
-            if v in declared:
-                raise ParseError("vertex %d declared twice" % v, line_no)
-            declared.add(v)
         elif kind == "leaf" and len(tokens) == 3:
             v = _pnd_int(tokens[1], line_no, "leaf id")
-            if v in declared:
-                raise ParseError("vertex %d declared twice" % v, line_no)
-            declared.add(v)
-            labels[v] = tokens[2]
-        elif kind == "root" and len(tokens) == 2:
-            if root is not None:
-                raise ParseError("root declared twice", line_no)
-            root = _pnd_int(tokens[1], line_no, "root id")
-        elif kind == "edge" and len(tokens) == 3:
-            u = _pnd_int(tokens[1], line_no, "edge endpoint")
-            v = _pnd_int(tokens[2], line_no, "edge endpoint")
-            edge_lines.append((line_no, u, v))
         else:
+            return False
+        if v in self.declared:
+            raise ParseError("vertex %d declared twice" % v, line_no)
+        self.declared.add(v)
+        if kind == "leaf":
+            self.labels[v] = tokens[2]
+        return True
+
+    def check_endpoints(self, edges):
+        for line_no, u, v in edges:
+            for x in (u, v):
+                if x not in self.declared:
+                    raise ParseError("edge endpoint %d is not declared" % x, line_no)
+
+    def pairs(self):
+        return [(u, v) for _, u, v in self.edges]
+
+
+def parse_pnd(text: str) -> Network:
+    """Parse a pnd network document. Error positions are line numbers."""
+    g = _PndGraph()
+    for line_no, tokens in _pnd_body(text):
+        if tokens[0] == "root" and len(tokens) == 2:
+            if g.top is not None:
+                raise ParseError("root declared twice", line_no)
+            g.top = _pnd_int(tokens[1], line_no, "root id")
+        elif not g.read(tokens, line_no):
             raise ParseError("unrecognised line %r" % " ".join(tokens), line_no)
-    if root is None:
+    if g.top is None:
         raise ParseError("missing root line")
-    if root not in declared:
-        raise ParseError("root %d is not declared" % root)
-    for line_no, u, v in edge_lines:
-        for x in (u, v):
-            if x not in declared:
-                raise ParseError("edge endpoint %d is not declared" % x, line_no)
+    if g.top not in g.declared:
+        raise ParseError("root %d is not declared" % g.top)
+    g.check_endpoints(g.edges)
     try:
-        return validate([(u, v) for _, u, v in edge_lines], labels, root=root,
-                        vertices=declared)
+        return validate(g.pairs(), g.labels, root=g.top, vertices=g.declared)
     except InvalidNetworkError as exc:
         raise ParseError("document encodes an invalid network: "
                          + "; ".join(exc.violations)) from exc
 
 
-def write_pnd(n: Network) -> str:
+def _network_pnd(n: Network, note=None) -> str:
+    """pnd document of a network; note(e), when given, ends each edge line."""
     lines = ["pnd 1"]
-    for v in sorted(n.vertices - set(n.leaf_labels)):
-        lines.append("vertex %d" % v)
-    for v in sorted(n.leaf_labels):
-        lines.append("leaf %d %s" % (v, n.leaf_labels[v]))
+    lines += ["vertex %d" % v for v in sorted(n.vertices - set(n.leaf_labels))]
+    lines += ["leaf %d %s" % (v, n.leaf_labels[v]) for v in sorted(n.leaf_labels)]
     lines.append("root %d" % n.root)
     for e in sorted(n.edges):
-        lines.append("edge %d %d" % (e.src, e.dst))
+        line = "edge %d %d" % (e.src, e.dst)
+        lines.append(line if note is None else line + " " + note(e))
     return "\n".join(lines) + "\n"
+
+
+def write_pnd(n: Network) -> str:
+    return _network_pnd(n)
 
 
 def parse_digraph_pnd(text: str, taxa=None) -> PhyloDigraph:
     """Parse a pnd digraph document (component blocks, per-component rho)."""
-    lines = _pnd_lines(text)
-    if not lines or lines[0][1] != ["pnd", "1"]:
-        raise ParseError("expected 'pnd 1' header", lines[0][0] if lines else 1)
     blocks = []
-    current = None
-    for line_no, tokens in lines[1:]:
+    for line_no, tokens in _pnd_body(text):
         kind = tokens[0]
         if kind == "component" and len(tokens) == 1:
-            current = {"declared": set(), "labels": {}, "rho": None, "edges": []}
-            blocks.append(current)
+            blocks.append(_PndGraph())
             continue
-        if current is None:
+        if not blocks:
             raise ParseError("expected 'component'", line_no)
-        if kind == "vertex" and len(tokens) == 2:
-            v = _pnd_int(tokens[1], line_no, "vertex id")
-            if v in current["declared"]:
-                raise ParseError("vertex %d declared twice" % v, line_no)
-            current["declared"].add(v)
-        elif kind == "leaf" and len(tokens) == 3:
-            v = _pnd_int(tokens[1], line_no, "leaf id")
-            if v in current["declared"]:
-                raise ParseError("vertex %d declared twice" % v, line_no)
-            current["declared"].add(v)
-            current["labels"][v] = tokens[2]
-        elif kind == "rho" and len(tokens) == 2:
-            if current["rho"] is not None:
+        g = blocks[-1]
+        if kind == "rho" and len(tokens) == 2:
+            if g.top is not None:
                 raise ParseError("rho declared twice in one component", line_no)
-            v = _pnd_int(tokens[1], line_no, "rho id")
-            current["declared"].add(v)
-            current["rho"] = v
-        elif kind == "edge" and len(tokens) == 3:
-            u = _pnd_int(tokens[1], line_no, "edge endpoint")
-            v = _pnd_int(tokens[2], line_no, "edge endpoint")
-            for x in (u, v):
-                if x not in current["declared"]:
-                    raise ParseError("edge endpoint %d is not declared" % x, line_no)
-            current["edges"].append((u, v))
-        else:
+            g.top = _pnd_int(tokens[1], line_no, "rho id")
+            g.declared.add(g.top)
+        elif not g.read(tokens, line_no):
             raise ParseError("unrecognised line %r" % " ".join(tokens), line_no)
+        elif kind == "edge":
+            g.check_endpoints(g.edges[-1:])
     if not blocks:
         raise ParseError("document has no components")
     try:
-        comps = [validate_component(blk["edges"], blk["labels"], rho=blk["rho"],
-                                    vertices=blk["declared"]) for blk in blocks]
+        comps = [validate_component(g.pairs(), g.labels, rho=g.top,
+                                    vertices=g.declared) for g in blocks]
         if taxa is None:
             taxa = set()
             for c in comps:
@@ -346,24 +363,15 @@ def write_extension_pnd(ext) -> str:
 
     Each edge line gains one word: in:embedding, in:extension, or cut.
     """
-    host = ext.embedding.host
     embedded = set(ext.embedding.host_edges())
     added = set(ext.added_edges)
-    lines = ["pnd 1"]
-    for v in sorted(host.vertices - set(host.leaf_labels)):
-        lines.append("vertex %d" % v)
-    for v in sorted(host.leaf_labels):
-        lines.append("leaf %d %s" % (v, host.leaf_labels[v]))
-    lines.append("root %d" % host.root)
-    for e in sorted(host.edges):
+
+    def note(e):
         if e in embedded:
-            note = "in:embedding"
-        elif e in added:
-            note = "in:extension"
-        else:
-            note = "cut"
-        lines.append("edge %d %d %s" % (e.src, e.dst, note))
-    return "\n".join(lines) + "\n"
+            return "in:embedding"
+        return "in:extension" if e in added else "cut"
+
+    return _network_pnd(ext.embedding.host, note)
 
 
 def write_witness_bundle(witness) -> str:

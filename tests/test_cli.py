@@ -79,6 +79,36 @@ def test_neighbors_listing_is_deterministic(files, capsys):
     assert again == out
 
 
+def test_neighbors_budget_counts_printed_successors(files, capsys, tmp_path):
+    f = files("n.nwk", TRIPLE_AB_C)
+    full = run(capsys, "neighbors", f)[1]
+    code, out, err = run(capsys, "neighbors", f, "--budget", "5")
+    assert code == 2
+    assert out == "".join(full.splitlines(keepends=True)[:5])
+    assert "stopped after the budget of 5 successors" in err
+    assert run(capsys, "neighbors", f, "--budget", "0")[:2] == (2, "")
+    # a budget that covers every successor changes nothing
+    assert run(capsys, "neighbors", f, "--budget", "24")[:2] == (0, full)
+    # the kept part goes where the full listing would
+    dest = tmp_path / "out.txt"
+    assert run(capsys, "neighbors", f, "--budget", "5", "--out", str(dest))[:2] == (2, "")
+    assert dest.read_text(encoding="utf-8") == out
+
+
+def test_budget_help_says_what_it_counts():
+    sub = next(a for a in _build_parser()._actions if a.dest == "subcommand")
+    helps = {name: next(a.help for a in p._actions if a.dest == "budget")
+             for name, p in sub.choices.items()}
+    assert "expansions" in helps["distance"]
+    assert "candidate digraphs" in helps["mtc"]
+    assert "candidate pairs" in helps["gap-search"]
+    assert "successors" in helps["neighbors"]
+    counted = {"distance", "mtc", "gap-search", "neighbors"}
+    for name, text in helps.items():
+        if name not in counted:
+            assert text == "not used by this subcommand", name
+
+
 def test_distance_on_isomorphic_inputs(files, capsys):
     a = files("a.nwk", TRIPLE_AB_C)
     b = files("b.nwk", TRIPLE_AB_C)

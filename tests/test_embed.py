@@ -22,6 +22,7 @@ from snprlab import (
     isomorphic,
     is_tree_child,
     network_as_digraph,
+    parse_enewick,
     path_extension,
     quotient,
     random_tree_child,
@@ -297,10 +298,30 @@ def test_cut_size_ignores_policy_and_embedding(
         assert len(cuts) == 1, (d.taxa, n, cuts)
 
 
+def test_search_tries_tied_paths_in_edge_order():
+    # two host paths reach the same image through a reticulation; the search
+    # takes the one whose edge sequence sorts first
+    E = Edge
+    host = parse_enewick("((a,(b)#H1),(#H1,c));")  # root 0, reticulation 4
+    d = validate_digraph([validate_component([(0, 1)], {1: "b"}, rho=0),
+                          validate_component([], {2: "a"}, vertices={2}),
+                          validate_component([], {3: "c"}, vertices={3})], host.taxa)
+    assert find_embedding(d, host).edge_map[E(0, 1)] == (
+        E(0, 1), E(1, 2), E(2, 4), E(4, 5))
+    # the same with a cherry below the reticulation, whose top the search places
+    host = parse_enewick("((a,((b,d))#H1),(#H1,c));")
+    d = validate_digraph([validate_component([(0, 1), (1, 2), (1, 3)],
+                                             {2: "b", 3: "d"}, rho=0),
+                          validate_component([], {4: "a"}, vertices={4}),
+                          validate_component([], {5: "c"}, vertices={5})], host.taxa)
+    m = find_embedding(d, host)
+    assert m.vertex_map[1] == 5
+    assert m.edge_map[E(0, 1)] == (E(0, 1), E(1, 2), E(2, 4), E(4, 5))
+
+
 def test_deep_host_embeds_and_extends():
     # a 1,200-leaf caterpillar: root 0, spine 1..L-1, leaf L+i-1 hangs off
-    # spine vertex i and the deepest leaf 2L-1 off the last one; built with
-    # validate because the eNewick parser still recurses
+    # spine vertex i and the deepest leaf 2L-1 off the last one
     size = 1200
     edges = [(0, 1)] + [(i, i + 1) for i in range(1, size - 1)]
     edges += [(i, size + i - 1) for i in range(1, size)] + [(size - 1, 2 * size - 1)]
@@ -315,6 +336,10 @@ def test_deep_host_embeds_and_extends():
     assert m is not None
     assert len(m.host_edges()) == size
     assert cut_size(n, extend(m, n)) == size - 1
+    # the whole host as one component: one search step per edge
+    whole = find_embedding(network_as_digraph(n), n)
+    assert whole is not None
+    assert whole.host_edges() == frozenset(n.edges)
 
 
 def random_corpus():

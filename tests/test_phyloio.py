@@ -104,6 +104,22 @@ def test_write_parse_round_trip_on_corpus():
         assert len(back.edges) == len(n.edges)
 
 
+def test_deep_caterpillar_round_trips():
+    # 1,200 leaves in groups nested 1,199 deep, once as a tree and once with
+    # a reticulation joining the deepest cherry to the top
+    size = 1200
+    tree = "(" * (size - 1) + "t0," + ",".join("t%d)" % i for i in range(1, size))
+    network = "(" + tree.replace("t0,", "(t0)#H1,", 1) + ",#H1)"
+    for text in (tree + ";", network + ";"):
+        n = parse_enewick(text)
+        assert len(n.leaves) == size
+        out = write_enewick(n)
+        back = parse_enewick(out)
+        assert isomorphic(back, n)
+        assert write_enewick(back) == out
+        assert parse_pnd(write_pnd(back)) == back
+
+
 def test_write_enewick_is_canonical(retic_ab_c):
     from snprlab.netcore import validate
 
