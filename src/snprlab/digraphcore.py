@@ -9,7 +9,7 @@ component carrying the root marker rho (possibly as an isolated vertex).
 from . import _canon
 from .errors import InvalidDigraphError
 from .netcore import (Edge, Network, _canon_input, _LabelledGraph, _normalize_edges,
-                      _scan, _signature)
+                      _label_problems, _scan, _signature)
 
 RHO_SINGLETON = "rho_singleton"
 LEAF_SINGLETON = "leaf_singleton"
@@ -37,17 +37,17 @@ def component_violations(vertices, edges, leaf_labels, rho) -> list:
     vertices = set(vertices)
     if not vertices:
         return ["component has no vertices"]
-    bad, slots, problems, out, inn, acyclic = _scan(
-        vertices, edges, leaf_labels, "leaves the vertex set")
-    if bad:
-        return bad
+    if edges:  # most components are isolated leaves, with no edges to scan
+        bad, slots, out, inn, acyclic = _scan(vertices, edges, "leaves the vertex set")
+        if bad:
+            return bad
     if rho is not None and rho not in vertices:
         return ["rho %r is not a vertex" % (rho,)]
-    stray = ["labelled vertex %d is not a vertex" % v
-             for v in set(leaf_labels) - vertices]
+    stray = set(leaf_labels) - vertices
     if stray:
-        return stray
+        return ["labelled vertex %d is not a vertex" % v for v in stray]
 
+    problems = _label_problems(vertices, leaf_labels)
     if rho is not None and rho in leaf_labels:
         problems.append("rho must not carry a leaf label")
 

@@ -138,10 +138,11 @@ def _leaf_depths(n: Network):
     # min edge count from each vertex down to a leaf; orders candidates
     depth = {v: 0 for v in n.leaves}
     frontier = list(depth)
+    inn = n._adjacency()[1]
     while frontier:
         upper = []
         for v in frontier:
-            for e in n.in_edges(v):
+            for e in inn[v]:
                 if e.src not in depth:
                     depth[e.src] = depth[v] + 1
                     upper.append(e.src)
@@ -149,28 +150,18 @@ def _leaf_depths(n: Network):
     return depth
 
 
-class _Path(tuple):
-    """(chain, forward): a host path that _Search._paths found, as the
-    linked chain (edge, rest) of its walk, last walked edge first. It is
-    read as a tuple of edges in downward order only when compared or
-    placed, so a walk costs time linear in its length however many paths
-    it finds."""
-
-    __slots__ = ()
-
-    def edges(self):
-        (he, rest), forward = self
-        if not rest:
-            return (he,)
-        walked = [he]
-        while rest:
-            he, rest = rest
-            walked.append(he)
-        # a downward walk ends at the bottom edge, an upward one at the top
-        return tuple(reversed(walked)) if forward else tuple(walked)
-
-    def __lt__(self, other):
-        return self.edges() < other.edges()
+def _unchain(chain, forward):
+    """The host path of a chain (edge, rest) that _Search._paths walked,
+    last walked edge first, as a tuple of edges in downward order."""
+    he, rest = chain
+    if not rest:
+        return (he,)
+    walked = [he]
+    while rest:
+        he, rest = rest
+        walked.append(he)
+    # a downward walk ends at the bottom edge, an upward one at the top
+    return tuple(reversed(walked)) if forward else tuple(walked)
 
 
 class _Search:
@@ -207,47 +198,61 @@ class _Search:
                 self.order.append((c, e))
 
     def _paths(self, start, forward, accept):
-        """Unclaimed host paths leaving start down- or upward, as (path, end).
+        """Unclaimed host paths leaving start down- or upward, as (chain, end).
 
         A path is kept when accept takes its far end and is walked on
-        while that end is unclaimed. The walk order is arbitrary, callers
+        while that end is unclaimed. Each is kept as the linked chain of
+        its walk (see _unchain), so a walk costs time linear in its length
+        however many paths it finds. The walk order is arbitrary, callers
         sort.
         """
         found = []
         stack = [(start, ())]
+        adj = self.n._adjacency()[0 if forward else 1]
         while stack:
             x, chain = stack.pop()
-            for he in self.n.out_edges(x) if forward else self.n.in_edges(x):
+            for he in adj[x]:
                 if he in self.used_e:
                     continue
                 w = he.dst if forward else he.src
                 longer = (he, chain)
                 if accept(w):
-                    found.append((_Path((longer, forward)), w))
+                    found.append((longer, w))
                 if w not in self.used_v:
                     stack.append((w, longer))
         return found
 
     def _options(self, i):
         """How step i can be placed: the digraph vertex it places (None when
-        both ends are placed) and its (path, image) pairs in the order they
-        are tried."""
+        both ends are placed), the direction of its walk, and its (chain,
+        image) pairs in the order they are tried: nearest a leaf first,
+        then by image, then by the path's edges."""
         c, de = self.order[i]
         ia = self.vmap.get(de.src)
         ib = self.vmap.get(de.dst)
         if ia is not None and ib is not None:
             # ib is claimed, so no path runs on past it
-            return None, sorted(self._paths(ia, True, lambda w: w == ib))
-        forward = ia is not None
-        dv = de.dst if forward else de.src
-        # an image is unclaimed and has at least the degrees of dv
-        need_in, need_out = c.in_degree(dv), c.out_degree(dv)
-        out, inn = self.n._adjacency()
-        found = self._paths(ia if forward else ib, forward,
-                            lambda w: (w not in self.used_v and len(inn[w]) >= need_in
-                                       and len(out[w]) >= need_out))
-        found.sort(key=lambda pw: (self.depth[pw[1]], pw[1], pw[0]))
-        return dv, found
+            dv, forward, accept = None, True, lambda w: w == ib
+        else:
+            forward = ia is not None
+            dv = de.dst if forward else de.src
+            # an image is unclaimed and has at least the degrees of dv
+            c_out, c_in = c._adjacency()
+            need_in, need_out = len(c_in[dv]), len(c_out[dv])
+            out, inn = self.n._adjacency()
+
+            def accept(w):
+                return (w not in self.used_v and len(inn[w]) >= need_in
+                        and len(out[w]) >= need_out)
+        found = self._paths(ia if forward else ib, forward, accept)
+        if len(found) > 1:
+            depth = self.depth
+            if len({w for _, w in found}) < len(found):
+                # paths tied on their image are read out only here
+                found.sort(key=lambda cw: (depth[cw[1]], cw[1], _unchain(cw[0], forward)))
+            else:
+                found.sort(key=lambda cw: (depth[cw[1]], cw[1]))
+        return dv, forward, found
 
     def solve(self, limit=None):
         """Embeddings in depth-first order over the steps, each step trying
@@ -258,7 +263,7 @@ class _Search:
         """
         results = []
         vmap, emap, used_v, used_e = self.vmap, self.emap, self.used_v, self.used_e
-        steps = []  # per entered step: [vertex, options, index, path in place]
+        steps = []  # per entered step: [vertex, forward, options, index, path in place]
         while limit is None or len(results) < limit:
             if len(steps) == len(self.order):
                 results.append(Embedding(self.d, self.n, dict(vmap), dict(emap)))
@@ -267,7 +272,7 @@ class _Search:
             # move the deepest step that has an option left on to its next one
             while steps:
                 step = steps[-1]
-                dv, options, k, path = step
+                dv, forward, options, k, path = step
                 de = self.order[len(steps) - 1][1]
                 if path is not None:
                     del emap[de]
@@ -276,10 +281,10 @@ class _Search:
                         used_v.discard(he.dst)
                     if dv is not None:
                         used_v.discard(vmap.pop(dv))
-                k = step[2] = k + 1
+                k = step[3] = k + 1
                 if k < len(options):
-                    found, w = options[k]
-                    path = step[3] = found.edges()
+                    chain, w = options[k]
+                    path = step[4] = _unchain(chain, forward)
                     if dv is not None:
                         vmap[dv] = w
                         used_v.add(w)

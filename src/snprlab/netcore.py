@@ -172,27 +172,28 @@ class Network(_LabelledGraph):
             len(self.vertices), len(self.edges), self.reticulation_count)
 
 
-def _scan(vertices, edges, leaf_labels, outside, repeats=False):
-    """The structural checks networks and digraph components share.
-
-    Returns (bad edges, slots, labels, out, inn, acyclic): the endpoint,
-    self-loop and, with repeats, repeated-triple problems; the pairs whose
-    slots are not dense; the label problems; out- and in-degrees and
-    acyclicity over the well-formed edges. outside completes the message
-    for an edge leaving the vertex set. Callers order the parts.
-    """
+def _label_problems(vertices, leaf_labels):
+    """Repeated labels, and labels with characters outside [A-Za-z0-9_],
+    among the labels of vertices in the vertex set."""
     labels = [leaf_labels[v] for v in sorted(leaf_labels) if v in vertices]
-    label_problems = ([] if len(set(labels)) == len(labels)
-                      else ["leaf labels are not distinct"])
+    problems = [] if len(set(labels)) == len(labels) else ["leaf labels are not distinct"]
     for lab in labels:
         if not _LABEL_RE.match(lab):
-            label_problems.append("label %r contains characters outside [A-Za-z0-9_]"
-                                  % lab)
+            problems.append("label %r contains characters outside [A-Za-z0-9_]" % lab)
+    return problems
+
+
+def _scan(vertices, edges, outside, repeats=False):
+    """The edge checks networks and digraph components share.
+
+    Returns (bad edges, slots, out, inn, acyclic): the endpoint, self-loop
+    and, with repeats, repeated-triple problems; the pairs whose slots are
+    not dense; out- and in-degrees and acyclicity over the well-formed
+    edges. outside completes the message for an edge leaving the vertex
+    set. Callers order the parts.
+    """
     out = dict.fromkeys(vertices, 0)
     inn = dict.fromkeys(vertices, 0)
-    if not edges:  # most digraph components are isolated leaves
-        return [], [], label_problems, out, inn, True
-
     bad = []
     seen = set()
     succ = {v: [] for v in vertices}  # heads of the well-formed edges by tail
@@ -225,7 +226,7 @@ def _scan(vertices, edges, leaf_labels, outside, repeats=False):
             remaining[w] -= 1
             if not remaining[w]:
                 queue.append(w)
-    return bad, slots, label_problems, out, inn, visited == len(vertices)
+    return bad, slots, out, inn, visited == len(vertices)
 
 
 def network_violations(vertices, edges, root, leaf_labels) -> list:
@@ -236,9 +237,8 @@ def network_violations(vertices, edges, root, leaf_labels) -> list:
     for v in vertices:
         if not isinstance(v, int):
             return ["vertex id %r is not an int" % (v,)]
-    bad, problems, label_problems, out, inn, acyclic = _scan(
-        vertices, edges, leaf_labels, "has an endpoint outside the vertex set",
-        repeats=True)
+    bad, problems, out, inn, acyclic = _scan(
+        vertices, edges, "has an endpoint outside the vertex set", repeats=True)
     if bad:
         return bad
 
@@ -260,7 +260,7 @@ def network_violations(vertices, edges, root, leaf_labels) -> list:
         problems.append("leaf %d has no label" % v)
     for v in sorted(labelled & vertices - sinks):
         problems.append("labelled vertex %d is not a leaf" % v)
-    problems += label_problems
+    problems += _label_problems(vertices, leaf_labels)
 
     for v in sorted(vertices):
         d = (inn[v], out[v])

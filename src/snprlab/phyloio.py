@@ -289,20 +289,22 @@ def parse_pnd(text: str) -> Network:
                          + "; ".join(exc.violations)) from exc
 
 
-def _network_pnd(n: Network, note=None) -> str:
-    """pnd document of a network; note(e), when given, ends each edge line."""
+def _network_pnd_head(n: Network) -> list:
+    """The header, vertex, leaf and root lines of a network's pnd document."""
     lines = ["pnd 1"]
-    lines += ["vertex %d" % v for v in sorted(n.vertices - set(n.leaf_labels))]
-    lines += ["leaf %d %s" % (v, n.leaf_labels[v]) for v in sorted(n.leaf_labels)]
+    for v in sorted(n.vertices - set(n.leaf_labels)):
+        lines.append("vertex %d" % v)
+    for v in sorted(n.leaf_labels):
+        lines.append("leaf %d %s" % (v, n.leaf_labels[v]))
     lines.append("root %d" % n.root)
-    for e in sorted(n.edges):
-        line = "edge %d %d" % (e.src, e.dst)
-        lines.append(line if note is None else line + " " + note(e))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def write_pnd(n: Network) -> str:
-    return _network_pnd(n)
+    lines = _network_pnd_head(n)
+    for e in sorted(n.edges):
+        lines.append("edge %d %d" % (e.src, e.dst))
+    return "\n".join(lines) + "\n"
 
 
 def parse_digraph_pnd(text: str, taxa=None) -> PhyloDigraph:
@@ -363,15 +365,19 @@ def write_extension_pnd(ext) -> str:
 
     Each edge line gains one word: in:embedding, in:extension, or cut.
     """
+    host = ext.embedding.host
     embedded = set(ext.embedding.host_edges())
     added = set(ext.added_edges)
-
-    def note(e):
+    lines = _network_pnd_head(host)
+    for e in sorted(host.edges):
         if e in embedded:
-            return "in:embedding"
-        return "in:extension" if e in added else "cut"
-
-    return _network_pnd(ext.embedding.host, note)
+            note = "in:embedding"
+        elif e in added:
+            note = "in:extension"
+        else:
+            note = "cut"
+        lines.append("edge %d %d %s" % (e.src, e.dst, note))
+    return "\n".join(lines) + "\n"
 
 
 def write_witness_bundle(witness) -> str:

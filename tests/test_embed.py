@@ -326,20 +326,28 @@ def test_deep_host_embeds_and_extends():
     edges = [(0, 1)] + [(i, i + 1) for i in range(1, size - 1)]
     edges += [(i, size + i - 1) for i in range(1, size)] + [(size - 1, 2 * size - 1)]
     labels = {v: "t%d" % v for v in range(size, 2 * size)}
-    n = validate(edges, labels, root=0)
     deepest = 2 * size - 1
-    comps = [validate_component([(0, deepest)], {deepest: labels[deepest]}, rho=0)]
-    comps += [validate_component([], {v: lab}, vertices={v})
-              for v, lab in labels.items() if v != deepest]
-    d = validate_digraph(comps, n.taxa)
-    m = find_embedding(d, n)
-    assert m is not None
-    assert len(m.host_edges()) == size
-    assert cut_size(n, extend(m, n)) == size - 1
-    # the whole host as one component: one search step per edge
-    whole = find_embedding(network_as_digraph(n), n)
-    assert whole is not None
-    assert whole.host_edges() == frozenset(n.edges)
+    # the same caterpillar below a reticulation 0 (((C)#H1,(#H1,x)); in
+    # eNewick): two host paths from the root to any leaf share all but
+    # their top edges, and the search compares them
+    root, top, w, x = 2 * size, 2 * size + 1, 2 * size + 2, 2 * size + 3
+    above = [(root, top), (top, 0), (top, w), (w, 0), (w, x)]
+    hosts = [(validate(edges, labels, root=0), size, size - 1),
+             (validate(above + edges, {**labels, x: "x"}, root=root), size + 2, size + 1)]
+    for n, used, cut in hosts:
+        comps = [validate_component([(n.root, deepest)], {deepest: labels[deepest]},
+                                    rho=n.root)]
+        comps += [validate_component([], {v: lab}, vertices={v})
+                  for v, lab in n.leaf_labels.items() if v != deepest]
+        d = validate_digraph(comps, n.taxa)
+        m = find_embedding(d, n)
+        assert m is not None
+        assert len(m.host_edges()) == used
+        assert cut_size(n, extend(m, n)) == cut
+        # the whole host as one component: one search step per edge
+        whole = find_embedding(network_as_digraph(n), n)
+        assert whole is not None
+        assert whole.host_edges() == frozenset(n.edges)
 
 
 def random_corpus():
