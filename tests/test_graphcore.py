@@ -4,8 +4,10 @@ The structural checks, the canonical encodings and the candidate stream are
 pinned to recorded outputs: every violation list, as strings and in order,
 on a table of malformed inputs that reaches every message each checker can
 produce, and SHA-256 digests of the canonical signatures and orders of all
-tree-child networks on four leaves with up to two reticulations, and of the
-digraph signatures of the candidate streams of a few of those hosts.
+tree-child networks on four leaves with up to two reticulations, of the
+digraph signatures of the candidate streams of a few of those hosts, of the
+pnd of seeded generator output, and of the move streams (each move and its
+successor's pnd) of small hosts in both filter modes.
 
 Regenerate the goldens with ``PYTHONPATH=src python tests/test_graphcore.py``
 only when a change of these outputs is intended.
@@ -22,7 +24,10 @@ from snprlab.digraphcore import (component_violations, digraph_signature,
                                  quotient, validate_component, validate_digraph)
 from snprlab.errors import InvalidDigraphError
 from snprlab.netcore import (Edge, canonical_order, canonical_signature,
-                             enumerate_tree_child, network_violations)
+                             enumerate_tree_child, network_violations,
+                             random_network, random_tree_child)
+from snprlab.phyloio import write_pnd
+from snprlab.snpr import enumerate_moves
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 VIOLATIONS = GOLDEN / "graph_violations.json"
@@ -161,9 +166,28 @@ def _digest(chunks):
     return h.hexdigest()
 
 
+def _generated():
+    # a tree-child network has fewer reticulations than leaves
+    for leaves in (2, 3, 5, 8):
+        for retics in range(4):
+            for seed in (0, 1):
+                if retics < leaves:
+                    yield random_tree_child(leaves, retics, seed=seed)
+                yield random_network(leaves, retics, seed=seed)
+    yield random_tree_child(200, 1, seed=0)
+
+
+def _move_stream(hosts, tree_child_only):
+    for host in hosts:
+        for move, succ in enumerate_moves(host, tree_child_only=tree_child_only):
+            yield (repr(move) + "\n" + write_pnd(succ)).encode()
+
+
 def digest_outputs():
     nets = list(enumerate_tree_child(4, 2))
     hosts = [nets[i] for i in (0, 7, 20, 45, 80)]
+    move_hosts = list(enumerate_tree_child(3, 2))
+    move_hosts += [random_network(3, 2, seed=s) for s in range(4)]
     return {
         "networks": len(nets),
         "canonical_signature": _digest(canonical_signature(n) for n in nets),
@@ -171,6 +195,9 @@ def digest_outputs():
         "digraph_signature": _digest(itertools.chain.from_iterable(
             (digraph_signature(d) for d, _ in _distinct_candidates(h))
             for h in hosts)),
+        "generator_pnd": _digest(write_pnd(n).encode() for n in _generated()),
+        "enumerate_moves/tree_child": _digest(_move_stream(move_hosts, True)),
+        "enumerate_moves/all": _digest(_move_stream(move_hosts, False)),
     }
 
 
