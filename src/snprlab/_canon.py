@@ -140,30 +140,40 @@ def isomorphism_mapping(verts1, edges1, seed1, verts2, edges2, seed2):
     pending = sorted(verts1, key=lambda v: (len(cells[cell_of1[v]][0]), cell_of1[v], v))
 
     mapping = {}
-    used = set()
+    inverse = {}
+
+    def agree(counts, other, to_other):
+        return all(other[to_other[x]] == c for x, c in counts.items() if x in to_other)
 
     def consistent(v, w):
-        for x, y in mapping.items():
-            if out1[v][x] != out2[w][y] or in1[v][x] != in2[w][y]:
-                return False
-        return True
+        # v and w have equal arc counts to and from every matched pair; a
+        # pair can differ only where one side has an arc, so only the
+        # matched neighbours of v and of w are read
+        return (agree(out1[v], out2[w], mapping) and agree(in1[v], in2[w], mapping)
+                and agree(out2[w], out1[v], inverse) and agree(in2[w], in1[v], inverse))
 
-    def match(i):
-        if i == len(pending):
-            return True
+    # depth-first over pending: tried[i] counts the candidates depth i has
+    # taken, so returning to a depth resumes after its last choice
+    tried = [0] * len(pending)
+    i = 0
+    while 0 <= i < len(pending):
         v = pending[i]
-        for w in cells[cell_of1[v]][1]:
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if match(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    if not match(0):
+        if v in mapping:
+            del inverse[mapping.pop(v)]
+        candidates = cells[cell_of1[v]][1]
+        while tried[i] < len(candidates):
+            w = candidates[tried[i]]
+            tried[i] += 1
+            if w not in inverse and consistent(v, w):
+                mapping[v] = w
+                inverse[w] = v
+                break
+        if v in mapping:
+            i += 1
+        else:
+            tried[i] = 0
+            i -= 1
+    if i < 0:
         return None
     mapped = Counter((mapping[u], mapping[v]) for u, v in edges1)
     if mapped != Counter(edges2):

@@ -20,7 +20,7 @@ from .digraphcore import (
     _quotient_with_paths,
 )
 from .embed import Embedding, _check_taxa, cut_size, extend, find_embedding
-from .snpr import dtc
+from .snpr import dtc, enumerate_moves
 
 
 class AgreementWitness:
@@ -392,8 +392,6 @@ def maf_rspr(t: Network, u: Network) -> int:
 
 
 def _leaf_tail_moves(n):
-    from .snpr import enumerate_moves
-
     leaves = set(n.leaves)
     for mv, succ in enumerate_moves(n, tree_child_only=True):
         if mv.kind == "pm" and mv.edge.dst in leaves:

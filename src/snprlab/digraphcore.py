@@ -84,22 +84,36 @@ def component_violations(vertices, edges, leaf_labels, rho) -> list:
     if not acyclic:
         problems.append("component contains a directed cycle")
 
-    # weak connectivity
+    if _weak_components(vertices, edges)[1] != 1:
+        problems.append("component is not weakly connected")
+    return problems
+
+
+def _weak_components(vertices, edges):
+    """(component index of each vertex, component count).
+
+    Components are numbered in the order of their least vertex.
+    """
     neigh = {v: set() for v in vertices}
     for e in edges:
         neigh[e.src].add(e.dst)
         neigh[e.dst].add(e.src)
+    comp_of = {}
     seen = set()
-    stack = [next(iter(vertices))]
-    while stack:
-        v = stack.pop()
+    count = 0
+    for v in sorted(vertices):
         if v in seen:
             continue
-        seen.add(v)
-        stack.extend(neigh[v] - seen)
-    if seen != vertices:
-        problems.append("component is not weakly connected")
-    return problems
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            if x in seen:
+                continue
+            seen.add(x)
+            comp_of[x] = count
+            stack.extend(neigh[x] - seen)
+        count += 1
+    return comp_of, count
 
 
 def validate_component(edges, leaf_labels, rho=None, vertices=None,
@@ -273,24 +287,7 @@ def _quotient_with_paths(vertices, edges, rho, leaf_labels):
             digraph_edges.append(e)
             edge_paths[e] = tuple(path)
 
-    # weak components over survivors
-    neigh = {v: set() for v in survivors}
-    for e in digraph_edges:
-        neigh[e.src].add(e.dst)
-        neigh[e.dst].add(e.src)
-    comp_of = {}
-    for v in sorted(survivors):
-        if v in comp_of:
-            continue
-        idx = len(set(comp_of.values()))
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            if x in comp_of:
-                continue
-            comp_of[x] = idx
-            stack.extend(neigh[x] - set(comp_of))
-
+    comp_of, _ = _weak_components(survivors, digraph_edges)
     raw = {}
     for v, idx in comp_of.items():
         raw.setdefault(idx, (set(), [], {}, [None]))

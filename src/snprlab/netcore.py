@@ -1,7 +1,7 @@
 """Rooted binary phylogenetic networks.
 
 Model, validation, tree-child recognition, isomorphism, canonical signatures,
-reticulation-edge deletion, and small-instance generators.
+the edits of the three move kinds, and small-instance generators.
 
 Vertices are ints. Leaves are exactly the vertices of out-degree zero and
 carry the taxon labels. Parallel edges are legal and distinguished by slot.
@@ -283,8 +283,8 @@ def validate(edges, leaf_labels, root=None, vertices=None) -> Network:
             vertices.add(root)
     vertices = set(vertices)
     if root is None:
-        sources = [v for v in sorted(vertices)
-                   if not any(e.dst == v for e in edges)]
+        heads = {e.dst for e in edges}
+        sources = [v for v in sorted(vertices) if v not in heads]
         if len(sources) != 1:
             raise InvalidNetworkError(
                 ["cannot infer root: in-degree-zero vertices are %r" % (sources,)])
@@ -427,14 +427,11 @@ class _Builder:
         self.origin = {}
         self.out = {v: set() for v in self.vertices}
         self.inn = {v: set() for v in self.vertices}
-        self._by_orig = {}
-        self._merged_into = {}
-        self.new_vertex_ids = []
+        self._by_orig = {}  # input edge -> id of the edge now carrying it
         for e in net.edges:
-            eid = self._add(e.src, e.dst, ("kept", e))
-            self._by_orig[e] = eid
+            self._by_orig[e] = self.add_edge(e.src, e.dst, ("kept", e))
 
-    def _add(self, u, v, origin):
+    def add_edge(self, u, v, origin=("new",)):
         eid = self._next_e
         self._next_e += 1
         self.src[eid] = u
@@ -444,20 +441,12 @@ class _Builder:
         self.inn[v].add(eid)
         return eid
 
-    def degree(self, v):
-        return (len(self.inn[v]), len(self.out[v]))
-
     def resolve(self, edge: Edge) -> int:
         """Edge id currently carrying an original edge, following suppressions."""
-        if edge in self._by_orig:
-            return self._by_orig[edge]
-        cur = edge
-        while cur in self._merged_into:
-            eid = self._merged_into[cur]
-            if eid in self.src:
-                return eid
-            cur = eid  # stale; cannot happen with single-move surgery
-        raise MoveError("edge %r is no longer present" % (edge,))
+        eid = self._by_orig.get(edge)
+        if eid is None:
+            raise MoveError("edge %r is no longer present" % (edge,))
+        return eid
 
     def new_vertex(self):
         v = self._next_v
@@ -465,7 +454,6 @@ class _Builder:
         self.vertices.add(v)
         self.out[v] = set()
         self.inn[v] = set()
-        self.new_vertex_ids.append(v)
         return v
 
     def delete_edge(self, eid):
@@ -478,35 +466,31 @@ class _Builder:
             self._by_orig.pop(orig, None)
         return origin
 
-    def add_edge(self, u, v, origin=("new",)):
-        return self._add(u, v, origin)
-
     def subdivide(self, eid):
         """Split an edge with a fresh vertex; returns (vertex, upper id, lower id)."""
         u, v = self.src[eid], self.dst[eid]
         origin = self.origin[eid]
         mid = self.new_vertex()
         self.delete_edge(eid)
-        upper = self._add(u, mid, ("upper", origin))
-        lower = self._add(mid, v, ("lower", origin))
+        upper = self.add_edge(u, mid, ("upper", origin))
+        lower = self.add_edge(mid, v, ("lower", origin))
         return mid, upper, lower
 
     def suppress(self, v):
         """Remove a (1,1) vertex, merging its two edges."""
-        if self.degree(v) != (1, 1):
-            raise MoveError("vertex %d has degree %r, cannot suppress"
-                            % (v, self.degree(v)))
+        degree = (len(self.inn[v]), len(self.out[v]))
+        if degree != (1, 1):
+            raise MoveError("vertex %d has degree %r, cannot suppress" % (v, degree))
         ein = next(iter(self.inn[v]))
         eout = next(iter(self.out[v]))
         u, w = self.src[ein], self.dst[eout]
         o_in = self.delete_edge(ein)
         o_out = self.delete_edge(eout)
-        merged = self._add(u, w, ("merged", (o_in, o_out)))
-        for orig in list(_flatten_origin(("merged", (o_in, o_out)))):
-            self._merged_into[orig] = merged
+        merged = self.add_edge(u, w, ("merged", (o_in, o_out)))
+        for orig in _flatten_origin(self.origin[merged]):
+            self._by_orig[orig] = merged
         self.vertices.discard(v)
         del self.out[v], self.inn[v]
-        return merged
 
     def to_network(self):
         """Compact ids and freeze.
@@ -533,15 +517,68 @@ class _Builder:
         return net, vmap, origin_of
 
 
+def _edit(n: Network, kind, e: Edge, target: Edge = None):
+    """The move of the given kind on n, as _Builder.to_network's triple.
+
+    snpr.Move says what kind, edge and target name. Raises MoveError when
+    the move is not legal on n.
+    """
+    if e not in n.edges:
+        raise MoveError("edge %r is not an edge of the network" % (e,))
+    u, v = e.src, e.dst
+    if kind == "minus" and n.in_degree(v) != 2:
+        raise MoveError("edge %r is not a reticulation edge" % (e,))
+    if kind != "plus" and not (n.in_degree(u) == 1 and n.out_degree(u) == 2):
+        raise MoveError("source of %r is not a tree vertex" % (e,))
+    b = _Builder(n)
+
+    if kind == "plus":
+        head_mid, upper, _ = b.subdivide(b.resolve(e))
+        if target == e:
+            eid_2 = upper
+        else:
+            if target not in n.edges:
+                raise MoveError("edge %r is not an edge of the network" % (target,))
+            if target.src in n.reachable_from(v):
+                raise MoveError("target %r is a descendant of the new "
+                                "reticulation" % (target,))
+            eid_2 = b.resolve(target)
+        tail_mid, _, _ = b.subdivide(eid_2)
+        b.add_edge(tail_mid, head_mid)
+        return b.to_network()
+
+    # minus and pm both delete e and suppress its tail
+    b.delete_edge(b.resolve(e))
+    b.suppress(u)
+    if kind == "minus":
+        b.suppress(v)
+    else:
+        eid_f = b.resolve(target)
+        if b.src[eid_f] in n.reachable_from(v):
+            raise MoveError("target %r is a descendant of the moved subtree"
+                            % (target,))
+        mid, _, _ = b.subdivide(eid_f)
+        b.add_edge(mid, v)
+    return b.to_network()
+
+
+def _plus_tails(n: Network, head: Edge) -> list:
+    """The legal tail edges of a plus move with this head edge, sorted.
+
+    A tail edge must not hang below the head, or the new edge would close a
+    directed cycle. The head edge itself qualifies and names its upper half.
+    """
+    below = n.reachable_from(head.dst)
+    return [t for t in n.edges if t.src not in below]
+
+
 def delete_reticulation_edge(n: Network, edge: Edge) -> Network:
     """Delete a reticulation edge and suppress the two degree-two vertices.
 
     The tail must be a tree vertex. On tree-child input the result is again
     tree-child. This is the "minus" move of snpr.
     """
-    from .snpr import Move, apply_move
-
-    return apply_move(n, Move("minus", edge))
+    return _edit(n, "minus", Edge(*edge))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -567,38 +604,12 @@ def _attach_leaf(n: Network, edge: Edge, label) -> Network:
     return net
 
 
-def _insert_reticulation(n: Network, e1: Edge, e2: Edge) -> Network:
-    """Subdivide e1 (new reticulation) and e2 (new tree vertex), join them.
-
-    e2 == e1 means the upper half of e1, which yields a parallel pair. The
-    source of e2 must not be reachable from the head of e1, which is exactly
-    what keeps the result acyclic.
-    """
-    if e1 not in n.edges:
-        raise MoveError("edge %r is not in the network" % (e1,))
-    if e2 != e1:
-        if e2 not in n.edges:
-            raise MoveError("edge %r is not in the network" % (e2,))
-        if e2.src in n.reachable_from(e1.dst):
-            raise MoveError("target edge %r hangs below the new reticulation" % (e2,))
-    b = _Builder(n)
-    v_new, upper1, _ = b.subdivide(b.resolve(e1))
-    target = upper1 if e2 == e1 else b.resolve(e2)
-    u_new, _, _ = b.subdivide(target)
-    b.add_edge(u_new, v_new)
-    net, _, _ = b.to_network()
-    return net
-
-
 def _reticulation_insertions(n: Network):
-    """All legal (e1, e2) pairs for _insert_reticulation, sorted."""
+    """All legal plus (head, tail) pairs, by head; each head's own pair first."""
     pairs = []
-    for e1 in n.edges:
-        below = n.reachable_from(e1.dst)
-        pairs.append((e1, e1))
-        for e2 in n.edges:
-            if e2 != e1 and e2.src not in below:
-                pairs.append((e1, e2))
+    for head in n.edges:
+        pairs.append((head, head))
+        pairs += [(head, t) for t in _plus_tails(n, head) if t != head]
     return pairs
 
 
@@ -622,7 +633,7 @@ def random_network(n_leaves, n_reticulations, seed=0, require_tree_child=False):
         pairs = _reticulation_insertions(net)
         rng.shuffle(pairs)
         for e1, e2 in pairs:
-            candidate = _insert_reticulation(net, e1, e2)
+            candidate = _edit(net, "plus", e1, e2)[0]
             if not require_tree_child or is_tree_child(candidate):
                 net = candidate
                 break
@@ -666,7 +677,7 @@ def enumerate_tree_child(n_leaves, max_reticulations=0, leaf_limit=5):
         nxt = {}
         for _, net in sorted(level.items()):
             for e1, e2 in _reticulation_insertions(net):
-                candidate = _insert_reticulation(net, e1, e2)
+                candidate = _edit(net, "plus", e1, e2)[0]
                 if is_tree_child(candidate):
                     nxt.setdefault(canonical_signature(candidate), candidate)
         level = nxt

@@ -21,11 +21,13 @@ search on canonical signatures.
 from dataclasses import dataclass
 import heapq
 import json
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      InvalidNetworkError, MoveError)
-from .netcore import Edge, Network, canonical_signature, is_tree_child
+from .netcore import (Edge, Network, _edit, _plus_tails, canonical_signature,
+                      is_tree_child)
+from .phyloio import parse_pnd, write_pnd
 
 WEIGHTS = {"minus": 1, "plus": 1, "pm": 2}
 
@@ -69,7 +71,7 @@ class Move:
             raise MoveError("%s moves need a target edge" % self.kind)
 
 
-class ApplyResult:
+class ApplyResult(NamedTuple):
     """A move's outcome plus the bookkeeping needed to chase edges through it.
 
     vertex_map sends surviving pre-move vertex ids to post-move ids.
@@ -77,69 +79,17 @@ class ApplyResult:
     ("merged", (...)), ("upper"/"lower", ...) halves of a subdivision,
     or ("new",).
     """
-
-    __slots__ = ("network", "vertex_map", "origin_of", "new_vertices")
-
-    def __init__(self, network, vertex_map, origin_of, new_vertices):
-        self.network = network
-        self.vertex_map = vertex_map
-        self.origin_of = origin_of
-        self.new_vertices = new_vertices
+    network: Network
+    vertex_map: dict
+    origin_of: dict
 
 
 def apply_move_detailed(n: Network, move: Move) -> ApplyResult:
-    from .netcore import _Builder
-
-    e = move.edge
-    if e not in set(n.edges):
-        raise MoveError("edge %r is not an edge of the network" % (e,))
-    b = _Builder(n)
-
-    if move.kind == "minus":
-        u, v = e.src, e.dst
-        if n.in_degree(v) != 2:
-            raise MoveError("edge %r is not a reticulation edge" % (e,))
-        if not (n.in_degree(u) == 1 and n.out_degree(u) == 2):
-            raise MoveError("source of %r is not a tree vertex" % (e,))
-        b.delete_edge(b.resolve(e))
-        b.suppress(u)
-        b.suppress(v)
-
-    elif move.kind == "pm":
-        u, v = e.src, e.dst
-        if not (n.in_degree(u) == 1 and n.out_degree(u) == 2):
-            raise MoveError("source of %r is not a tree vertex" % (e,))
-        b.delete_edge(b.resolve(e))
-        b.suppress(u)
-        eid_f = b.resolve(move.target)
-        if b.src[eid_f] in n.reachable_from(v):
-            raise MoveError("target %r is a descendant of the moved subtree"
-                            % (move.target,))
-        mid, _, _ = b.subdivide(eid_f)
-        b.add_edge(mid, v)
-
-    else:  # plus
-        head_mid, upper, _ = b.subdivide(b.resolve(e))
-        if move.target == e:
-            eid_2 = upper
-        else:
-            if move.target not in set(n.edges):
-                raise MoveError("edge %r is not an edge of the network"
-                                % (move.target,))
-            if move.target.src in n.reachable_from(e.dst):
-                raise MoveError("target %r is a descendant of the new "
-                                "reticulation" % (move.target,))
-            eid_2 = b.resolve(move.target)
-        tail_mid, _, _ = b.subdivide(eid_2)
-        b.add_edge(tail_mid, head_mid)
-
-    net, vmap, origin_of = b.to_network()
-    new_vs = tuple(vmap[v] for v in b.new_vertex_ids)
-    return ApplyResult(net, vmap, origin_of, new_vs)
+    return ApplyResult(*_edit(n, move.kind, move.edge, move.target))
 
 
 def apply_move(n: Network, move: Move) -> Network:
-    return apply_move_detailed(n, move).network
+    return _edit(n, move.kind, move.edge, move.target)[0]
 
 
 def enumerate_moves(n: Network, tree_child_only: bool = True):
@@ -184,10 +134,7 @@ def enumerate_moves(n: Network, tree_child_only: bool = True):
                 yield got
 
     for e1 in edges:
-        blocked = n.reachable_from(e1.dst)
-        for e2 in edges:
-            if e2 != e1 and e2.src in blocked:
-                continue
+        for e2 in _plus_tails(n, e1):
             got = emit(Move("plus", e1, e2))
             if got:
                 yield got
@@ -228,8 +175,6 @@ def sequence_weight(s: MoveSequence) -> int:
 
 
 def moves_to_json(s: MoveSequence) -> str:
-    from .phyloio import write_pnd
-
     records = []
     for mv in s.moves:
         rec = {"kind": mv.kind, "edge": list(mv.edge)}
@@ -241,8 +186,6 @@ def moves_to_json(s: MoveSequence) -> str:
 
 
 def moves_from_json(text: str) -> MoveSequence:
-    from .phyloio import parse_pnd
-
     doc = json.loads(text)
     if doc.get("format") != "snprlab-moves-1":
         raise MoveError("unrecognised move document format %r"

@@ -1,0 +1,59 @@
+"""The package's import structure, read from the source with ast.
+
+Every import sits at module level, and the relative imports between the
+package's modules form an acyclic graph, so each module can be read and
+loaded after the modules it uses.
+"""
+
+import ast
+import pathlib
+
+import snprlab
+
+PACKAGE = pathlib.Path(snprlab.__file__).parent
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imported_modules(node):
+    """Package modules a relative import statement names."""
+    if not isinstance(node, ast.ImportFrom) or not node.level:
+        return []
+    if node.module:
+        return [node.module.split(".")[0]]
+    return [alias.name for alias in node.names]
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for name, tree in _trees().items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += ["%s.py:%d" % (name, node.lineno) for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def test_relative_imports_are_acyclic():
+    trees = _trees()
+    graph = {name: sorted({dep for node in ast.walk(tree)
+                           for dep in _imported_modules(node) if dep in trees})
+             for name, tree in trees.items()}
+    assert "netcore" in graph["snpr"]  # the reader sees the imports
+    # depth-first search; a module met again while still open closes a cycle
+    state = {}
+
+    def visit(name, path):
+        state[name] = "open"
+        for dep in graph[name]:
+            assert state.get(dep) != "open", " -> ".join(path + [dep])
+            if dep not in state:
+                visit(dep, path + [dep])
+        state[name] = "done"
+
+    for name in graph:
+        if name not in state:
+            visit(name, [name])

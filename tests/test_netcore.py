@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from snprlab import _canon
 from snprlab.errors import (
     BudgetExceededError,
     InvalidNetworkError,
@@ -187,6 +188,23 @@ def test_signature_agrees_with_isomorphism_oracle():
         assert same == (isomorphism_map(a, b) is not None)
     for a in nets:
         assert isomorphism_map(a, a) is not None
+
+
+def _cycles(*runs):
+    return [(run[i], run[(i + 1) % len(run)]) for run in runs for i in range(len(run))]
+
+
+def test_matcher_backtracks_and_keeps_its_candidate_order():
+    # every vertex has in- and out-degree 1, so refinement leaves one cell
+    # and the matcher must back out of the 6-cycle to place the 3-cycle
+    three_six = _cycles([0, 1, 2], [3, 4, 5, 6, 7, 8])
+    six_three = _cycles([10, 11, 12, 13, 14, 15], [16, 17, 18])
+    mapping = _canon.isomorphism_mapping(range(9), three_six, None,
+                                         range(10, 19), six_three, None)
+    assert mapping == {0: 16, 1: 17, 2: 18, 3: 10, 4: 11, 5: 12, 6: 13, 7: 14, 8: 15}
+    nine = _cycles(list(range(10, 19)))
+    assert _canon.isomorphism_mapping(range(9), three_six, None,
+                                      range(10, 19), nine, None) is None
 
 
 def test_delete_reticulation_edge_both_ways(retic_ab_c, triple_ab_c, triple_a_bc):

@@ -5,10 +5,11 @@ from snprlab.netcore import (
     canonical_signature,
     is_tree_child,
     isomorphic,
+    isomorphism_map,
     random_network,
     random_tree_child,
 )
-from snprlab.digraphcore import network_as_digraph, singleton_digraph
+from snprlab.digraphcore import digraph_isomorphic, network_as_digraph, singleton_digraph
 from snprlab.phyloio import (
     parse_digraph_pnd,
     parse_enewick,
@@ -118,6 +119,10 @@ def test_deep_caterpillar_round_trips():
         assert isomorphic(back, n)
         assert write_enewick(back) == out
         assert parse_pnd(write_pnd(back)) == back
+        # the independent matchers walk the same depth
+        mapping = isomorphism_map(back, n)
+        assert all(n.leaf_labels[mapping[v]] == lab for v, lab in back.leaf_labels.items())
+        assert digraph_isomorphic(network_as_digraph(back), network_as_digraph(n))
 
 
 def test_write_enewick_is_canonical(retic_ab_c):
