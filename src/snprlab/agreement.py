@@ -10,7 +10,7 @@ from .errors import (
     InvalidDigraphError,
     InvalidNetworkError,
 )
-from .netcore import (Network, canonical_signature, is_tree_child,
+from .netcore import (Network, _require_tree_child_pair, canonical_signature,
                       random_tree_child)
 from .digraphcore import (
     digraph_signature,
@@ -208,13 +208,6 @@ def enumerate_agreement_digraphs(n: Network, m: Network,
         w = _witness(d, emb, m)
         if w is not None:
             yield w
-
-
-def _require_tree_child_pair(n, m):
-    for net, side in ((n, "first"), (m, "second")):
-        if not is_tree_child(net):
-            raise InvalidNetworkError(
-                ["%s network is not tree-child" % side])
 
 
 def _min_total_cut(n, m, floor=1, subset_budget=None):

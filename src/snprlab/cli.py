@@ -7,6 +7,7 @@ and never changes what is written to stdout or --out.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 from fractions import Fraction
@@ -146,24 +147,32 @@ def _cmd_maf(args):
     return "%d\n" % maf_rspr(t, u)
 
 
+@contextlib.contextmanager
+def _generator_sizes():
+    """The generators reject impossible sizes with ValueError; report it as bad input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SnprLabError(str(exc)) from exc
+
+
 def _cmd_gen(args):
     lines = []
-    for i in range(args.count):
-        seed = args.seed + i
-        if args.tree_child_only:
-            n = random_tree_child(args.leaves, args.retics, seed=seed)
-        else:
-            n = random_network(args.leaves, args.retics, seed=seed)
-        lines.append(write_enewick(n))
+    with _generator_sizes():
+        for i in range(args.count):
+            seed = args.seed + i
+            if args.tree_child_only:
+                n = random_tree_child(args.leaves, args.retics, seed=seed)
+            else:
+                n = random_network(args.leaves, args.retics, seed=seed)
+            lines.append(write_enewick(n))
     return "".join(line + "\n" for line in lines)
 
 
 def _cmd_enumerate(args):
-    try:
+    with _generator_sizes():
         nets = enumerate_tree_child(args.leaves, args.retics)
         return "".join(write_enewick(n) + "\n" for n in nets)
-    except ValueError as exc:
-        raise SnprLabError(str(exc)) from exc
 
 
 def _cmd_normalize_seq(args):
@@ -177,9 +186,8 @@ def _cmd_normalize_seq(args):
 
 
 def _cmd_gap_search(args):
-    # only this subcommand has a default budget; the others run unbounded
-    budget = 200 if args.budget is None else args.budget
-    hit = gap_witness_search(args.leaves, args.retics, budget, seed=args.seed)
+    with _generator_sizes():
+        hit = gap_witness_search(args.leaves, args.retics, args.budget, seed=args.seed)
     if hit is None:
         _log("budget exhausted without a witness")
         return ""
@@ -192,72 +200,67 @@ def _cmd_gap_search(args):
 # ------------------------------------------------------------------ parser
 
 
+# Every option once: flag -> add_argument keywords. Each subcommand takes only
+# the options its handler reads, plus --out.
+_OPTIONS = {
+    "--format": dict(choices=("enewick", "pnd"), default="enewick",
+                     help="input file format"),
+    "--cap": dict(type=int, help="reticulation ceiling for distance searches"),
+    "--tree-child-only": dict(action=argparse.BooleanOptionalAction, default=True,
+                              help="stay inside tree-child space"),
+    "--budget": dict(type=int),
+    "--leaves": dict(type=int, required=True),
+    "--retics": dict(type=int, default=0),
+    "--count": dict(type=int, default=1),
+    "--seed": dict(type=int, default=0, help="seed for any randomized behavior"),
+    "--out": dict(metavar="PATH", help="write output to PATH instead of stdout"),
+}
+
+
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="snprlab",
         description="tree-child networks, shared digraphs, and rearrangement distances")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("enewick", "pnd"),
-                        default="enewick", help="input file format")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized behavior")
-    common.add_argument("--cap", type=int, default=None,
-                        help="reticulation ceiling for distance searches")
-    common.add_argument("--tree-child-only", action=argparse.BooleanOptionalAction,
-                        default=True, help="stay inside tree-child space")
-    common.add_argument("--out", default=None, metavar="PATH",
-                        help="write output to PATH instead of stdout")
-
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, help_text, files=0, extra=None,
-            budget="not used by this subcommand"):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--budget", type=int, default=None, help=budget)
-        if files >= 1:
-            p.add_argument("file")
-        if files >= 2:
-            p.add_argument("other")
-        if extra:
-            extra(p)
+    def add(name, handler, help_text, files, *flags, **own):
+        """own updates the _OPTIONS keywords of a flag, keyed by its name."""
+        p = sub.add_parser(name, help=help_text)
+        for f in files:
+            p.add_argument(f)
+        for flag in flags + ("--out",):
+            p.add_argument(flag, **{**_OPTIONS[flag], **own.get(flag[2:], {})})
         p.set_defaults(handler=handler)
-        return p
 
-    add("validate", _cmd_validate, "parse one network and print its counts", files=1)
-    add("tree-child", _cmd_tree_child, "report the tree-child property", files=1)
-    add("iso", _cmd_iso, "test two networks for isomorphism", files=2)
-    add("neighbors", _cmd_neighbors, "list all one-move successors", files=1,
-        budget="print at most this many successors; exits with status 2 "
-               "when more remain")
-    add("distance", _cmd_distance, "exact rearrangement distance with witness", files=2,
-        budget="cap on search expansions; exhaustion exits with status 2")
-    add("mtc", _cmd_mtc, "shared-digraph measure with witness bundle", files=2,
-        budget="cap on distinct candidate digraphs read; exhaustion exits "
-               "with status 2")
-    add("bounds", _cmd_bounds, "half-measure, distance, measure as TSV", files=2)
-    add("maf", _cmd_maf, "agreement-forest distance for trees", files=2)
-
-    def gen_args(p):
-        p.add_argument("--leaves", type=int, required=True)
-        p.add_argument("--retics", type=int, default=0)
-        p.add_argument("--count", type=int, default=1)
-
-    add("gen", _cmd_gen, "generate random networks, one per line", extra=gen_args)
-
-    def enum_args(p):
-        p.add_argument("--leaves", type=int, required=True)
-        p.add_argument("--retics", type=int, default=0)
-
-    add("enumerate", _cmd_enumerate, "list all networks at a small size", extra=enum_args)
-    add("normalize-seq", _cmd_normalize_seq, "reorder a move sequence into normal form", files=1)
-
-    def gap_args(p):
-        p.add_argument("--leaves", type=int, required=True)
-        p.add_argument("--retics", type=int, default=1)
-
+    one, two = ("file",), ("file", "other")
+    add("validate", _cmd_validate, "parse one network and print its counts", one,
+        "--format")
+    add("tree-child", _cmd_tree_child, "report the tree-child property", one, "--format")
+    add("iso", _cmd_iso, "test two networks for isomorphism", two, "--format")
+    add("neighbors", _cmd_neighbors, "list all one-move successors", one,
+        "--format", "--tree-child-only", "--budget",
+        budget=dict(help="print at most this many successors; exits with "
+                         "status 2 when more remain"))
+    add("distance", _cmd_distance, "exact rearrangement distance with witness", two,
+        "--format", "--cap", "--tree-child-only", "--budget",
+        budget=dict(help="cap on search expansions; exhaustion exits with status 2"))
+    add("mtc", _cmd_mtc, "shared-digraph measure with witness bundle", two,
+        "--format", "--budget",
+        budget=dict(help="cap on distinct candidate digraphs read; exhaustion "
+                         "exits with status 2"))
+    add("bounds", _cmd_bounds, "half-measure, distance, measure as TSV", two,
+        "--format", "--cap")
+    add("maf", _cmd_maf, "agreement-forest distance for trees", two, "--format")
+    add("gen", _cmd_gen, "generate random networks, one per line", (),
+        "--leaves", "--retics", "--count", "--seed", "--tree-child-only")
+    add("enumerate", _cmd_enumerate, "list all networks at a small size", (),
+        "--leaves", "--retics")
+    add("normalize-seq", _cmd_normalize_seq, "reorder a move sequence into normal form",
+        one)
     add("gap-search", _cmd_gap_search, "hunt for a pair whose distance beats the lower bound",
-        extra=gap_args, budget="candidate pairs to examine (default 200); "
-                               "prints nothing when they run out")
+        (), "--leaves", "--retics", "--seed", "--budget", retics=dict(default=1),
+        budget=dict(default=200, help="candidate pairs to examine (default 200); "
+                                      "prints nothing when they run out"))
     return top
 
 

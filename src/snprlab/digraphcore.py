@@ -9,7 +9,7 @@ component carrying the root marker rho (possibly as an isolated vertex).
 from . import _canon
 from .errors import InvalidDigraphError
 from .netcore import (Edge, Network, _canon_input, _LabelledGraph, _normalize_edges,
-                      _label_problems, _scan, _signature)
+                      _label_problems, _scan, _signature, is_tree_child)
 
 RHO_SINGLETON = "rho_singleton"
 LEAF_SINGLETON = "leaf_singleton"
@@ -227,13 +227,8 @@ def validate_digraph(components, taxa) -> PhyloDigraph:
 
 
 def is_tree_child_digraph(d: PhyloDigraph) -> bool:
-    """Every vertex with out-edges has a child of in-degree at most one."""
-    for c in d.components:
-        for v in c.vertices:
-            kids = c.out_edges(v)
-            if kids and not any(c.in_degree(e.dst) <= 1 for e in kids):
-                return False
-    return True
+    """Every component is tree-child."""
+    return all(map(is_tree_child, d.components))
 
 
 # ---------------------------------------------------------------------------

@@ -328,11 +328,20 @@ def tree_child_report(n: Network) -> TreeChildReport:
                            tuple(siblings), tuple(parallel))
 
 
-def is_tree_child(n: Network) -> bool:
-    """Every non-leaf vertex has a child of in-degree at most one."""
-    return all(
-        any(n.in_degree(c) <= 1 for c in n.children(v))
-        for v in n.vertices if n.out_degree(v) > 0)
+def is_tree_child(g: _LabelledGraph) -> bool:
+    """Every vertex with out-edges has a child of in-degree at most one.
+
+    Reads any labelled graph: a network or one digraph component.
+    """
+    out, inn = g._adjacency()
+    return all(any(len(inn[e.dst]) <= 1 for e in es) for es in out.values() if es)
+
+
+def _require_tree_child_pair(n: Network, m: Network):
+    """Raise InvalidNetworkError naming the first of the pair that is not tree-child."""
+    for net, side in ((n, "first"), (m, "second")):
+        if not is_tree_child(net):
+            raise InvalidNetworkError(["%s network is not tree-child" % side])
 
 
 def _canon_input(graphs, labels):
@@ -594,14 +603,13 @@ def _single_leaf(label) -> Network:
     return Network([0, 1], [Edge(0, 1, 0)], 0, {1: label})
 
 
-def _attach_leaf(n: Network, edge: Edge, label) -> Network:
-    b = _Builder(n)
-    mid, _, _ = b.subdivide(b.resolve(edge))
-    leaf = b.new_vertex()
-    b.add_edge(mid, leaf)
-    b.labels[leaf] = label
-    net, _, _ = b.to_network()
-    return net
+def _attach_leaf(tree: Network, edge: Edge, label) -> Network:
+    """Subdivide an edge of a tree with dense vertex ids and hang a new leaf
+    there; the two new vertices take the next two ids."""
+    mid, leaf = len(tree.vertices), len(tree.vertices) + 1
+    edges = [e for e in tree.edges if e != edge]
+    edges += [Edge(edge.src, mid), Edge(mid, edge.dst), Edge(mid, leaf)]
+    return Network(range(leaf + 1), edges, tree.root, {**tree.leaf_labels, leaf: label})
 
 
 def _reticulation_insertions(n: Network):

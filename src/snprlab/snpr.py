@@ -25,8 +25,8 @@ from typing import NamedTuple, Optional
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      InvalidNetworkError, MoveError)
-from .netcore import (Edge, Network, _edit, _plus_tails, canonical_signature,
-                      is_tree_child)
+from .netcore import (Edge, Network, _edit, _plus_tails, _require_tree_child_pair,
+                      canonical_signature, is_tree_child)
 from .phyloio import parse_pnd, write_pnd
 
 WEIGHTS = {"minus": 1, "plus": 1, "pm": 2}
@@ -211,38 +211,31 @@ def _find_move_to(n: Network, kind: str, target_sig: bytes,
         "by the underlying theory was not found" % kind)
 
 
-def _rebuild_tail(current: Network, old_moves, old_networks):
-    """Re-express a move suffix against a replacement starting network.
-
-    old_networks[i+1] is the network the i-th old move produced; the new
-    moves reach the same isomorphism classes from `current`.
-    """
-    rebuilt = []
-    for i, mv in enumerate(old_moves):
-        want = canonical_signature(old_networks[i + 1])
-        found, current = _find_move_to(current, mv.kind, want)
-        rebuilt.append(found)
-    return rebuilt
+def _replay(current: Network, sigs, kinds, tree_child_only=False) -> list:
+    """Moves of the given kinds from current through the networks of the
+    given signatures, one move per kind; sigs[i] is the signature after
+    the i-th move. Enumeration order makes each pick deterministic."""
+    moves = []
+    for sig, kind in zip(sigs, kinds):
+        mv, current = _find_move_to(current, kind, sig, tree_child_only)
+        moves.append(mv)
+    return moves
 
 
 def enforce_global_assumption(s: MoveSequence) -> MoveSequence:
     """Split every pm move that deletes a reticulation edge into a minus
     followed by a plus reaching the same network, preserving total weight."""
-    nets = s.networks
-    for i, mv in enumerate(s.moves):
-        if mv.kind != "pm":
-            continue
-        cur = nets[i]
-        if cur.in_degree(mv.edge.dst) != 2:
-            continue
-        minus = Move("minus", mv.edge)
-        after_minus = apply_move(cur, minus)
-        plus, after_plus = _find_move_to(
-            after_minus, "plus", canonical_signature(nets[i + 1]))
-        tail = _rebuild_tail(after_plus, s.moves[i + 1:], nets[i + 1:])
-        replaced = MoveSequence(s.start,
-                                list(s.moves[:i]) + [minus, plus] + tail)
-        return enforce_global_assumption(replaced)
+    i = 0
+    while i < len(s.moves):
+        mv, nets = s.moves[i], s.networks
+        if mv.kind == "pm" and nets[i].in_degree(mv.edge.dst) == 2:
+            minus = Move("minus", mv.edge)
+            plus, after = _find_move_to(
+                apply_move(nets[i], minus), "plus", canonical_signature(nets[i + 1]))
+            tail = _replay(after, [canonical_signature(n) for n in nets[i + 2:]],
+                           [m.kind for m in s.moves[i + 1:]])
+            s = MoveSequence(s.start, list(s.moves[:i]) + [minus, plus] + tail)
+        i += 1
     return s
 
 
@@ -280,10 +273,12 @@ def normalize_sequence(s: MoveSequence) -> MoveSequence:
         first = s.moves[i]
         a, c = nets[i], nets[i + 2]
         sig_c = canonical_signature(c)
-        tail_moves, tail_nets = s.moves[i + 2:], nets[i + 2:]
+        # the moves after the pair, to re-express from whatever replaces it
+        tail_sigs = [canonical_signature(n) for n in nets[i + 3:]]
+        tail_kinds = [mv.kind for mv in s.moves[i + 2:]]
 
         if canonical_signature(a) == sig_c:
-            tail = _rebuild_tail(a, tail_moves, tail_nets)
+            tail = _replay(a, tail_sigs, tail_kinds)
             s = MoveSequence(s.start, list(s.moves[:i]) + tail)
             continue
 
@@ -294,7 +289,7 @@ def normalize_sequence(s: MoveSequence) -> MoveSequence:
         except ContractViolationError:
             mv = None
         if mv is not None:
-            tail = _rebuild_tail(after, tail_moves, tail_nets)
+            tail = _replay(after, tail_sigs, tail_kinds)
             s = MoveSequence(s.start, list(s.moves[:i]) + [mv] + tail)
             continue
 
@@ -312,7 +307,7 @@ def normalize_sequence(s: MoveSequence) -> MoveSequence:
         if swapped is None:
             raise ContractViolationError(
                 "no rewrite applies to the move pair at position %d" % i)
-        tail = _rebuild_tail(after, tail_moves, tail_nets)
+        tail = _replay(after, tail_sigs, tail_kinds)
         s = MoveSequence(s.start, list(s.moves[:i]) + swapped + tail)
 
 
@@ -352,10 +347,7 @@ class NeighborCache:
 
 def _check_dtc_inputs(n, m, reticulation_cap, tree_child_only):
     if tree_child_only:
-        for name, net in (("first", n), ("second", m)):
-            if not is_tree_child(net):
-                raise InvalidNetworkError(
-                    ["%s network is not tree-child" % name])
+        _require_tree_child_pair(n, m)
     if n.taxa != m.taxa:
         raise InvalidNetworkError(["networks are on different leaf sets"])
     floor = max(n.reticulation_count, m.reticulation_count)
@@ -426,16 +418,6 @@ def _chain(parent, sig):
     return sigs, kinds
 
 
-def _replay(start: Network, sigs, kinds, tree_child_only) -> MoveSequence:
-    current = start
-    moves = []
-    for i, kind in enumerate(kinds):
-        mv, current = _find_move_to(current, kind, sigs[i + 1],
-                                    tree_child_only=tree_child_only)
-        moves.append(mv)
-    return MoveSequence(start, moves)
-
-
 def dtc(n: Network, m: Network, reticulation_cap=None, *, budget=None,
         cache: NeighborCache = None, witness: bool = True,
         bidirectional=None, tree_child_only: bool = True):
@@ -474,4 +456,4 @@ def dtc(n: Network, m: Network, reticulation_cap=None, *, budget=None,
     # the backward half lists moves out of m; invert them to run m-ward
     sigs = sigs_f + sigs_b[-2::-1]
     kinds = kinds_f + [REVERSE_KIND[k] for k in reversed(kinds_b)]
-    return weight, _replay(n, sigs, kinds, tree_child_only)
+    return weight, MoveSequence(n, _replay(n, sigs[1:], kinds, tree_child_only))

@@ -1,9 +1,12 @@
 """Golden tests for the command-line surface: exact bytes, exact exit codes."""
 
+import ast
+import inspect
 import json
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -97,16 +100,47 @@ def test_neighbors_budget_counts_printed_successors(files, capsys, tmp_path):
 
 def test_budget_help_says_what_it_counts():
     sub = next(a for a in _build_parser()._actions if a.dest == "subcommand")
-    helps = {name: next(a.help for a in p._actions if a.dest == "budget")
-             for name, p in sub.choices.items()}
+    helps = {name: a.help for name, p in sub.choices.items()
+             for a in p._actions if a.dest == "budget"}
     assert "expansions" in helps["distance"]
     assert "candidate digraphs" in helps["mtc"]
     assert "candidate pairs" in helps["gap-search"]
     assert "successors" in helps["neighbors"]
-    counted = {"distance", "mtc", "gap-search", "neighbors"}
-    for name, text in helps.items():
-        if name not in counted:
-            assert text == "not used by this subcommand", name
+    assert set(helps) == {"distance", "mtc", "gap-search", "neighbors"}
+
+
+def _args_read(function):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+
+
+def test_each_subcommand_takes_only_what_it_reads():
+    # a flag no handler reads would be accepted and silently do nothing
+    assert _args_read(main) == {"handler", "out"}
+    sub = next(a for a in _build_parser()._actions if a.dest == "subcommand")
+    options = 0
+    for name, p in sub.choices.items():
+        dests = {a.dest for a in p._actions if a.dest != "help"}
+        assert dests == _args_read(p.get_default("handler")) | {"out"}, name
+        options += sum(1 for a in p._actions if a.option_strings and a.dest != "help")
+    assert options == 38
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "f.nwk", "--budget", "3"],
+    ["mtc", "a.nwk", "b.nwk", "--no-tree-child-only"],
+    ["gen", "--leaves", "3", "--format", "pnd"],
+    ["bounds", "a.nwk", "b.nwk", "--budget", "5"],
+])
+def test_unread_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    cap = capsys.readouterr()
+    assert exc.value.code == 2
+    assert cap.out == ""
+    assert "unrecognized arguments" in cap.err
 
 
 def test_distance_on_isomorphic_inputs(files, capsys):
@@ -203,6 +237,16 @@ def test_enumerate_small_space(files, capsys):
     code, _, err = run(capsys, "enumerate", "--leaves", "9")
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--leaves", "0"], "need at least one leaf"),
+    (["gen", "--leaves", "0"], "need at least one leaf"),
+    (["gen", "--leaves", "2", "--retics", "-1"], "reticulation count cannot be negative"),
+    (["gap-search", "--leaves", "0"], "need at least one leaf"),
+])
+def test_generator_sizes_are_input_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
 
 
 def test_normalize_seq_roundtrip(files, tmp_path, capsys):
