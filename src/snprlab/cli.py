@@ -149,10 +149,12 @@ def _cmd_maf(args):
 
 @contextlib.contextmanager
 def _generator_sizes():
-    """The generators reject impossible sizes with ValueError; report it as bad input."""
+    """The generators reject impossible sizes with ValueError, and a
+    reticulation count they cannot reach with BudgetExceededError; report
+    both as bad input."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, BudgetExceededError) as exc:
         raise SnprLabError(str(exc)) from exc
 
 
@@ -200,6 +202,17 @@ def _cmd_gap_search(args):
 # ------------------------------------------------------------------ parser
 
 
+def _count(text):
+    """An option value that counts something: an int of at least zero."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must not be negative: %r" % text)
+    return value
+
+
 # Every option once: flag -> add_argument keywords. Each subcommand takes only
 # the options its handler reads, plus --out.
 _OPTIONS = {
@@ -208,10 +221,10 @@ _OPTIONS = {
     "--cap": dict(type=int, help="reticulation ceiling for distance searches"),
     "--tree-child-only": dict(action=argparse.BooleanOptionalAction, default=True,
                               help="stay inside tree-child space"),
-    "--budget": dict(type=int),
+    "--budget": dict(type=_count),
     "--leaves": dict(type=int, required=True),
     "--retics": dict(type=int, default=0),
-    "--count": dict(type=int, default=1),
+    "--count": dict(type=_count, default=1),
     "--seed": dict(type=int, default=0, help="seed for any randomized behavior"),
     "--out": dict(metavar="PATH", help="write output to PATH instead of stdout"),
 }

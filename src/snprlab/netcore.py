@@ -109,12 +109,13 @@ class Network(_LabelledGraph):
     Construct through validate(); the constructor itself checks nothing.
     """
 
-    __slots__ = ("root", "_sig", "_reach", "_leaves")
+    __slots__ = ("root", "_sig", "_mu", "_reach", "_leaves")
 
     def __init__(self, vertices, edges, root, leaf_labels):
         super().__init__(vertices, edges, leaf_labels)
         self.root = root
         self._sig = None
+        self._mu = None
         self._reach = {}
         self._leaves = None
 
@@ -376,6 +377,39 @@ def canonical_signature(n: Network) -> bytes:
     return n._sig
 
 
+def _mu_key(n: Network) -> bytes:
+    """The mu-representation of n as bytes: the sorted multiset of vectors,
+    one per vertex, that count the paths from the vertex to each leaf.
+
+    On tree-child networks the key is equal exactly for isomorphic networks
+    (Cardona, Rossello & Valiente, IEEE/ACM TCBB 2009), and one bottom-up
+    pass computes it. Each vector is packed into an int, one field of
+    r + 1 bits per label in sorted order: a path from v to a leaf is fixed
+    by the parent it takes at each of the r reticulations it meets going
+    up, so no count exceeds 2^r and sums never carry between fields. The
+    key carries the field width and the labels, and its prefix cannot
+    start a canonical_signature, so the two kinds of key can share one
+    dictionary.
+    """
+    if n._mu is None:
+        out, inn = n._adjacency()
+        width = 1 + sum(len(es) == 2 for es in inn.values())
+        labels = sorted(n.taxa)
+        shift = {lab: i * width for i, lab in enumerate(labels)}
+        mu = {v: 1 << shift[lab] for v, lab in n.leaf_labels.items()}
+        left = {v: len(es) for v, es in out.items()}
+        ready = list(mu)
+        while ready:
+            for e in inn[ready.pop()]:
+                u = e.src
+                left[u] -= 1
+                if not left[u]:
+                    mu[u] = sum(mu[f.dst] for f in out[u])
+                    ready.append(u)
+        n._mu = b"mu%d%r|%r" % (width, tuple(labels), sorted(mu.values()))
+    return n._mu
+
+
 def canonical_order(n: Network) -> tuple:
     """Vertices in canonical position order (ties impossible: positions are a bijection)."""
     _, rank = _canon.canonical_labelling(*_canon_input([n], sorted(n.taxa)))
@@ -422,7 +456,8 @@ class _Builder:
     Tracks, for every edge of the result, how it arose from the input: kept,
     merged from a suppressed chain, half of a subdivision, or brand new. That
     lets callers carry edge-keyed bookkeeping through an edit without
-    re-deriving it.
+    re-deriving it. It also records the vertices whose edges the edit
+    changed, which is all keeps_tree_child reads.
     """
 
     def __init__(self, net: Network):
@@ -430,15 +465,20 @@ class _Builder:
         self.labels = dict(net.leaf_labels)
         self.vertices = set(net.vertices)
         self._next_v = max(net.vertices) + 1
-        self._next_e = 0
+        self._next_e = len(net.edges)
         self.src = {}
         self.dst = {}
         self.origin = {}
         self.out = {v: set() for v in self.vertices}
         self.inn = {v: set() for v in self.vertices}
         self._by_orig = {}  # input edge -> id of the edge now carrying it
-        for e in net.edges:
-            self._by_orig[e] = self.add_edge(e.src, e.dst, ("kept", e))
+        self.touched = set()
+        for eid, e in enumerate(net.edges):
+            self.src[eid], self.dst[eid] = e.src, e.dst
+            self.origin[eid] = ("kept", e)
+            self.out[e.src].add(eid)
+            self.inn[e.dst].add(eid)
+            self._by_orig[e] = eid
 
     def add_edge(self, u, v, origin=("new",)):
         eid = self._next_e
@@ -448,6 +488,7 @@ class _Builder:
         self.origin[eid] = origin
         self.out[u].add(eid)
         self.inn[v].add(eid)
+        self.touched.update((u, v))
         return eid
 
     def resolve(self, edge: Edge) -> int:
@@ -470,6 +511,7 @@ class _Builder:
         u, v = self.src.pop(eid), self.dst.pop(eid)
         self.out[u].discard(eid)
         self.inn[v].discard(eid)
+        self.touched.update((u, v))
         origin = self.origin.pop(eid)
         for orig in _flatten_origin(origin):
             self._by_orig.pop(orig, None)
@@ -501,6 +543,22 @@ class _Builder:
         self.vertices.discard(v)
         del self.out[v], self.inn[v]
 
+    def keeps_tree_child(self):
+        """Whether the result is tree-child, given that the input is.
+
+        A vertex can lose its last child of in-degree at most one only when
+        its own out-edges change or the in-edges of one of its children do,
+        so only the live touched vertices and their parents are read.
+        """
+        out, inn, src, dst = self.out, self.inn, self.src, self.dst
+        check = set()
+        for v in self.touched:
+            if v in inn:
+                check.add(v)
+                check.update(src[eid] for eid in inn[v])
+        return all(any(len(inn[dst[eid]]) <= 1 for eid in out[x])
+                   for x in check if out[x])
+
     def to_network(self):
         """Compact ids and freeze.
 
@@ -526,11 +584,13 @@ class _Builder:
         return net, vmap, origin_of
 
 
-def _edit(n: Network, kind, e: Edge, target: Edge = None):
+def _edit(n: Network, kind, e: Edge, target: Edge = None, keep_tree_child=False):
     """The move of the given kind on n, as _Builder.to_network's triple.
 
     snpr.Move says what kind, edge and target name. Raises MoveError when
-    the move is not legal on n.
+    the move is not legal on n. With keep_tree_child, n must be tree-child,
+    and a result that is not comes back as None, decided in the builder
+    before anything is frozen.
     """
     if e not in n.edges:
         raise MoveError("edge %r is not an edge of the network" % (e,))
@@ -554,20 +614,21 @@ def _edit(n: Network, kind, e: Edge, target: Edge = None):
             eid_2 = b.resolve(target)
         tail_mid, _, _ = b.subdivide(eid_2)
         b.add_edge(tail_mid, head_mid)
-        return b.to_network()
-
-    # minus and pm both delete e and suppress its tail
-    b.delete_edge(b.resolve(e))
-    b.suppress(u)
-    if kind == "minus":
-        b.suppress(v)
     else:
-        eid_f = b.resolve(target)
-        if b.src[eid_f] in n.reachable_from(v):
-            raise MoveError("target %r is a descendant of the moved subtree"
-                            % (target,))
-        mid, _, _ = b.subdivide(eid_f)
-        b.add_edge(mid, v)
+        # minus and pm both delete e and suppress its tail
+        b.delete_edge(b.resolve(e))
+        b.suppress(u)
+        if kind == "minus":
+            b.suppress(v)
+        else:
+            eid_f = b.resolve(target)
+            if b.src[eid_f] in n.reachable_from(v):
+                raise MoveError("target %r is a descendant of the moved subtree"
+                                % (target,))
+            mid, _, _ = b.subdivide(eid_f)
+            b.add_edge(mid, v)
+    if keep_tree_child and not b.keeps_tree_child():
+        return None
     return b.to_network()
 
 
@@ -625,7 +686,8 @@ def random_network(n_leaves, n_reticulations, seed=0, require_tree_child=False):
     """Random network by leaf attachment plus reticulation insertion.
 
     With require_tree_child every intermediate insertion is filtered to keep
-    the tree-child property; raises when the requested count is unreachable.
+    the tree-child property, decided before the candidate is frozen; raises
+    when the requested count is unreachable.
     """
     if n_leaves < 1:
         raise ValueError("need at least one leaf")
@@ -641,9 +703,9 @@ def random_network(n_leaves, n_reticulations, seed=0, require_tree_child=False):
         pairs = _reticulation_insertions(net)
         rng.shuffle(pairs)
         for e1, e2 in pairs:
-            candidate = _edit(net, "plus", e1, e2)[0]
-            if not require_tree_child or is_tree_child(candidate):
-                net = candidate
+            got = _edit(net, "plus", e1, e2, keep_tree_child=require_tree_child)
+            if got is not None:
+                net = got[0]
                 break
         else:
             raise BudgetExceededError(
@@ -685,9 +747,9 @@ def enumerate_tree_child(n_leaves, max_reticulations=0, leaf_limit=5):
         nxt = {}
         for _, net in sorted(level.items()):
             for e1, e2 in _reticulation_insertions(net):
-                candidate = _edit(net, "plus", e1, e2)[0]
-                if is_tree_child(candidate):
-                    nxt.setdefault(canonical_signature(candidate), candidate)
+                got = _edit(net, "plus", e1, e2, keep_tree_child=True)
+                if got is not None:
+                    nxt.setdefault(canonical_signature(got[0]), got[0])
         level = nxt
         for _, net in sorted(level.items()):
             yield net

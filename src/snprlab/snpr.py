@@ -15,7 +15,9 @@ subtree's head, otherwise the added edge would close a directed cycle.
 
 `dtc` computes the exact minimum total weight over move sequences whose
 every intermediate network is tree-child, by bidirectional uniform-cost
-search on canonical signatures.
+search on mu keys (the multiset of per-vertex path counts to each leaf, a
+complete invariant of tree-child networks). The wider space of all binary
+networks is searched on canonical signatures.
 """
 
 from dataclasses import dataclass
@@ -25,8 +27,8 @@ from typing import NamedTuple, Optional
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      InvalidNetworkError, MoveError)
-from .netcore import (Edge, Network, _edit, _plus_tails, _require_tree_child_pair,
-                      canonical_signature, is_tree_child)
+from .netcore import (Edge, Network, _edit, _mu_key, _plus_tails,
+                      _require_tree_child_pair, canonical_signature, is_tree_child)
 from .phyloio import parse_pnd, write_pnd
 
 WEIGHTS = {"minus": 1, "plus": 1, "pm": 2}
@@ -98,12 +100,17 @@ def enumerate_moves(n: Network, tree_child_only: bool = True):
     Order is deterministic: all minus moves, then pm, then plus, each
     block sorted by edge tuples. When tree_child_only is set, successors
     failing the tree-child condition are dropped (the moves themselves
-    are still legal in the wider space).
+    are still legal in the wider space); on a tree-child n they are
+    decided before they are built.
     """
     edges = sorted(n.edges)
     retics = n.reticulations()
+    local = tree_child_only and is_tree_child(n)
 
     def emit(move):
+        if local:
+            got = _edit(n, move.kind, move.edge, move.target, keep_tree_child=True)
+            return None if got is None else (move, got[0])
         succ = apply_move(n, move)
         if tree_child_only and not is_tree_child(succ):
             return None
@@ -199,25 +206,33 @@ def moves_from_json(text: str) -> MoveSequence:
     return MoveSequence(start, moves)
 
 
+def _key(tree_child_only: bool):
+    """The signature a search compares networks by: the mu key in
+    tree-child space, where it is complete, else the canonical signature."""
+    return _mu_key if tree_child_only else canonical_signature
+
+
 def _find_move_to(n: Network, kind: str, target_sig: bytes,
-                  tree_child_only: bool = False):
+                  tree_child_only: bool = False, key=canonical_signature):
     """First enumerated move of the given kind whose successor has the
-    wanted signature. Enumeration order makes the pick deterministic."""
+    wanted signature under key. Enumeration order makes the pick
+    deterministic."""
     for move, succ in enumerate_moves(n, tree_child_only=tree_child_only):
-        if move.kind == kind and canonical_signature(succ) == target_sig:
+        if move.kind == kind and key(succ) == target_sig:
             return move, succ
     raise ContractViolationError(
         "no %s move reaches the required network; the rewrite guaranteed "
         "by the underlying theory was not found" % kind)
 
 
-def _replay(current: Network, sigs, kinds, tree_child_only=False) -> list:
+def _replay(current: Network, sigs, kinds, tree_child_only=False,
+            key=canonical_signature) -> list:
     """Moves of the given kinds from current through the networks of the
-    given signatures, one move per kind; sigs[i] is the signature after
-    the i-th move. Enumeration order makes each pick deterministic."""
+    given signatures under key, one move per kind; sigs[i] is the signature
+    after the i-th move. Enumeration order makes each pick deterministic."""
     moves = []
     for sig, kind in zip(sigs, kinds):
-        mv, current = _find_move_to(current, kind, sig, tree_child_only)
+        mv, current = _find_move_to(current, kind, sig, tree_child_only, key)
         moves.append(mv)
     return moves
 
@@ -312,12 +327,14 @@ def normalize_sequence(s: MoveSequence) -> MoveSequence:
 
 
 class NeighborCache:
-    """Memo of move neighborhoods keyed by canonical signature.
+    """Memo of move neighborhoods keyed by network signature.
 
     Stores one representative network per signature and, per (signature,
     filter mode), the successor signatures with move kind, weight, and
-    reticulation count. Entries ignore any reticulation cap so a cache
-    can be shared between searches with different caps.
+    reticulation count. Tree-child successors are keyed by mu key and the
+    others by canonical signature; the two kinds of key never collide, so
+    one cache serves both modes. Entries ignore any reticulation cap so a
+    cache can be shared between searches with different caps.
     """
 
     def __init__(self):
@@ -335,9 +352,10 @@ class NeighborCache:
         key = (sig, tree_child_only)
         if key not in self._succ:
             rep = self.rep[sig]
+            sign = _key(tree_child_only)
             seen = []
             for move, succ in enumerate_moves(rep, tree_child_only):
-                ssig = canonical_signature(succ)
+                ssig = sign(succ)
                 self.rep.setdefault(ssig, succ)
                 seen.append((ssig, move.kind, WEIGHTS[move.kind],
                              succ.reticulation_count))
@@ -441,7 +459,8 @@ def dtc(n: Network, m: Network, reticulation_cap=None, *, budget=None,
     cap = _check_dtc_inputs(n, m, reticulation_cap, tree_child_only)
     if cache is None:
         cache = NeighborCache()
-    sig_n, sig_m = canonical_signature(n), canonical_signature(m)
+    key = _key(tree_child_only)
+    sig_n, sig_m = key(n), key(m)
     cache.representative(sig_n, n)
     cache.representative(sig_m, m)
     if sig_n == sig_m:
@@ -456,4 +475,4 @@ def dtc(n: Network, m: Network, reticulation_cap=None, *, budget=None,
     # the backward half lists moves out of m; invert them to run m-ward
     sigs = sigs_f + sigs_b[-2::-1]
     kinds = kinds_f + [REVERSE_KIND[k] for k in reversed(kinds_b)]
-    return weight, MoveSequence(n, _replay(n, sigs[1:], kinds, tree_child_only))
+    return weight, MoveSequence(n, _replay(n, sigs[1:], kinds, tree_child_only, key))

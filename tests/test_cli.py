@@ -249,6 +249,30 @@ def test_generator_sizes_are_input_errors(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
 
 
+def test_unreachable_reticulation_count_is_an_input_error(capsys):
+    # two leaves carry at most one tree-child reticulation; running out of
+    # insertions is bad input, not a spent budget
+    code, out, err = run(capsys, "gen", "--leaves", "2", "--retics", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: no legal reticulation insertion")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["neighbors", "n.nwk", "--budget", "-1"], "--budget"),
+    (["distance", "a.nwk", "b.nwk", "--budget", "-1"], "--budget"),
+    (["mtc", "a.nwk", "b.nwk", "--budget", "-3"], "--budget"),
+    (["gap-search", "--leaves", "4", "--budget", "-5"], "--budget"),
+    (["gen", "--leaves", "3", "--count", "-2"], "--count"),
+])
+def test_negative_count_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    cap = capsys.readouterr()
+    assert exc.value.code == 2
+    assert cap.out == ""
+    assert "argument %s: must not be negative" % flag in cap.err
+
+
 def test_normalize_seq_roundtrip(files, tmp_path, capsys):
     a = files("a.nwk", TRIPLE_AB_C)
     b = files("b.nwk", TRIPLE_AC_B)

@@ -10,6 +10,8 @@ from snprlab.errors import (
 )
 from snprlab.netcore import (
     Edge,
+    _Builder,
+    _mu_key,
     canonical_signature,
     delete_reticulation_edge,
     enumerate_tree_child,
@@ -146,6 +148,60 @@ def test_tree_child_definition_agrees_with_patterns():
             assert tree_child_report(succ).is_tree_child == verdict
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_tree_child_filter_matches_build_then_check():
+    # tree-child hosts decide each successor before it is built; the others
+    # build it and check it whole. Either way the kept stream must be the
+    # full stream filtered by is_tree_child, move for move
+    hosts = [n for leaves in (2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
+    hosts += [random_network(3, 2, seed=s) for s in range(4)]
+    assert sum(not is_tree_child(n) for n in hosts) == 4
+    moves = 0
+    for n in hosts:
+        kept = []
+        for mv, succ in enumerate_moves(n, tree_child_only=False):
+            moves += 1
+            if is_tree_child(succ):
+                kept.append((mv, succ))
+        assert list(enumerate_moves(n)) == kept
+    assert moves == 302085
+
+
+def test_keeps_tree_child_reads_any_builder_edit():
+    # the moves raise an in-degree only at a vertex they create and take an
+    # out-edge away only from a vertex they suppress; one added or deleted
+    # edge also reaches the other cases: a parent whose child gains another
+    # parent, and a vertex that loses its only tree child
+    verdicts = set()
+    for n in enumerate_tree_child(3, 1):
+        builders = []
+        for x, y in itertools.product(sorted(n.vertices), repeat=2):
+            b = _Builder(n)
+            b.add_edge(x, y)
+            builders.append(b)
+        for e in n.edges:
+            b = _Builder(n)
+            b.delete_edge(b.resolve(e))
+            builders.append(b)
+        for b in builders:
+            verdict = is_tree_child(b.to_network()[0])
+            assert b.keeps_tree_child() == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_mu_key_splits_like_canonical_signature():
+    # the enumeration holds one network per class of canonical_signature,
+    # so the mu key must tell every two apart; tests/test_properties.py
+    # checks that isomorphic copies share it
+    for leaves, retics, count in ((4, 2, 1515), (3, 3, 66)):
+        nets = list(enumerate_tree_child(leaves, retics))
+        assert len(nets) == count
+        assert len({_mu_key(n) for n in nets}) == count
+    # the two kinds of key cannot collide
+    assert all(_mu_key(n).startswith(b"mu") for n in nets)
+    assert all(canonical_signature(n).startswith(b"(") for n in nets)
 
 
 def test_root_child_is_never_a_reticulation():

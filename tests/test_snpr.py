@@ -8,7 +8,7 @@ from snprlab.netcore import (Edge, canonical_signature, enumerate_tree_child,
                              is_tree_child, isomorphic, isomorphism_map,
                              network_violations, random_network,
                              random_tree_child, validate)
-from snprlab.snpr import (Move, MoveSequence, NeighborCache, apply_move,
+from snprlab.snpr import (WEIGHTS, Move, MoveSequence, NeighborCache, apply_move,
                           apply_move_detailed, dtc, enforce_global_assumption,
                           enumerate_moves, moves_from_json, moves_to_json,
                           normalize_sequence, sequence_weight, _find_move_to)
@@ -348,6 +348,20 @@ def test_dtc_symmetry_and_cache_reuse(retic_ab_c, triple_a_bc, triple_ab_c):
         assert wab == wba
 
 
+def test_one_cache_serves_both_modes(retic_ab_c, triple_ab_c, triple_ac_b, triple_a_bc):
+    # tree-child searches key on mu keys, the others on canonical
+    # signatures; sharing one cache between them changes no weight
+    pairs = [(triple_ab_c, triple_ac_b), (triple_a_bc, retic_ab_c)]
+    cache = NeighborCache()
+    for tree_child_only in (True, False, True):
+        for a, b in pairs:
+            shared = dtc(a, b, cache=cache, tree_child_only=tree_child_only)
+            fresh = dtc(a, b, tree_child_only=tree_child_only)
+            assert shared[0] == fresh[0]
+            assert sequence_weight(shared[1]) == shared[0]
+    assert {sig[:2] == b"mu" for sig in cache.rep} == {True, False}
+
+
 def test_dtc_cap_sensitivity(triple_ab_c, triple_ac_b, retic_ab_c, triple_a_bc):
     for a, b in [(triple_ab_c, triple_ac_b), (retic_ab_c, triple_a_bc)]:
         base = max(a.reticulation_count, b.reticulation_count)
@@ -380,17 +394,26 @@ def test_dtc_unsafe_space(parallel_one_leaf, leaf_a):
     assert [mv.kind for mv in s.moves] == ["minus"]
 
 
-def _plain_dijkstra(cache, source_sig, cap):
-    """Distances from one signature to every signature reachable under the
-    cap, by one-sided uniform-cost search: the oracle for dtc."""
-    dist = {source_sig: 0}
-    heap = [(0, source_sig)]
+def _plain_dijkstra(memo, source, cap):
+    """Distances from one network to every network reachable under the
+    cap, keyed by canonical signature, by one-sided uniform-cost search:
+    the oracle for dtc. It reads enumerate_moves alone, never dtc's key
+    or NeighborCache; memo maps a signature to its successors'
+    (signature, weight, network) triples and may be shared between calls."""
+    sig0 = canonical_signature(source)
+    nets = {sig0: source}
+    dist = {sig0: 0}
+    heap = [(0, sig0)]
     while heap:
         d, sig = heapq.heappop(heap)
         if d > dist[sig]:
             continue
-        for ssig, _, w, retics in cache.successors(sig):
-            if retics <= cap and d + w < dist.get(ssig, d + w + 1):
+        if sig not in memo:
+            memo[sig] = [(canonical_signature(succ), WEIGHTS[mv.kind], succ)
+                         for mv, succ in enumerate_moves(nets[sig])]
+        for ssig, w, succ in memo[sig]:
+            nets.setdefault(ssig, succ)
+            if succ.reticulation_count <= cap and d + w < dist.get(ssig, d + w + 1):
                 dist[ssig] = d + w
                 heapq.heappush(heap, (d + w, ssig))
     return dist
@@ -406,10 +429,9 @@ def test_dtc_matches_plain_dijkstra():
         nets = list(enumerate_tree_child(3, retics))
         assert len(nets) ** 2 == pairs
         cache = NeighborCache()
+        memo = {}
         for a in nets:
-            sig_a = canonical_signature(a)
-            cache.representative(sig_a, a)
-            oracle = {cap: _plain_dijkstra(cache, sig_a, cap)
+            oracle = {cap: _plain_dijkstra(memo, a, cap)
                       for cap in range(a.reticulation_count + 1, retics + 2)}
             for b in nets:
                 cap = max(a.reticulation_count, b.reticulation_count) + 1
