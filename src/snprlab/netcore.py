@@ -109,13 +109,15 @@ class Network(_LabelledGraph):
     Construct through validate(); the constructor itself checks nothing.
     """
 
-    __slots__ = ("root", "_sig", "_mu", "_reach", "_leaves")
+    __slots__ = ("root", "_sig", "_mu", "_retics", "_tables", "_reach", "_leaves")
 
     def __init__(self, vertices, edges, root, leaf_labels):
         super().__init__(vertices, edges, leaf_labels)
         self.root = root
         self._sig = None
         self._mu = None
+        self._retics = None
+        self._tables = None
         self._reach = {}
         self._leaves = None
 
@@ -145,7 +147,30 @@ class Network(_LabelledGraph):
 
     @property
     def reticulation_count(self):
-        return sum(1 for v in self.vertices if self.in_degree(v) == 2)
+        if self._retics is None:
+            self._retics = sum(1 for v in self.vertices if self.in_degree(v) == 2)
+        return self._retics
+
+    def _edge_tables(self):
+        """The tables a _Builder starts from, built once: edge ids are
+        positions in self.edges, and the tuple holds src, dst, origin
+        and _by_orig by id or edge, out and inn as frozensets of ids by
+        vertex, and the first unused vertex id."""
+        if self._tables is None:
+            src, dst, origin, by_orig = {}, {}, {}, {}
+            out = {v: [] for v in self.vertices}
+            inn = {v: [] for v in self.vertices}
+            for eid, e in enumerate(self.edges):
+                src[eid], dst[eid] = e.src, e.dst
+                origin[eid] = ("kept", e)
+                by_orig[e] = eid
+                out[e.src].append(eid)
+                inn[e.dst].append(eid)
+            self._tables = (src, dst, origin, by_orig,
+                            {v: frozenset(es) for v, es in out.items()},
+                            {v: frozenset(es) for v, es in inn.items()},
+                            max(self.vertices) + 1)
+        return self._tables
 
     @property
     def is_tree(self):
@@ -377,37 +402,41 @@ def canonical_signature(n: Network) -> bytes:
     return n._sig
 
 
-def _mu_key(n: Network) -> bytes:
-    """The mu-representation of n as bytes: the sorted multiset of vectors,
-    one per vertex, that count the paths from the vertex to each leaf.
+def _mu_key(g) -> bytes:
+    """The mu-representation as bytes: the sorted multiset of vectors, one
+    per vertex, that count the paths from the vertex to each leaf.
 
-    On tree-child networks the key is equal exactly for isomorphic networks
+    g is a Network, whose key is cached in its _mu slot, or a _Builder,
+    whose key is read off its own tables before anything is frozen. On
+    tree-child networks the key is equal exactly for isomorphic networks
     (Cardona, Rossello & Valiente, IEEE/ACM TCBB 2009), and one bottom-up
     pass computes it. Each vector is packed into an int, one field of
-    r + 1 bits per label in sorted order: a path from v to a leaf is fixed
-    by the parent it takes at each of the r reticulations it meets going
-    up, so no count exceeds 2^r and sums never carry between fields. The
-    key carries the field width and the labels, and its prefix cannot
-    start a canonical_signature, so the two kinds of key can share one
-    dictionary.
+    r + 1 bits per label in sorted order, r the reticulation count: a path
+    from v to a leaf is fixed by the parent it takes at each of the r
+    reticulations it meets going up, so no count exceeds 2^r and sums
+    never carry between fields. The key carries the field width and the
+    labels, and its prefix cannot start a canonical_signature, so the two
+    kinds of key can share one dictionary.
     """
-    if n._mu is None:
-        out, inn = n._adjacency()
-        width = 1 + sum(len(es) == 2 for es in inn.values())
-        labels = sorted(n.taxa)
-        shift = {lab: i * width for i, lab in enumerate(labels)}
-        mu = {v: 1 << shift[lab] for v, lab in n.leaf_labels.items()}
-        left = {v: len(es) for v, es in out.items()}
-        ready = list(mu)
-        while ready:
-            for e in inn[ready.pop()]:
-                u = e.src
-                left[u] -= 1
-                if not left[u]:
-                    mu[u] = sum(mu[f.dst] for f in out[u])
-                    ready.append(u)
-        n._mu = b"mu%d%r|%r" % (width, tuple(labels), sorted(mu.values()))
-    return n._mu
+    if isinstance(g, Network):
+        if g._mu is None:
+            g._mu = _mu_key(_Builder(g))
+        return g._mu
+    src, dst, out, inn = g.src, g.dst, g.out, g.inn
+    width = 1 + g.retics
+    labels = sorted(g.labels.values())
+    shift = {lab: i * width for i, lab in enumerate(labels)}
+    mu = {v: 1 << shift[lab] for v, lab in g.labels.items()}
+    left = {v: len(es) for v, es in out.items()}
+    ready = list(mu)
+    while ready:
+        for eid in inn[ready.pop()]:
+            u = src[eid]
+            left[u] -= 1
+            if not left[u]:
+                mu[u] = sum(mu[dst[f]] for f in out[u])
+                ready.append(u)
+    return b"mu%d%r|%r" % (width, tuple(labels), sorted(mu.values()))
 
 
 def canonical_order(n: Network) -> tuple:
@@ -451,34 +480,36 @@ def _flatten_origin(origin):
 
 
 class _Builder:
-    """Mutable scratch copy of a network for local surgery.
+    """Scratch copy of a network for local surgery.
 
-    Tracks, for every edge of the result, how it arose from the input: kept,
-    merged from a suppressed chain, half of a subdivision, or brand new. That
-    lets callers carry edge-keyed bookkeeping through an edit without
+    It starts from shallow copies of the network's edge tables and replaces
+    a vertex's edge set on each edit instead of mutating it, so making one
+    costs a few dict copies and leaves the network untouched. Tracks, for
+    every edge of the result, how it arose from the input: kept, merged
+    from a suppressed chain, half of a subdivision, or brand new. That lets
+    callers carry edge-keyed bookkeeping through an edit without
     re-deriving it. It also records the vertices whose edges the edit
-    changed, which is all keeps_tree_child reads.
+    changed, which is all keeps_tree_child reads, and keeps the
+    reticulation count as edges come and go: the input's count plus the
+    move's change, -1 for minus, +1 for plus and 0 for pm.
     """
 
     def __init__(self, net: Network):
+        src, dst, origin, by_orig, out, inn, next_v = net._edge_tables()
         self.root = net.root
-        self.labels = dict(net.leaf_labels)
-        self.vertices = set(net.vertices)
-        self._next_v = max(net.vertices) + 1
+        self.labels = net.leaf_labels
+        self.src, self.dst, self.origin = src.copy(), dst.copy(), origin.copy()
+        self.out, self.inn = out.copy(), inn.copy()
+        self._by_orig = by_orig.copy()  # input edge -> id of the edge now carrying it
+        self._next_v = next_v
         self._next_e = len(net.edges)
-        self.src = {}
-        self.dst = {}
-        self.origin = {}
-        self.out = {v: set() for v in self.vertices}
-        self.inn = {v: set() for v in self.vertices}
-        self._by_orig = {}  # input edge -> id of the edge now carrying it
+        self.retics = net.reticulation_count
         self.touched = set()
-        for eid, e in enumerate(net.edges):
-            self.src[eid], self.dst[eid] = e.src, e.dst
-            self.origin[eid] = ("kept", e)
-            self.out[e.src].add(eid)
-            self.inn[e.dst].add(eid)
-            self._by_orig[e] = eid
+
+    def _set_in(self, v, eids):
+        """Replace v's in-edges, keeping the reticulation count."""
+        self.retics += (len(eids) == 2) - (len(self.inn[v]) == 2)
+        self.inn[v] = eids
 
     def add_edge(self, u, v, origin=("new",)):
         eid = self._next_e
@@ -486,8 +517,8 @@ class _Builder:
         self.src[eid] = u
         self.dst[eid] = v
         self.origin[eid] = origin
-        self.out[u].add(eid)
-        self.inn[v].add(eid)
+        self.out[u] = self.out[u] | {eid}
+        self._set_in(v, self.inn[v] | {eid})
         self.touched.update((u, v))
         return eid
 
@@ -501,16 +532,14 @@ class _Builder:
     def new_vertex(self):
         v = self._next_v
         self._next_v += 1
-        self.vertices.add(v)
-        self.out[v] = set()
-        self.inn[v] = set()
+        self.out[v] = self.inn[v] = frozenset()
         return v
 
     def delete_edge(self, eid):
         """Remove an edge; returns its origin."""
         u, v = self.src.pop(eid), self.dst.pop(eid)
-        self.out[u].discard(eid)
-        self.inn[v].discard(eid)
+        self.out[u] = self.out[u] - {eid}
+        self._set_in(v, self.inn[v] - {eid})
         self.touched.update((u, v))
         origin = self.origin.pop(eid)
         for orig in _flatten_origin(origin):
@@ -540,24 +569,32 @@ class _Builder:
         merged = self.add_edge(u, w, ("merged", (o_in, o_out)))
         for orig in _flatten_origin(self.origin[merged]):
             self._by_orig[orig] = merged
-        self.vertices.discard(v)
         del self.out[v], self.inn[v]
 
-    def keeps_tree_child(self):
-        """Whether the result is tree-child, given that the input is.
+    def keeps_tree_child(self, whole=False):
+        """Whether the result is tree-child, given that the input is, or
+        whatever the input with whole.
 
         A vertex can lose its last child of in-degree at most one only when
         its own out-edges change or the in-edges of one of its children do,
-        so only the live touched vertices and their parents are read.
+        so unless whole only the live touched vertices and their parents
+        are read.
         """
         out, inn, src, dst = self.out, self.inn, self.src, self.dst
-        check = set()
-        for v in self.touched:
-            if v in inn:
-                check.add(v)
-                check.update(src[eid] for eid in inn[v])
-        return all(any(len(inn[dst[eid]]) <= 1 for eid in out[x])
-                   for x in check if out[x])
+        if whole:
+            check = out
+        else:
+            check = set()
+            for v in self.touched:
+                if v in inn:
+                    check.add(v)
+                    for eid in inn[v]:
+                        check.add(src[eid])
+        for x in check:
+            es = out[x]
+            if es and all(len(inn[dst[eid]]) > 1 for eid in es):
+                return False
+        return True
 
     def to_network(self):
         """Compact ids and freeze.
@@ -566,8 +603,7 @@ class _Builder:
         builder's vertex ids to the result's dense ids, and edge_origin keys
         every result edge by its provenance in the input network.
         """
-        live = sorted(self.vertices)
-        vmap = {v: i for i, v in enumerate(live)}
+        vmap = {v: i for i, v in enumerate(sorted(self.out))}
         by_pair = {}
         for eid in sorted(self.src):
             u, v = vmap[self.src[eid]], vmap[self.dst[eid]]
@@ -581,18 +617,19 @@ class _Builder:
                 origin_of[e] = self.origin[eid]
         labels = {vmap[v]: lab for v, lab in self.labels.items()}
         net = Network(vmap.values(), edges, vmap[self.root], labels)
+        net._retics = self.retics
         return net, vmap, origin_of
 
 
-def _edit(n: Network, kind, e: Edge, target: Edge = None, keep_tree_child=False):
-    """The move of the given kind on n, as _Builder.to_network's triple.
+def _edit(n: Network, kind, e: Edge, target: Edge = None) -> _Builder:
+    """The move of the given kind on n, as a _Builder holding the result.
 
     snpr.Move says what kind, edge and target name. Raises MoveError when
-    the move is not legal on n. With keep_tree_child, n must be tree-child,
-    and a result that is not comes back as None, decided in the builder
-    before anything is frozen.
+    the move is not legal on n. Callers decide and key the result in the
+    builder and freeze it with to_network only when they keep it.
     """
-    if e not in n.edges:
+    ids = n._edge_tables()[3]  # edge -> id, one entry per edge of n
+    if e not in ids:
         raise MoveError("edge %r is not an edge of the network" % (e,))
     u, v = e.src, e.dst
     if kind == "minus" and n.in_degree(v) != 2:
@@ -606,7 +643,7 @@ def _edit(n: Network, kind, e: Edge, target: Edge = None, keep_tree_child=False)
         if target == e:
             eid_2 = upper
         else:
-            if target not in n.edges:
+            if target not in ids:
                 raise MoveError("edge %r is not an edge of the network" % (target,))
             if target.src in n.reachable_from(v):
                 raise MoveError("target %r is a descendant of the new "
@@ -627,9 +664,7 @@ def _edit(n: Network, kind, e: Edge, target: Edge = None, keep_tree_child=False)
                                 % (target,))
             mid, _, _ = b.subdivide(eid_f)
             b.add_edge(mid, v)
-    if keep_tree_child and not b.keeps_tree_child():
-        return None
-    return b.to_network()
+    return b
 
 
 def _plus_tails(n: Network, head: Edge) -> list:
@@ -648,7 +683,7 @@ def delete_reticulation_edge(n: Network, edge: Edge) -> Network:
     The tail must be a tree vertex. On tree-child input the result is again
     tree-child. This is the "minus" move of snpr.
     """
-    return _edit(n, "minus", Edge(*edge))[0]
+    return _edit(n, "minus", Edge(*edge)).to_network()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -703,9 +738,9 @@ def random_network(n_leaves, n_reticulations, seed=0, require_tree_child=False):
         pairs = _reticulation_insertions(net)
         rng.shuffle(pairs)
         for e1, e2 in pairs:
-            got = _edit(net, "plus", e1, e2, keep_tree_child=require_tree_child)
-            if got is not None:
-                net = got[0]
+            b = _edit(net, "plus", e1, e2)
+            if not require_tree_child or b.keeps_tree_child():
+                net = b.to_network()[0]
                 break
         else:
             raise BudgetExceededError(
@@ -747,9 +782,10 @@ def enumerate_tree_child(n_leaves, max_reticulations=0, leaf_limit=5):
         nxt = {}
         for _, net in sorted(level.items()):
             for e1, e2 in _reticulation_insertions(net):
-                got = _edit(net, "plus", e1, e2, keep_tree_child=True)
-                if got is not None:
-                    nxt.setdefault(canonical_signature(got[0]), got[0])
+                b = _edit(net, "plus", e1, e2)
+                if b.keeps_tree_child():
+                    succ = b.to_network()[0]
+                    nxt.setdefault(canonical_signature(succ), succ)
         level = nxt
         for _, net in sorted(level.items()):
             yield net

@@ -18,6 +18,11 @@ every intermediate network is tree-child, by bidirectional uniform-cost
 search on mu keys (the multiset of per-vertex path counts to each leaf, a
 complete invariant of tree-child networks). The wider space of all binary
 networks is searched on canonical signatures.
+
+Every move is drawn from one generator and edited in a netcore._Builder.
+In tree-child space the search decides, keys and counts each successor
+in its builder and freezes a Network only for a key it has not seen;
+enumerate_moves freezes every successor it yields.
 """
 
 from dataclasses import dataclass
@@ -87,11 +92,65 @@ class ApplyResult(NamedTuple):
 
 
 def apply_move_detailed(n: Network, move: Move) -> ApplyResult:
-    return ApplyResult(*_edit(n, move.kind, move.edge, move.target))
+    return ApplyResult(*_edit(n, move.kind, move.edge, move.target).to_network())
 
 
 def apply_move(n: Network, move: Move) -> Network:
-    return _edit(n, move.kind, move.edge, move.target)[0]
+    return _edit(n, move.kind, move.edge, move.target).to_network()[0]
+
+
+def _moves(n: Network, kind=None):
+    """Every legal move on n, or only those of the given kind.
+
+    Order is deterministic: all minus moves, then pm, then plus, each
+    block sorted by edge tuples. The blocks of other kinds are skipped
+    whole.
+    """
+    edges = sorted(n.edges)
+
+    if kind in (None, "minus"):
+        retics = set(n.reticulations())
+        for e in edges:
+            if e.dst in retics and n.in_degree(e.src) == 1 and n.out_degree(e.src) == 2:
+                yield Move("minus", e)
+
+    if kind in (None, "pm"):
+        for e in edges:
+            u, v = e.src, e.dst
+            if not (n.in_degree(u) == 1 and n.out_degree(u) == 2):
+                continue
+            parent_edge = n.in_edges(u)[0]
+            other_child = next(f for f in n.out_edges(u) if f != e)
+            blocked = n.reachable_from(v)
+            for t in edges:
+                if t == e or t == parent_edge:
+                    continue
+                # the out-edge of u doubles as the name of the merged edge
+                src_eff = parent_edge.src if t == other_child else t.src
+                if src_eff in blocked:
+                    continue
+                yield Move("pm", e, t)
+
+    if kind in (None, "plus"):
+        for e1 in edges:
+            for e2 in _plus_tails(n, e1):
+                yield Move("plus", e1, e2)
+
+
+def _edits(n: Network, tree_child_only: bool = True, kind=None):
+    """(Move, builder) for every legal move on n, or only those of the
+    given kind, in the order of _moves.
+
+    With tree_child_only, results failing the tree-child condition are
+    dropped; on a tree-child n that reads only the vertices the edit
+    touched and their parents. Nothing is frozen: callers freeze the
+    results they keep with to_network.
+    """
+    whole = tree_child_only and not is_tree_child(n)
+    for move in _moves(n, kind):
+        b = _edit(n, move.kind, move.edge, move.target)
+        if not tree_child_only or b.keeps_tree_child(whole):
+            yield move, b
 
 
 def enumerate_moves(n: Network, tree_child_only: bool = True):
@@ -100,51 +159,11 @@ def enumerate_moves(n: Network, tree_child_only: bool = True):
     Order is deterministic: all minus moves, then pm, then plus, each
     block sorted by edge tuples. When tree_child_only is set, successors
     failing the tree-child condition are dropped (the moves themselves
-    are still legal in the wider space); on a tree-child n they are
-    decided before they are built.
+    are still legal in the wider space); they are decided before they
+    are built.
     """
-    edges = sorted(n.edges)
-    retics = n.reticulations()
-    local = tree_child_only and is_tree_child(n)
-
-    def emit(move):
-        if local:
-            got = _edit(n, move.kind, move.edge, move.target, keep_tree_child=True)
-            return None if got is None else (move, got[0])
-        succ = apply_move(n, move)
-        if tree_child_only and not is_tree_child(succ):
-            return None
-        return move, succ
-
-    for e in edges:
-        if e.dst in retics and n.in_degree(e.src) == 1 and n.out_degree(e.src) == 2:
-            got = emit(Move("minus", e))
-            if got:
-                yield got
-
-    for e in edges:
-        u, v = e.src, e.dst
-        if not (n.in_degree(u) == 1 and n.out_degree(u) == 2):
-            continue
-        parent_edge = n.in_edges(u)[0]
-        other_child = next(f for f in n.out_edges(u) if f != e)
-        blocked = n.reachable_from(v)
-        for t in edges:
-            if t == e or t == parent_edge:
-                continue
-            # the out-edge of u doubles as the name of the merged edge
-            src_eff = parent_edge.src if t == other_child else t.src
-            if src_eff in blocked:
-                continue
-            got = emit(Move("pm", e, t))
-            if got:
-                yield got
-
-    for e1 in edges:
-        for e2 in _plus_tails(n, e1):
-            got = emit(Move("plus", e1, e2))
-            if got:
-                yield got
+    for move, b in _edits(n, tree_child_only):
+        yield move, b.to_network()[0]
 
 
 class MoveSequence:
@@ -216,9 +235,14 @@ def _find_move_to(n: Network, kind: str, target_sig: bytes,
                   tree_child_only: bool = False, key=canonical_signature):
     """First enumerated move of the given kind whose successor has the
     wanted signature under key. Enumeration order makes the pick
-    deterministic."""
-    for move, succ in enumerate_moves(n, tree_child_only=tree_child_only):
-        if move.kind == kind and key(succ) == target_sig:
+    deterministic. Moves of other kinds are skipped before any edit, and
+    a mu key is read off the builder, so on that path only the match is
+    frozen."""
+    for move, b in _edits(n, tree_child_only, kind):
+        if key is _mu_key:
+            if _mu_key(b) == target_sig:
+                return move, b.to_network()[0]
+        elif key(succ := b.to_network()[0]) == target_sig:
             return move, succ
     raise ContractViolationError(
         "no %s move reaches the required network; the rewrite guaranteed "
@@ -329,12 +353,15 @@ def normalize_sequence(s: MoveSequence) -> MoveSequence:
 class NeighborCache:
     """Memo of move neighborhoods keyed by network signature.
 
-    Stores one representative network per signature and, per (signature,
-    filter mode), the successor signatures with move kind, weight, and
-    reticulation count. Tree-child successors are keyed by mu key and the
-    others by canonical signature; the two kinds of key never collide, so
-    one cache serves both modes. Entries ignore any reticulation cap so a
-    cache can be shared between searches with different caps.
+    Stores one representative network per signature, the first successor
+    found with it, and, per (signature, filter mode), the successor
+    signatures with move kind, weight, and reticulation count. Tree-child
+    successors are keyed by mu key, read off the edit's builder together
+    with the reticulation count, and a successor is frozen into a Network
+    only when its key is new; the others are frozen and keyed by canonical
+    signature. The two kinds of key never collide, so one cache serves
+    both modes. Entries ignore any reticulation cap so a cache can be
+    shared between searches with different caps.
     """
 
     def __init__(self):
@@ -351,14 +378,18 @@ class NeighborCache:
     def successors(self, sig: bytes, tree_child_only: bool = True):
         key = (sig, tree_child_only)
         if key not in self._succ:
-            rep = self.rep[sig]
-            sign = _key(tree_child_only)
             seen = []
-            for move, succ in enumerate_moves(rep, tree_child_only):
-                ssig = sign(succ)
-                self.rep.setdefault(ssig, succ)
-                seen.append((ssig, move.kind, WEIGHTS[move.kind],
-                             succ.reticulation_count))
+            for move, b in _edits(self.rep[sig], tree_child_only):
+                if tree_child_only:
+                    ssig = _mu_key(b)
+                    if ssig not in self.rep:
+                        succ = self.rep[ssig] = b.to_network()[0]
+                        succ._mu = ssig
+                else:
+                    succ = b.to_network()[0]
+                    ssig = canonical_signature(succ)
+                    self.rep.setdefault(ssig, succ)
+                seen.append((ssig, move.kind, WEIGHTS[move.kind], b.retics))
             self._succ[key] = tuple(seen)
         return self._succ[key]
 

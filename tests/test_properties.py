@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from snprlab.netcore import (Edge, Network, _mu_key, canonical_signature,  # noqa: E402
                              is_tree_child, random_tree_child)
-from snprlab.snpr import enumerate_moves  # noqa: E402
+from snprlab.snpr import REVERSE_KIND, NeighborCache, _edits, enumerate_moves  # noqa: E402
 
 DRAWS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -54,3 +54,29 @@ def test_tree_child_decision_before_freezing(n):
     kept = [(mv, s) for mv, s in enumerate_moves(n, tree_child_only=False)
             if is_tree_child(s)]
     assert list(enumerate_moves(n)) == kept
+
+
+@DRAWS
+@given(tree_child_networks())
+def test_builder_mu_key_equals_frozen(n):
+    # every edit, tree-child or not: the key and reticulation count read
+    # off the builder equal those of the frozen result, copied without the
+    # count the builder hands it
+    for _, b in _edits(n, tree_child_only=False):
+        net = b.to_network()[0]
+        bare = Network(net.vertices, net.edges, net.root, net.leaf_labels)
+        assert _mu_key(b) == _mu_key(bare)
+        assert b.retics == len(bare.reticulations())
+
+
+@settings(DRAWS, max_examples=15)
+@given(tree_child_networks())
+def test_every_tree_child_move_reverses_at_equal_weight(n):
+    # the bidirectional search walks the backward frontier along these
+    # tuples, so each step must come back by a move of the reverse kind
+    cache = NeighborCache()
+    sig = _mu_key(n)
+    cache.representative(sig, n)
+    for ssig, kind, w, _ in cache.successors(sig):
+        back = {(s, k, bw) for s, k, bw, _ in cache.successors(ssig)}
+        assert (sig, REVERSE_KIND[kind], w) in back

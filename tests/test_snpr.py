@@ -4,9 +4,9 @@ import pytest
 
 from snprlab.errors import (BudgetExceededError, ContractViolationError,
                             InvalidNetworkError, MoveError)
-from snprlab.netcore import (Edge, canonical_signature, enumerate_tree_child,
-                             is_tree_child, isomorphic, isomorphism_map,
-                             network_violations, random_network,
+from snprlab.netcore import (Edge, Network, _mu_key, canonical_signature,
+                             enumerate_tree_child, is_tree_child, isomorphic,
+                             isomorphism_map, network_violations, random_network,
                              random_tree_child, validate)
 from snprlab.snpr import (WEIGHTS, Move, MoveSequence, NeighborCache, apply_move,
                           apply_move_detailed, dtc, enforce_global_assumption,
@@ -360,6 +360,39 @@ def test_one_cache_serves_both_modes(retic_ab_c, triple_ab_c, triple_ac_b, tripl
             assert shared[0] == fresh[0]
             assert sequence_weight(shared[1]) == shared[0]
     assert {sig[:2] == b"mu" for sig in cache.rep} == {True, False}
+
+
+def _frozen_successors(n):
+    """The successor tuples and representatives of a fresh cache holding n,
+    the way they were found before keys were read off the builder: every
+    tree-child successor is frozen, then copied without its cached counts
+    and keyed whole, and its reticulations are counted by in-degree."""
+    sig = _mu_key(n)
+    rep, seen = {sig: n}, []
+    for mv, succ in enumerate_moves(n):
+        bare = Network(succ.vertices, succ.edges, succ.root, succ.leaf_labels)
+        ssig = _mu_key(bare)
+        rep.setdefault(ssig, succ)
+        seen.append((ssig, mv.kind, WEIGHTS[mv.kind], len(bare.reticulations())))
+    return sig, tuple(seen), rep
+
+
+def test_builder_keys_match_frozen_successors():
+    # every host of at most four leaves and two reticulations: the cache
+    # keys, counts and freezes successors in the builder, and must give
+    # the same tuples, in order, and the same first network per key
+    hosts = [n for leaves in (1, 2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
+    assert len(hosts) == 1 + 3 + 66 + 1515
+    successors = 0
+    for n in hosts:
+        sig, seen, rep = _frozen_successors(n)
+        cache = NeighborCache()
+        cache.representative(sig, n)
+        assert cache.successors(sig) == seen
+        assert cache.rep == rep
+        assert all(net._mu == key for key, net in cache.rep.items())
+        successors += len(seen)
+    assert successors == 107424
 
 
 def test_dtc_cap_sensitivity(triple_ab_c, triple_ac_b, retic_ab_c, triple_a_bc):
