@@ -10,8 +10,7 @@ from .errors import (
     InvalidDigraphError,
     InvalidNetworkError,
 )
-from .netcore import (Network, _require_tree_child_pair, canonical_signature,
-                      random_tree_child)
+from .netcore import Network, _mu_key, _require_tree_child_pair, random_tree_child
 from .digraphcore import (
     digraph_signature,
     is_tree_child_digraph,
@@ -20,7 +19,7 @@ from .digraphcore import (
     _quotient_with_paths,
 )
 from .embed import Embedding, _check_taxa, cut_size, extend, find_embedding
-from .snpr import dtc, enumerate_moves
+from .snpr import _edits, dtc
 
 
 class AgreementWitness:
@@ -385,10 +384,8 @@ def maf_rspr(t: Network, u: Network) -> int:
 
 
 def _leaf_tail_moves(n):
-    leaves = set(n.leaves)
-    for mv, succ in enumerate_moves(n, tree_child_only=True):
-        if mv.kind == "pm" and mv.edge.dst in leaves:
-            yield mv, succ
+    """(Move, builder) for each tree-child pm move of n that moves a leaf."""
+    return ((mv, b) for mv, b in _edits(n, kind="pm") if mv.edge.dst in n.leaves)
 
 
 def gap_witness_search(n_leaves, r, budget, seed=0):
@@ -406,17 +403,18 @@ def gap_witness_search(n_leaves, r, budget, seed=0):
     left = budget
     while left > 0:
         base = random_tree_child(n_leaves, r, seed=rng.randrange(2 ** 30))
-        base_sig = canonical_signature(base)
-        seen = set()
-        for mv1, s1 in _leaf_tail_moves(base):
+        seen = {_mu_key(base)}
+        for mv1, b1 in _leaf_tail_moves(base):
             pruned = base.leaf_labels[mv1.edge.dst]
-            for mv2, s2 in _leaf_tail_moves(s1):
+            s1 = b1.to_network()[0]
+            for mv2, b2 in _leaf_tail_moves(s1):
                 if s1.leaf_labels[mv2.edge.dst] == pruned:
                     continue
-                sig = canonical_signature(s2)
-                if sig == base_sig or sig in seen:
+                sig = _mu_key(b2)
+                if sig in seen:
                     continue
                 seen.add(sig)
+                s2 = b2.to_network()[0]
                 if left <= 0:
                     return None
                 left -= 1

@@ -34,17 +34,22 @@ def _log(msg):
         print("snprlab: %s" % msg, file=sys.stderr)
 
 
-def _read_network(path, fmt):
+def _read(path, parse):
+    """parse of the text of the file at path; every error names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise SnprLabError("%s: %s" % (path, exc.strerror or exc)) from exc
     try:
-        return parse_pnd(text) if fmt == "pnd" else parse_enewick(text)
+        return parse(text)
     except SnprLabError as exc:
         # parser messages carry the position; prepend the file
         raise SnprLabError("%s: %s" % (path, exc)) from exc
+
+
+def _read_network(path, fmt):
+    return _read(path, parse_pnd if fmt == "pnd" else parse_enewick)
 
 
 def _edge_token(e):
@@ -178,13 +183,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_normalize_seq(args):
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SnprLabError("%s: %s" % (args.file, exc.strerror or exc)) from exc
-    seq = moves_from_json(text)
-    return moves_to_json(normalize_sequence(seq)) + "\n"
+    return moves_to_json(normalize_sequence(_read(args.file, moves_from_json))) + "\n"
 
 
 def _cmd_gap_search(args):

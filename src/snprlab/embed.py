@@ -444,7 +444,39 @@ def root_extend(m: Embedding, n: Network, policy=None) -> Extension:
 
 
 def cut_size(n: Network, r: Extension) -> int:
-    """Host edges the extension leaves out."""
+    """Host edges the extension leaves out.
+
+    For an extension grown with allow_e2 from an embedding of a digraph D,
+    the cut is S(D) - 1 + r(n) - r(D), where S counts the in-degree-0
+    vertices of D and r the reticulations (in-degree-2 vertices). Proof:
+      1. Each claim covers one new host vertex: both growth rules claim an
+         edge whose head is covered and whose tail is not, and the tail is
+         then covered.
+      2. Growth stops only once every vertex is covered. Suppose x is not.
+         The leaves are covered (images of D's leaves), so some path from
+         x reaches a covered vertex; on it lies an edge (x', y) with x'
+         uncovered and y covered. If y has no claimed in-edge, rule one
+         claims (x', y). Otherwise y's claimed in-edge comes from another
+         parent, so y is a reticulation with one claimed in-edge, and
+         neither the root (rho's image) nor a leaf. Every other covered
+         vertex has a claimed out-edge: it is the image of a D vertex
+         with out-edges, an interior vertex of a path, or the tail of a
+         claim. With host out-degree one, y sits at claimed degrees (1,1)
+         and rule two claims (x', y). So no fixpoint leaves a vertex
+         uncovered.
+      3. The occupied subgraph is a subdivision of D: images are distinct,
+         each D edge is a path whose interior vertices are private, and no
+         host edge lies on two paths. Each interior vertex adds one vertex
+         and one edge, so |E| - |V| is the same for it as for D.
+    Counting edges by in-degree, |E| - |V| is r(n) - 1 for the host and
+    r(D) - S(D) for D (whose in-degrees are at most two). By 1 and 2 the
+    claims number |V(n)| minus the occupied vertices, so the cut is
+    |E(n)| - |V(n)| - (|E(D)| - |V(D)|) = S(D) - 1 + r(n) - r(D).
+
+    Every component has a source and every reticulation of D has one of
+    n as its image, so S(D) >= |components| and r(D) <= r(n): the cut on
+    each side is at least |components| - 1.
+    """
     if r.embedding.host is not n and r.embedding.host != n:
         raise ContractViolationError("extension lives in a different host")
     return len(n.edges) - len(r.edges())

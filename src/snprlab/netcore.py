@@ -153,20 +153,20 @@ class Network(_LabelledGraph):
 
     def _edge_tables(self):
         """The tables a _Builder starts from, built once: edge ids are
-        positions in self.edges, and the tuple holds src, dst, origin
-        and _by_orig by id or edge, out and inn as frozensets of ids by
+        positions in self.edges, and the tuple holds src, dst and origin
+        by id, the id of each edge, out and inn as frozensets of ids by
         vertex, and the first unused vertex id."""
         if self._tables is None:
-            src, dst, origin, by_orig = {}, {}, {}, {}
+            src, dst, origin, ids = {}, {}, {}, {}
             out = {v: [] for v in self.vertices}
             inn = {v: [] for v in self.vertices}
             for eid, e in enumerate(self.edges):
                 src[eid], dst[eid] = e.src, e.dst
                 origin[eid] = ("kept", e)
-                by_orig[e] = eid
+                ids[e] = eid
                 out[e.src].append(eid)
                 inn[e.dst].append(eid)
-            self._tables = (src, dst, origin, by_orig,
+            self._tables = (src, dst, origin, ids,
                             {v: frozenset(es) for v, es in out.items()},
                             {v: frozenset(es) for v, es in inn.items()},
                             max(self.vertices) + 1)
@@ -495,12 +495,11 @@ class _Builder:
     """
 
     def __init__(self, net: Network):
-        src, dst, origin, by_orig, out, inn, next_v = net._edge_tables()
+        src, dst, origin, _, out, inn, next_v = net._edge_tables()
         self.root = net.root
         self.labels = net.leaf_labels
         self.src, self.dst, self.origin = src.copy(), dst.copy(), origin.copy()
         self.out, self.inn = out.copy(), inn.copy()
-        self._by_orig = by_orig.copy()  # input edge -> id of the edge now carrying it
         self._next_v = next_v
         self._next_e = len(net.edges)
         self.retics = net.reticulation_count
@@ -522,13 +521,6 @@ class _Builder:
         self.touched.update((u, v))
         return eid
 
-    def resolve(self, edge: Edge) -> int:
-        """Edge id currently carrying an original edge, following suppressions."""
-        eid = self._by_orig.get(edge)
-        if eid is None:
-            raise MoveError("edge %r is no longer present" % (edge,))
-        return eid
-
     def new_vertex(self):
         v = self._next_v
         self._next_v += 1
@@ -541,10 +533,7 @@ class _Builder:
         self.out[u] = self.out[u] - {eid}
         self._set_in(v, self.inn[v] - {eid})
         self.touched.update((u, v))
-        origin = self.origin.pop(eid)
-        for orig in _flatten_origin(origin):
-            self._by_orig.pop(orig, None)
-        return origin
+        return self.origin.pop(eid)
 
     def subdivide(self, eid):
         """Split an edge with a fresh vertex; returns (vertex, upper id, lower id)."""
@@ -557,7 +546,8 @@ class _Builder:
         return mid, upper, lower
 
     def suppress(self, v):
-        """Remove a (1,1) vertex, merging its two edges."""
+        """Remove a (1,1) vertex, merging its two edges; returns the id of
+        the merged edge."""
         degree = (len(self.inn[v]), len(self.out[v]))
         if degree != (1, 1):
             raise MoveError("vertex %d has degree %r, cannot suppress" % (v, degree))
@@ -567,9 +557,8 @@ class _Builder:
         o_in = self.delete_edge(ein)
         o_out = self.delete_edge(eout)
         merged = self.add_edge(u, w, ("merged", (o_in, o_out)))
-        for orig in _flatten_origin(self.origin[merged]):
-            self._by_orig[orig] = merged
         del self.out[v], self.inn[v]
+        return merged
 
     def keeps_tree_child(self, whole=False):
         """Whether the result is tree-child, given that the input is, or
@@ -639,7 +628,7 @@ def _edit(n: Network, kind, e: Edge, target: Edge = None) -> _Builder:
     b = _Builder(n)
 
     if kind == "plus":
-        head_mid, upper, _ = b.subdivide(b.resolve(e))
+        head_mid, upper, _ = b.subdivide(ids[e])
         if target == e:
             eid_2 = upper
         else:
@@ -648,17 +637,23 @@ def _edit(n: Network, kind, e: Edge, target: Edge = None) -> _Builder:
             if target.src in n.reachable_from(v):
                 raise MoveError("target %r is a descendant of the new "
                                 "reticulation" % (target,))
-            eid_2 = b.resolve(target)
+            eid_2 = ids[target]
         tail_mid, _, _ = b.subdivide(eid_2)
         b.add_edge(tail_mid, head_mid)
     else:
         # minus and pm both delete e and suppress its tail
-        b.delete_edge(b.resolve(e))
-        b.suppress(u)
+        b.delete_edge(ids[e])
+        merged = b.suppress(u)
         if kind == "minus":
             b.suppress(v)
         else:
-            eid_f = b.resolve(target)
+            eid_f = ids.get(target)
+            if eid_f not in b.src:
+                # gone: e itself, a non-edge, or one of the two edges left
+                # at u, which the merged edge now carries
+                if eid_f is None or target == e:
+                    raise MoveError("edge %r is no longer present" % (target,))
+                eid_f = merged
             if b.src[eid_f] in n.reachable_from(v):
                 raise MoveError("target %r is a descendant of the moved subtree"
                                 % (target,))

@@ -19,6 +19,11 @@ search on mu keys (the multiset of per-vertex path counts to each leaf, a
 complete invariant of tree-child networks). The wider space of all binary
 networks is searched on canonical signatures.
 
+One key rule: wherever the networks compared are tree-child and no output
+order depends on the key, the key is the mu key; elsewhere it is
+canonical_signature. _key(tree_child_only) names it for the search and
+the replay; the sequence rewrites and agreement's gap search follow it.
+
 Every move is drawn from one generator and edited in a netcore._Builder.
 In tree-child space the search decides, keys and counts each successor
 in its builder and freezes a Network only for a key it has not seen;
@@ -27,11 +32,12 @@ enumerate_moves freezes every successor it yields.
 
 from dataclasses import dataclass
 import heapq
+import itertools
 import json
 from typing import NamedTuple, Optional
 
 from .errors import (BudgetExceededError, ContractViolationError,
-                     InvalidNetworkError, MoveError)
+                     InvalidNetworkError, MoveError, ParseError)
 from .netcore import (Edge, Network, _edit, _mu_key, _plus_tails,
                       _require_tree_child_pair, canonical_signature, is_tree_child)
 from .phyloio import parse_pnd, write_pnd
@@ -211,18 +217,40 @@ def moves_to_json(s: MoveSequence) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _edge_of(value) -> Edge:
+    if not (isinstance(value, list) and len(value) in (2, 3)
+            and all(type(x) is int for x in value)):
+        raise ParseError("edge %r is not a list of two or three ints" % (value,))
+    return Edge(*value)
+
+
 def moves_from_json(text: str) -> MoveSequence:
-    doc = json.loads(text)
+    """The sequence a moves_to_json document holds. Raises ParseError when
+    text is not such a document, and MoveError when it names another
+    format."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError("not a JSON document: %s" % exc.msg, exc.pos) from None
+    if not isinstance(doc, dict):
+        raise ParseError("move document is not a JSON object")
     if doc.get("format") != "snprlab-moves-1":
         raise MoveError("unrecognised move document format %r"
                         % (doc.get("format"),))
-    start = parse_pnd(doc["start"])
+    start, records = doc.get("start"), doc.get("moves")
+    if not isinstance(start, str) or not isinstance(records, list):
+        raise ParseError('move document needs a pnd string "start" and a list "moves"')
     moves = []
-    for rec in doc["moves"]:
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict) or not isinstance(rec.get("kind"), str):
+            raise ParseError("move %d is not an object with a kind" % i)
         target = rec.get("target")
-        moves.append(Move(rec["kind"], Edge(*rec["edge"]),
-                          Edge(*target) if target is not None else None))
-    return MoveSequence(start, moves)
+        try:
+            moves.append(Move(rec["kind"], _edge_of(rec.get("edge")),
+                              _edge_of(target) if target is not None else None))
+        except (ParseError, MoveError) as exc:
+            raise ParseError("move %d: %s" % (i, exc)) from None
+    return MoveSequence(parse_pnd(start), moves)
 
 
 def _key(tree_child_only: bool):
@@ -232,48 +260,51 @@ def _key(tree_child_only: bool):
 
 
 def _find_move_to(n: Network, kind: str, target_sig: bytes,
-                  tree_child_only: bool = False, key=canonical_signature):
+                  tree_child_only: bool = False):
     """First enumerated move of the given kind whose successor has the
-    wanted signature under key. Enumeration order makes the pick
-    deterministic. Moves of other kinds are skipped before any edit, and
-    a mu key is read off the builder, so on that path only the match is
-    frozen."""
+    wanted signature under _key(tree_child_only). Enumeration order makes
+    the pick deterministic. Moves of other kinds are skipped before any
+    edit, and a mu key is read off the builder, so in tree-child space
+    only the match is frozen."""
     for move, b in _edits(n, tree_child_only, kind):
-        if key is _mu_key:
+        if tree_child_only:
             if _mu_key(b) == target_sig:
                 return move, b.to_network()[0]
-        elif key(succ := b.to_network()[0]) == target_sig:
+        elif canonical_signature(succ := b.to_network()[0]) == target_sig:
             return move, succ
     raise ContractViolationError(
         "no %s move reaches the required network; the rewrite guaranteed "
         "by the underlying theory was not found" % kind)
 
 
-def _replay(current: Network, sigs, kinds, tree_child_only=False,
-            key=canonical_signature) -> list:
+def _replay(current: Network, sigs, kinds, tree_child_only=False) -> list:
     """Moves of the given kinds from current through the networks of the
-    given signatures under key, one move per kind; sigs[i] is the signature
-    after the i-th move. Enumeration order makes each pick deterministic."""
+    given signatures under _key(tree_child_only), one move per kind;
+    sigs[i] is the signature after the i-th move. Enumeration order makes
+    each pick deterministic."""
     moves = []
     for sig, kind in zip(sigs, kinds):
-        mv, current = _find_move_to(current, kind, sig, tree_child_only, key)
+        mv, current = _find_move_to(current, kind, sig, tree_child_only)
         moves.append(mv)
     return moves
 
 
 def enforce_global_assumption(s: MoveSequence) -> MoveSequence:
     """Split every pm move that deletes a reticulation edge into a minus
-    followed by a plus reaching the same network, preserving total weight."""
+    followed by a plus reaching the same network, preserving total weight.
+
+    When every network of s is tree-child the rewrite stays in tree-child
+    space and compares mu keys, else it compares canonical signatures."""
+    tc = all(is_tree_child(n) for n in s.networks)
+    key = _key(tc)
     i = 0
     while i < len(s.moves):
         mv, nets = s.moves[i], s.networks
         if mv.kind == "pm" and nets[i].in_degree(mv.edge.dst) == 2:
             minus = Move("minus", mv.edge)
-            plus, after = _find_move_to(
-                apply_move(nets[i], minus), "plus", canonical_signature(nets[i + 1]))
-            tail = _replay(after, [canonical_signature(n) for n in nets[i + 2:]],
-                           [m.kind for m in s.moves[i + 1:]])
-            s = MoveSequence(s.start, list(s.moves[:i]) + [minus, plus] + tail)
+            tail = _replay(apply_move(nets[i], minus), [key(n) for n in nets[i + 1:]],
+                           ["plus"] + [m.kind for m in s.moves[i + 1:]], tc)
+            s = MoveSequence(s.start, list(s.moves[:i]) + [minus] + tail)
         i += 1
     return s
 
@@ -310,44 +341,28 @@ def normalize_sequence(s: MoveSequence) -> MoveSequence:
             return s
         nets = s.networks
         first = s.moves[i]
-        a, c = nets[i], nets[i + 2]
-        sig_c = canonical_signature(c)
-        # the moves after the pair, to re-express from whatever replaces it
-        tail_sigs = [canonical_signature(n) for n in nets[i + 3:]]
-        tail_kinds = [mv.kind for mv in s.moves[i + 2:]]
-
-        if canonical_signature(a) == sig_c:
-            tail = _replay(a, tail_sigs, tail_kinds)
-            s = MoveSequence(s.start, list(s.moves[:i]) + tail)
-            continue
-
-        single_kind = "pm" if first.kind == "plus" else "minus"
-        try:
-            mv, after = _find_move_to(a, single_kind, sig_c,
-                                      tree_child_only=True)
-        except ContractViolationError:
-            mv = None
-        if mv is not None:
-            tail = _replay(after, tail_sigs, tail_kinds)
-            s = MoveSequence(s.start, list(s.moves[:i]) + [mv] + tail)
-            continue
-
-        swapped = None
-        for minus_mv, mid in enumerate_moves(a, tree_child_only=True):
-            if minus_mv.kind != "minus":
-                continue
-            try:
-                second, after = _find_move_to(mid, first.kind, sig_c,
-                                              tree_child_only=True)
-            except ContractViolationError:
-                continue
-            swapped = [minus_mv, second]
-            break
-        if swapped is None:
-            raise ContractViolationError(
-                "no rewrite applies to the move pair at position %d" % i)
-        tail = _replay(after, tail_sigs, tail_kinds)
-        s = MoveSequence(s.start, list(s.moves[:i]) + swapped + tail)
+        a, key_c = nets[i], _mu_key(nets[i + 2])
+        if _mu_key(a) == key_c:
+            pair, after = [], a
+        else:
+            # one move of the other kind, else a minus then one of first's
+            single = "pm" if first.kind == "plus" else "minus"
+            tries = itertools.chain([([], a, single)], (
+                ([mv], b.to_network()[0], first.kind) for mv, b in _edits(a, kind="minus")))
+            for head, mid, kind in tries:
+                try:
+                    mv, after = _find_move_to(mid, kind, key_c, True)
+                except ContractViolationError:
+                    continue
+                pair = head + [mv]
+                break
+            else:
+                raise ContractViolationError(
+                    "no rewrite applies to the move pair at position %d" % i)
+        # the moves after the pair, re-expressed from whatever replaces it
+        tail = _replay(after, [_mu_key(n) for n in nets[i + 3:]],
+                       [mv.kind for mv in s.moves[i + 2:]], True)
+        s = MoveSequence(s.start, list(s.moves[:i]) + pair + tail)
 
 
 class NeighborCache:
@@ -506,4 +521,4 @@ def dtc(n: Network, m: Network, reticulation_cap=None, *, budget=None,
     # the backward half lists moves out of m; invert them to run m-ward
     sigs = sigs_f + sigs_b[-2::-1]
     kinds = kinds_f + [REVERSE_KIND[k] for k in reversed(kinds_b)]
-    return weight, MoveSequence(n, _replay(n, sigs[1:], kinds, tree_child_only, key))
+    return weight, MoveSequence(n, _replay(n, sigs[1:], kinds, tree_child_only))

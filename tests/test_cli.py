@@ -287,6 +287,26 @@ def test_normalize_seq_roundtrip(files, tmp_path, capsys):
     assert json.loads(out)["format"] == "snprlab-moves-1"
 
 
+BAD_MOVE_DOCUMENTS = {
+    "enewick": TRIPLE_AB_C,
+    "no_start": '{"format": "snprlab-moves-1"}',
+    "not_an_object": "[1,2]",
+    "short_edge": json.dumps({"format": "snprlab-moves-1",
+                              "start": "pnd 1\nvertex 0\nleaf 1 a\nroot 0\nedge 0 1\n",
+                              "moves": [{"kind": "pm", "edge": [0], "target": [0, 1]}]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MOVE_DOCUMENTS))
+def test_normalize_seq_rejects_what_is_not_a_move_document(files, capsys, name):
+    f = files(name + ".json", BAD_MOVE_DOCUMENTS[name])
+    code, out, err = run(capsys, "normalize-seq", f)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: %s: " % f)
+    assert err.count("\n") == 1
+
+
 def test_gap_search_budget_zero(capsys):
     code, out, _ = run(capsys, "gap-search", "--leaves", "4", "--retics", "1",
                        "--budget", "0")

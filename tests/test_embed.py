@@ -16,6 +16,7 @@ from snprlab import (
     digraph_isomorphic,
     embedding_violations,
     enumerate_embeddings,
+    enumerate_tree_child,
     extend,
     extension_violations,
     find_embedding,
@@ -25,6 +26,7 @@ from snprlab import (
     parse_enewick,
     path_extension,
     quotient,
+    random_network,
     random_tree_child,
     root_extend,
     root_path,
@@ -36,6 +38,7 @@ from snprlab import (
     validate_digraph,
     write_extension_pnd,
 )
+from snprlab.agreement import _distinct_candidates
 
 
 def cherry_digraph():
@@ -695,3 +698,24 @@ def test_extension_pnd_annotations(triple_ab_c):
 def test_policy_validation():
     with pytest.raises(ValueError):
         ExtensionPolicy(mode="greedy")
+
+
+def _cut_identity_hosts():
+    hosts = list(enumerate_tree_child(3, 2)) + list(enumerate_tree_child(4, 1))
+    return hosts + [random_network(leaves, retics, seed=seed)
+                    for leaves in (3, 4, 5) for retics in (1, 2) for seed in range(6)]
+
+
+def test_cut_size_is_read_off_the_digraph():
+    # the identity cut_size proves: S(D) - 1 + r(h) - r(D) for every grown
+    # extension, S counting in-degree-0 vertices and r reticulations
+    extensions = 0
+    for h in _cut_identity_hosts():
+        for i, (d, emb) in enumerate(_distinct_candidates(h)):
+            indegrees = [c.in_degree(v) for c in d.components for v in c.vertices]
+            want = (indegrees.count(0) - 1 + h.reticulation_count
+                    - indegrees.count(2))
+            for policy in (None, ExtensionPolicy(mode="seeded", seed=i)):
+                assert cut_size(h, extend(emb, h, policy)) == want, (h, d)
+                extensions += 1
+    assert extensions == 53950

@@ -180,9 +180,9 @@ def test_keeps_tree_child_reads_any_builder_edit():
             b = _Builder(n)
             b.add_edge(x, y)
             builders.append(b)
-        for e in n.edges:
+        for eid in n._edge_tables()[3].values():  # the host's edge ids
             b = _Builder(n)
-            b.delete_edge(b.resolve(e))
+            b.delete_edge(eid)
             builders.append(b)
         for b in builders:
             verdict = is_tree_child(b.to_network()[0])

@@ -1,4 +1,19 @@
+"""Moves, sequences and the exact distance.
+
+The pm edit outcomes and the sequence rewrites on seeded walks are pinned
+to tests/golden/move_outcomes.json. Regenerate it with
+``PYTHONPATH=src python tests/test_snpr.py`` only when a change of these
+outputs is intended.
+"""
+
+import collections
+import hashlib
 import heapq
+import json
+import pathlib
+import random
+import re
+import sys
 
 import pytest
 
@@ -12,7 +27,9 @@ from snprlab.snpr import (WEIGHTS, Move, MoveSequence, NeighborCache, apply_move
                           apply_move_detailed, dtc, enforce_global_assumption,
                           enumerate_moves, moves_from_json, moves_to_json,
                           normalize_sequence, sequence_weight, _find_move_to)
-from snprlab.phyloio import write_enewick
+from snprlab.phyloio import write_enewick, write_pnd
+
+MOVE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "move_outcomes.json"
 
 
 @pytest.fixture
@@ -495,6 +512,103 @@ def test_dtc_metric_on_random_corpus():
                 assert d[i, j] <= d[i, k] + d[k, j]
 
 
+def test_find_move_to_mu_key_picks_the_canonical_move():
+    # in tree-child space the replay compares mu keys; its first match must
+    # be the move that comparing canonical signatures of every successor
+    # finds first
+    for n in enumerate_tree_child(3, 2):
+        for kind in WEIGHTS:
+            classes = {}
+            for mv, t in enumerate_moves(n):
+                if mv.kind == kind:
+                    classes.setdefault(canonical_signature(t), t)
+            for sig, t in classes.items():
+                assert (_find_move_to(n, kind, _mu_key(t), True)[0]
+                        == _find_move_to(n, kind, sig, False)[0])
+
+
 def test_find_move_to_contract(triple_ab_c, triple_ac_b):
     with pytest.raises(ContractViolationError):
         _find_move_to(triple_ab_c, "minus", canonical_signature(triple_ac_b))
+
+
+# --- goldens ----------------------------------------------------------------
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _pm_hosts():
+    return (list(enumerate_tree_child(3, 1))
+            + [random_network(3, 2, seed=s) for s in (0, 1)])
+
+
+def _pm_outcomes(n):
+    """apply_move_detailed of every pm (edge, target) pair on n, one line
+    each: the successor's pnd, vertex_map and origin_of, or the MoveError
+    text. The targets are every edge of n, which includes the tail's parent
+    edge and other child, the deleted edge and edges below its head, plus
+    the reversed edge, a non-edge that ends at the tail."""
+    for e in n.edges:
+        for t in n.edges + (Edge(e.dst, e.src),):
+            try:
+                r = apply_move_detailed(n, Move("pm", e, t))
+                out = "%s %r %r" % (write_pnd(r.network), sorted(r.vertex_map.items()),
+                                    sorted(r.origin_of.items()))
+            except MoveError as exc:
+                out = "MoveError: %s" % exc
+            yield "%r %r %s" % (tuple(e), tuple(t), out)
+
+
+def _outcome_family(line):
+    if "MoveError: " not in line:
+        return "ok"
+    return re.sub(r"Edge\([^)]*\)", "E", line.split("MoveError: ")[1])
+
+
+def _rewrite_walk(seed):
+    """Three or four random tree-child moves from a random tree-child
+    network on three or four leaves, all drawn from the seed."""
+    rng = random.Random(seed)
+    start = random_tree_child(3 + seed % 2, seed % 3, seed=seed)
+    cur, moves = start, []
+    for _ in range(3 + seed % 2):
+        options = list(enumerate_moves(cur))
+        mv, cur = options[rng.randrange(len(options))]
+        moves.append(mv)
+    return MoveSequence(start, moves)
+
+
+def pm_outcome_goldens():
+    outcomes = [list(_pm_outcomes(n)) for n in _pm_hosts()]
+    families = collections.Counter(_outcome_family(line) for lines in outcomes
+                                   for line in lines)
+    return {"pm_families": dict(sorted(families.items())),
+            "pm_hosts": [_digest(lines) for lines in outcomes]}
+
+
+def rewrite_goldens():
+    walks = [_rewrite_walk(seed) for seed in range(60)]
+    return {name: [_digest([moves_to_json(f(s))]) for s in walks]
+            for name, f in (("enforce_global_assumption", enforce_global_assumption),
+                            ("normalize_sequence", normalize_sequence))}
+
+
+def _golden(*names):
+    want = json.loads(MOVE_GOLDEN.read_text(encoding="utf-8"))
+    return {name: want[name] for name in names}
+
+
+def test_pm_edit_outcomes_match_golden():
+    assert pm_outcome_goldens() == _golden("pm_families", "pm_hosts")
+
+
+def test_sequence_rewrites_match_golden():
+    assert rewrite_goldens() == _golden("enforce_global_assumption",
+                                        "normalize_sequence")
+
+
+if __name__ == "__main__":
+    MOVE_GOLDEN.write_text(json.dumps({**pm_outcome_goldens(), **rewrite_goldens()},
+                                      indent=1) + "\n", encoding="utf-8")
+    sys.exit(0)
