@@ -19,10 +19,12 @@ search on mu keys (the multiset of per-vertex path counts to each leaf, a
 complete invariant of tree-child networks). The wider space of all binary
 networks is searched on canonical signatures.
 
-One key rule: wherever the networks compared are tree-child and no output
-order depends on the key, the key is the mu key; elsewhere it is
-canonical_signature. _key(tree_child_only) names it for the search and
-the replay; the sequence rewrites and agreement's gap search follow it.
+One key rule: wherever the networks compared are known to be tree-child
+and no output order depends on the key, the key is the mu key; elsewhere
+it is canonical_signature. _key(tree_child_only) names it for the search
+and the replay; normalize_sequence and agreement's gap search follow it,
+and enforce_global_assumption, whose input need not be tree-child,
+replays on canonical signatures.
 
 Every move is drawn from one generator and edited in a netcore._Builder.
 In tree-child space the search decides, keys and counts each successor
@@ -250,7 +252,11 @@ def moves_from_json(text: str) -> MoveSequence:
                               _edge_of(target) if target is not None else None))
         except (ParseError, MoveError) as exc:
             raise ParseError("move %d: %s" % (i, exc)) from None
-    return MoveSequence(parse_pnd(start), moves)
+    try:
+        start = parse_pnd(start)
+    except ParseError as exc:
+        raise ParseError("start: %s" % exc) from None
+    return MoveSequence(start, moves)
 
 
 def _key(tree_child_only: bool):
@@ -293,17 +299,16 @@ def enforce_global_assumption(s: MoveSequence) -> MoveSequence:
     """Split every pm move that deletes a reticulation edge into a minus
     followed by a plus reaching the same network, preserving total weight.
 
-    When every network of s is tree-child the rewrite stays in tree-child
-    space and compares mu keys, else it compares canonical signatures."""
-    tc = all(is_tree_child(n) for n in s.networks)
-    key = _key(tc)
+    The networks of s need not be tree-child, so the rewrite compares
+    canonical signatures."""
     i = 0
     while i < len(s.moves):
         mv, nets = s.moves[i], s.networks
         if mv.kind == "pm" and nets[i].in_degree(mv.edge.dst) == 2:
             minus = Move("minus", mv.edge)
-            tail = _replay(apply_move(nets[i], minus), [key(n) for n in nets[i + 1:]],
-                           ["plus"] + [m.kind for m in s.moves[i + 1:]], tc)
+            tail = _replay(apply_move(nets[i], minus),
+                           [canonical_signature(n) for n in nets[i + 1:]],
+                           ["plus"] + [m.kind for m in s.moves[i + 1:]], False)
             s = MoveSequence(s.start, list(s.moves[:i]) + [minus] + tail)
         i += 1
     return s

@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from snprlab.errors import (BudgetExceededError, ContractViolationError,
-                            InvalidNetworkError, MoveError)
+                            InvalidNetworkError, MoveError, ParseError)
 from snprlab.netcore import (Edge, Network, _mu_key, canonical_signature,
                              enumerate_tree_child, is_tree_child, isomorphic,
                              isomorphism_map, network_violations, random_network,
@@ -246,6 +246,10 @@ def test_moves_json_roundtrip(retic_ab_c):
            [canonical_signature(x) for x in s.networks]
     with pytest.raises(MoveError):
         moves_from_json('{"format": "other"}')
+    # a pnd error position is a line of the embedded start, not a file offset
+    bad_start = json.loads(text) | {"start": "pnd 1\nvertex 0\nbogus\n"}
+    with pytest.raises(ParseError, match=r"^start: unrecognised line 'bogus'"):
+        moves_from_json(json.dumps(bad_start))
 
 
 # --- global assumption ------------------------------------------------------
@@ -566,14 +570,19 @@ def _outcome_family(line):
     return re.sub(r"Edge\([^)]*\)", "E", line.split("MoveError: ")[1])
 
 
-def _rewrite_walk(seed):
+def _rewrite_walk(seed, tree_child_only=True):
     """Three or four random tree-child moves from a random tree-child
-    network on three or four leaves, all drawn from the seed."""
+    network on three or four leaves, all drawn from the seed; without
+    tree_child_only, moves among all binary networks from a random
+    network."""
     rng = random.Random(seed)
-    start = random_tree_child(3 + seed % 2, seed % 3, seed=seed)
+    if tree_child_only:
+        start = random_tree_child(3 + seed % 2, seed % 3, seed=seed)
+    else:
+        start = random_network(3 + seed % 2, 1 + seed % 2, seed=seed)
     cur, moves = start, []
     for _ in range(3 + seed % 2):
-        options = list(enumerate_moves(cur))
+        options = list(enumerate_moves(cur, tree_child_only))
         mv, cur = options[rng.randrange(len(options))]
         moves.append(mv)
     return MoveSequence(start, moves)
@@ -589,9 +598,13 @@ def pm_outcome_goldens():
 
 def rewrite_goldens():
     walks = [_rewrite_walk(seed) for seed in range(60)]
-    return {name: [_digest([moves_to_json(f(s))]) for s in walks]
-            for name, f in (("enforce_global_assumption", enforce_global_assumption),
-                            ("normalize_sequence", normalize_sequence))}
+    goldens = {name: [_digest([moves_to_json(f(s))]) for s in walks]
+               for name, f in (("enforce_global_assumption", enforce_global_assumption),
+                               ("normalize_sequence", normalize_sequence))}
+    goldens["enforce_global_assumption_any_network"] = [
+        _digest([moves_to_json(enforce_global_assumption(_rewrite_walk(seed, False)))])
+        for seed in range(20)]
+    return goldens
 
 
 def _golden(*names):
@@ -605,7 +618,13 @@ def test_pm_edit_outcomes_match_golden():
 
 def test_sequence_rewrites_match_golden():
     assert rewrite_goldens() == _golden("enforce_global_assumption",
-                                        "normalize_sequence")
+                                        "normalize_sequence",
+                                        "enforce_global_assumption_any_network")
+    # the any-network walks split a reticulation-deleting pm in a sequence
+    # that leaves tree-child space
+    assert any(enforce_global_assumption(s) is not s
+               and not all(is_tree_child(n) for n in s.networks)
+               for s in (_rewrite_walk(seed, False) for seed in range(20)))
 
 
 if __name__ == "__main__":
