@@ -15,7 +15,7 @@ from typing import NamedTuple
 from . import _canon
 from .errors import BudgetExceededError, InvalidNetworkError, MoveError
 
-_LABEL_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
 class Edge(NamedTuple):

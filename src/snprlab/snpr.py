@@ -28,8 +28,9 @@ replays on canonical signatures.
 
 Every move is drawn from one generator and edited in a netcore._Builder.
 In tree-child space the search decides, keys and counts each successor
-in its builder and freezes a Network only for a key it has not seen;
-enumerate_moves freezes every successor it yields.
+in its builder and freezes nothing: a key it has not seen is stored as
+its parent key and move, and its Network is frozen only when the key is
+first expanded. enumerate_moves freezes every successor it yields.
 """
 
 from dataclasses import dataclass
@@ -373,15 +374,18 @@ def normalize_sequence(s: MoveSequence) -> MoveSequence:
 class NeighborCache:
     """Memo of move neighborhoods keyed by network signature.
 
-    Stores one representative network per signature, the first successor
-    found with it, and, per (signature, filter mode), the successor
-    signatures with move kind, weight, and reticulation count. Tree-child
-    successors are keyed by mu key, read off the edit's builder together
-    with the reticulation count, and a successor is frozen into a Network
-    only when its key is new; the others are frozen and keyed by canonical
-    signature. The two kinds of key never collide, so one cache serves
-    both modes. Entries ignore any reticulation cap so a cache can be
-    shared between searches with different caps.
+    Holds one representative per signature, the first successor found
+    with it, and, per (signature, filter mode), the successor signatures
+    with move kind, weight, and reticulation count. Tree-child successors
+    are keyed by mu key, read off the edit's builder together with the
+    reticulation count; a new key is stored as (parent key, Move), and
+    representative() freezes its Network from the parent's on first use,
+    which the search makes only when it expands the key. Most keys a
+    search meets are never expanded, so most are never frozen. The other
+    successors are frozen and keyed by canonical signature. The two kinds
+    of key never collide, so one cache serves both modes. Entries ignore
+    any reticulation cap so a cache can be shared between searches with
+    different caps.
     """
 
     def __init__(self):
@@ -393,18 +397,24 @@ class NeighborCache:
             if net is None:
                 raise KeyError("no representative known for signature")
             self.rep[sig] = net
-        return self.rep[sig]
+        got = self.rep[sig]
+        if isinstance(got, tuple):
+            # the parent was expanded, so its representative is frozen
+            parent, move = got
+            got = _edit(self.rep[parent], move.kind, move.edge, move.target).to_network()[0]
+            got._mu = sig
+            self.rep[sig] = got
+        return got
 
     def successors(self, sig: bytes, tree_child_only: bool = True):
         key = (sig, tree_child_only)
         if key not in self._succ:
             seen = []
-            for move, b in _edits(self.rep[sig], tree_child_only):
+            for move, b in _edits(self.representative(sig), tree_child_only):
                 if tree_child_only:
                     ssig = _mu_key(b)
                     if ssig not in self.rep:
-                        succ = self.rep[ssig] = b.to_network()[0]
-                        succ._mu = ssig
+                        self.rep[ssig] = (sig, move)
                 else:
                     succ = b.to_network()[0]
                     ssig = canonical_signature(succ)

@@ -25,6 +25,7 @@ from snprlab.netcore import (
     tree_child_report,
     validate,
 )
+from snprlab.phyloio import parse_enewick, write_enewick
 from snprlab.snpr import enumerate_moves
 
 
@@ -100,6 +101,16 @@ def test_validate_rejects_duplicate_labels():
 def test_validate_rejects_bad_label_charset():
     with pytest.raises(InvalidNetworkError):
         validate([(0, 1)], {1: "a b"})
+
+
+def test_validate_rejects_trailing_newline_in_label():
+    # "$" would match before a final newline, and write_enewick would then
+    # write text that parse_enewick rejects
+    with pytest.raises(InvalidNetworkError) as err:
+        validate([(0, 2)], {2: "a\n"})
+    assert any("outside [A-Za-z0-9_]" in p for p in err.value.violations)
+    n = validate([(0, 2)], {2: "a"})
+    assert isomorphic(parse_enewick(write_enewick(n)), n)
 
 
 def test_violations_report_sparse_slots():

@@ -12,8 +12,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from snprlab.netcore import (Edge, Network, _mu_key, canonical_signature,  # noqa: E402
-                             is_tree_child, random_tree_child)
-from snprlab.snpr import REVERSE_KIND, NeighborCache, _edits, enumerate_moves  # noqa: E402
+                             is_tree_child, isomorphic, random_tree_child)
+from snprlab.snpr import (REVERSE_KIND, NeighborCache, _edits, dtc,  # noqa: E402
+                          enumerate_moves, moves_to_json, sequence_weight)
 
 DRAWS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -24,6 +25,21 @@ def tree_child_networks(draw):
     leaves = draw(st.integers(3, 5))
     retics = draw(st.integers(0, min(2, leaves - 1)))
     return random_tree_child(leaves, retics, seed=draw(st.integers(0, 2 ** 16)))
+
+
+@st.composite
+def tree_child_pairs(draw):
+    # two networks on the same three or four leaves, within DTC_CAP
+    leaves = draw(st.integers(3, 4))
+    return tuple(random_tree_child(leaves, draw(st.integers(0, 1)),
+                                   seed=draw(st.integers(0, 2 ** 16)))
+                 for _ in range(2))
+
+
+DTC_CAP = 2
+# one cache for every example, so later searches start from keys that
+# earlier ones stored and never expanded
+SHARED_CACHE = NeighborCache()
 
 
 def _renumbered(n, shift):
@@ -80,3 +96,31 @@ def test_every_tree_child_move_reverses_at_equal_weight(n):
     for ssig, kind, w, _ in cache.successors(sig):
         back = {(s, k, bw) for s, k, bw, _ in cache.successors(ssig)}
         assert (sig, REVERSE_KIND[kind], w) in back
+
+
+def _certifies(seq, a, b, weight):
+    """Whether seq is a tree-child walk from a to a copy of b of the given
+    weight, every network within DTC_CAP."""
+    nets = seq.networks
+    return (seq.start is a and sequence_weight(seq) == weight and isomorphic(nets[-1], b)
+            and all(is_tree_child(x) and x.reticulation_count <= DTC_CAP for x in nets))
+
+
+@settings(DRAWS, max_examples=20)
+@given(tree_child_pairs())
+def test_dtc_symmetric_and_blind_to_a_shared_cache(pair):
+    # the reverse search and every later search expand keys that earlier
+    # ones stored unexpanded, as (parent key, move), and freeze them then
+    n, m = pair
+    cache = NeighborCache()
+    weight, seq = dtc(n, m, DTC_CAP)
+    want = moves_to_json(seq)
+    assert moves_to_json(dtc(n, m, DTC_CAP, cache=cache)[1]) == want
+    back, back_seq = dtc(m, n, DTC_CAP, cache=cache)
+    assert back == weight and _certifies(back_seq, m, n, weight)
+    # a search the cache has fully seen answers as a fresh one does
+    assert moves_to_json(dtc(n, m, DTC_CAP, cache=cache)[1]) == want
+    # a cache that served other pairs may hold other representatives of
+    # a key, so only the weight and a valid witness are fixed
+    across, across_seq = dtc(n, m, DTC_CAP, cache=SHARED_CACHE)
+    assert across == weight and _certifies(across_seq, n, m, weight)

@@ -3,7 +3,8 @@
 The pm edit outcomes and the sequence rewrites on seeded walks are pinned
 to tests/golden/move_outcomes.json. Regenerate it with
 ``PYTHONPATH=src python tests/test_snpr.py`` only when a change of these
-outputs is intended.
+outputs is intended. The dtc weight and witness of every distance pair in
+bench/expected.json are pinned to tests/golden/dtc_distance_pool.json.
 """
 
 import collections
@@ -27,9 +28,11 @@ from snprlab.snpr import (WEIGHTS, Move, MoveSequence, NeighborCache, apply_move
                           apply_move_detailed, dtc, enforce_global_assumption,
                           enumerate_moves, moves_from_json, moves_to_json,
                           normalize_sequence, sequence_weight, _find_move_to)
-from snprlab.phyloio import write_enewick, write_pnd
+from snprlab.phyloio import parse_enewick, write_enewick, write_pnd
 
 MOVE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "move_outcomes.json"
+DISTANCE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "dtc_distance_pool.json"
+BENCH_EXPECTED = pathlib.Path(__file__).parent.parent / "bench" / "expected.json"
 
 
 @pytest.fixture
@@ -410,10 +413,42 @@ def test_builder_keys_match_frozen_successors():
         cache = NeighborCache()
         cache.representative(sig, n)
         assert cache.successors(sig) == seen
-        assert cache.rep == rep
-        assert all(net._mu == key for key, net in cache.rep.items())
+        frozen = {key: cache.representative(key) for key in cache.rep}
+        assert frozen == rep
+        assert all(net._mu == key for key, net in frozen.items())
         successors += len(seen)
     assert successors == 107424
+
+
+def test_cold_dtc_freezes_only_expanded_keys_and_endpoints():
+    # keys the search meets but never expands stay (parent key, move)
+    # pairs; a cache that froze every new key would hold a Network for each
+    n = random_tree_child(4, 1, seed=1)
+    m = random_tree_child(4, 1, seed=2)
+    cache = NeighborCache()
+    dtc(n, m, cache=cache)
+    frozen = {key for key, net in cache.rep.items() if isinstance(net, Network)}
+    expanded = {key for key, _ in cache._succ}
+    assert frozen <= expanded | {_mu_key(n), _mu_key(m)}
+    assert len(frozen) < len(cache.rep)
+
+
+def _dtc_digest(n, m, cache):
+    weight, seq = dtc(parse_enewick(n), parse_enewick(m), cache=cache)
+    return hashlib.sha256(b"%d\n" % weight + moves_to_json(seq).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_dtc_distance_pool_matches_golden(shared):
+    # the benchmark's distance pairs, baseline first, each with a fresh
+    # cache or all through one cache that keeps every key seen so far
+    doc = json.loads(BENCH_EXPECTED.read_text(encoding="utf-8"))["distance"]
+    pairs = [(e["n"], e["m"]) for e in [doc["baseline"]] + doc["pool"]]
+    assert len(pairs) == 164
+    want = json.loads(DISTANCE_GOLDEN.read_text(encoding="utf-8"))["digests"]
+    cache = NeighborCache()
+    got = [_dtc_digest(n, m, cache if shared else NeighborCache()) for n, m in pairs]
+    assert got == [want["%s %s" % pair] for pair in pairs]
 
 
 def test_dtc_cap_sensitivity(triple_ab_c, triple_ac_b, retic_ab_c, triple_a_bc):
