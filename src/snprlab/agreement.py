@@ -18,25 +18,42 @@ from .digraphcore import (
     validate_digraph,
     _quotient_with_paths,
 )
-from .embed import Embedding, _check_taxa, cut_size, extend, find_embedding
+from .embed import Embedding, _check_taxa, extend, find_embedding
 from .snpr import _edits, dtc
 
 
 class AgreementWitness:
-    """A digraph displayed by both hosts, with one extension on each side."""
+    """A digraph displayed by both hosts, with one extension on each side.
 
-    __slots__ = ("digraph", "embedding_n", "embedding_m",
-                 "extension_n", "extension_m", "cut_n", "cut_m")
+    The witness holds only the indices of the edges of n it drops and the
+    two cuts. The digraph, its embeddings in n and m and their grown
+    extensions are built together on first access and kept. Networks are
+    immutable, so they are the parts an eager build would have made.
+    """
 
-    def __init__(self, digraph, embedding_n, embedding_m,
-                 extension_n, extension_m, cut_n, cut_m):
-        self.digraph = digraph
-        self.embedding_n = embedding_n
-        self.embedding_m = embedding_m
-        self.extension_n = extension_n
-        self.extension_m = extension_m
+    __slots__ = ("_n", "_m", "_dropped", "cut_n", "cut_m", "_parts")
+
+    def __init__(self, n, m, dropped, cut_n, cut_m):
+        self._n = n
+        self._m = m
+        self._dropped = dropped
         self.cut_n = cut_n
         self.cut_m = cut_m
+        self._parts = None
+
+    def _built(self):
+        if self._parts is None:
+            n, m = self._n, self._m
+            d, emb_n = candidate_from_edges(n, _kept(n, self._dropped))
+            emb_m = find_embedding(d, m)
+            self._parts = (d, emb_n, emb_m, extend(emb_n, n), extend(emb_m, m))
+        return self._parts
+
+    digraph = property(lambda self: self._built()[0])
+    embedding_n = property(lambda self: self._built()[1])
+    embedding_m = property(lambda self: self._built()[2])
+    extension_n = property(lambda self: self._built()[3])
+    extension_m = property(lambda self: self._built()[4])
 
     @property
     def total(self):
@@ -44,7 +61,7 @@ class AgreementWitness:
 
     def __repr__(self):
         return "<AgreementWitness cut %d+%d on %d taxa>" % (
-            self.cut_n, self.cut_m, len(self.digraph.taxa))
+            self.cut_n, self.cut_m, len(self._n.taxa))
 
 
 @dataclass(frozen=True)
@@ -97,9 +114,10 @@ def candidate_from_edges(n: Network, edge_subset):
 def _local_checks(n: Network):
     """Per edge index, the vertex rules that become decidable with that edge.
 
-    A tree vertex gives (True, in, out, out) and a reticulation gives
-    (False, out, in, in), as edge indices, filed under the largest of its
-    three indices. The root and the leaves have no rule.
+    A vertex other than the root and the leaves gives (edges, out): the
+    bits of its three edge indices, and for a reticulation the bit of its
+    out-edge (0 for a tree vertex). It is filed under the largest of its
+    three indices.
     """
     index = {e: i for i, e in enumerate(n.edges)}
     checks = [[] for _ in n.edges]
@@ -107,52 +125,75 @@ def _local_checks(n: Network):
         ins = [index[e] for e in n.in_edges(v)]
         outs = [index[e] for e in n.out_edges(v)]
         if ins and outs:
-            rule = (True, *ins, *outs) if len(outs) == 2 else (False, *outs, *ins)
-            checks[max(rule[1:])].append(rule)
+            bits = sum(1 << i for i in ins + outs)
+            out = 1 << outs[0] if len(ins) == 2 else 0
+            checks[max(ins + outs)].append((bits, out))
     return checks
 
 
 def _valid_drops(n: Network):
-    """Index tuples of dropped host edges whose kept rest passes the local rule.
+    """Dropped host edges whose kept rest passes the local rule.
 
-    Fewest dropped edges first, then lexicographic. One depth-first walk per
-    size decides the edges in order, dropping before keeping so that the
-    tuples come out in lexicographic order, and abandons a branch once a
-    fully decided vertex breaks the rule. The walk keeps its own stack, one
-    entry per open branch, so the stream is lazy and its depth is not
-    bounded by the interpreter's recursion limit.
+    Yields (dropped, emptied): the tuple of dropped edge indices, and how
+    many vertices other than the root and the leaves keep none of their
+    edges. Fewest dropped edges first, then lexicographic. One depth-first
+    walk per size decides the edges in order, dropping before keeping so
+    that the tuples come out in lexicographic order, and abandons a branch
+    once a fully decided vertex breaks the rule. The walk keeps its own
+    stack, one entry per open branch, so the stream is lazy and its depth
+    is not bounded by the interpreter's recursion limit.
     """
     checks = _local_checks(n)
     size = len(checks)
 
-    def holds(i, dropped):
-        for tree, x, y, z in checks[i]:
-            kx, ky, kz = x not in dropped, y not in dropped, z not in dropped
-            if tree:  # keeps 0, 2 or 3 of its edges
-                if kx + ky + kz == 1:
-                    return False
-            elif kx != (ky or kz):  # keeps its out-edge iff an in-edge
-                return False
-        return True
+    def emptied(rules, mask):
+        """Vertices of rules that keep none of their edges, or -1 if one
+        breaks its rule, for the dropped edges in the bit mask.
+
+        A tree vertex keeps 0, 2 or 3 of its edges, and a reticulation
+        keeps its out-edge exactly when it keeps an in-edge: so dropping
+        two edges breaks either, and dropping one breaks a reticulation
+        exactly when it is the out-edge.
+        """
+        count = 0
+        for bits, out in rules:
+            gone = (mask & bits).bit_count()
+            if gone == 2 or (gone == 1 and mask & out):
+                return -1
+            count += gone == 3
+        return count
 
     for k in range(size + 1):
-        stack = [(0, ())]
+        stack = [(0, (), 0, 0)]
         while stack:
-            i, dropped = stack.pop()
+            i, dropped, mask, zeros = stack.pop()
             if i == size:
-                yield dropped
+                yield dropped, zeros
                 continue
+            rules = checks[i]
             # keep is pushed first so that the drop branch is walked first
-            if k - len(dropped) < size - i and holds(i, dropped):
-                stack.append((i + 1, dropped))
-            if len(dropped) < k and holds(i, dropped + (i,)):
-                stack.append((i + 1, dropped + (i,)))
+            if k - len(dropped) < size - i:
+                z = emptied(rules, mask) if rules else 0
+                if z >= 0:
+                    stack.append((i + 1, dropped, mask, zeros + z))
+            if len(dropped) < k:
+                mask_i = mask | 1 << i
+                z = emptied(rules, mask_i) if rules else 0
+                if z >= 0:
+                    stack.append((i + 1, dropped + (i,), mask_i, zeros + z))
 
 
-def _distinct_candidates(n: Network):
+def _kept(n: Network, dropped):
+    gone = set(dropped)
+    return [e for i, e in enumerate(n.edges) if i not in gone]
+
+
+def _distinct_candidates(n: Network, wanted=None):
     """Candidate digraphs of n, one per isomorphism class, smallest cut first
     within each exclusion level.
 
+    Yields (dropped, cut, digraph, embedding), where cut is the number of
+    host edges that every grown extension of the digraph in n leaves out.
     Only the edge subsets that pass a local rule are read, in the order of
     their dropped edge indices (fewest first, then lexicographic). On a
     binary host, candidate_from_edges accepts a subset exactly when
@@ -168,30 +209,31 @@ def _distinct_candidates(n: Network):
     leaves, (0,0) or (1,0), always pass. So the skipped subsets are exactly
     those candidate_from_edges would reject, and the stream is the one a
     read of all 2^|E| subsets in the same order gives.
+
+    The cut is k - z for k dropped edges and z vertices other than the
+    root and the leaves that keep none of their edges. The kept subgraph
+    is a subdivision of the digraph and cut_size's proof gives the cut as
+    |E| - |V| of the host minus that of the digraph; a subdivision has the
+    digraph's |E| - |V|, and the kept subgraph has k edges and z vertices
+    fewer than the host.
+
+    When wanted is given, a subset whose cut fails wanted(cut) is skipped
+    before it is read. Isomorphic candidates have the same cut, so as long
+    as wanted only ever turns from true to false for a cut, a skipped
+    subset hides no class that a later subset would have been the first
+    of, and the classes that are yielded are yielded from the same subsets.
     """
-    edges = n.edges
     seen = set()
-    for dropped in _valid_drops(n):
-        gone = set(dropped)
-        d, emb = candidate_from_edges(
-            n, [e for i, e in enumerate(edges) if i not in gone])
+    for dropped, zeros in _valid_drops(n):
+        cut = len(dropped) - zeros
+        if wanted is not None and not wanted(cut):
+            continue
+        d, emb = candidate_from_edges(n, _kept(n, dropped))
         sig = digraph_signature(d)
         if sig in seen:
             continue
         seen.add(sig)
-        yield d, emb
-
-
-def _witness(d, emb_n, m: Network, emb_m=None):
-    if emb_m is None:
-        emb_m = find_embedding(d, m)
-        if emb_m is None:
-            return None
-    n = emb_n.host
-    rn = extend(emb_n, n)
-    rm = extend(emb_m, m)
-    return AgreementWitness(d, emb_n, emb_m, rn, rm,
-                            cut_size(n, rn), cut_size(m, rm))
+        yield dropped, cut, d, emb
 
 
 def enumerate_agreement_digraphs(n: Network, m: Network,
@@ -201,47 +243,43 @@ def enumerate_agreement_digraphs(n: Network, m: Network,
     Deterministic order; one witness per digraph isomorphism class.
     """
     _check_taxa(n, m)
-    for d, emb in _distinct_candidates(n):
+    shift = m.reticulation_count - n.reticulation_count
+    for dropped, cut, d, _ in _distinct_candidates(n):
         if tree_child_only and not is_tree_child_digraph(d):
             continue
-        w = _witness(d, emb, m)
-        if w is not None:
-            yield w
+        if find_embedding(d, m) is not None:
+            yield AgreementWitness(n, m, dropped, cut, cut + shift)
 
 
 def _min_total_cut(n, m, floor=1, subset_budget=None):
     """Smallest total cut over the pair's shared tree-child digraphs.
 
     Returns (total, witness) for the first optimum in enumeration order.
+    A digraph D cuts S(D) - 1 + r(h) - r(D) edges of either host h (see
+    cut_size), so its cut in m is its cut in n plus r(m) - r(n), and a
+    subset whose total cannot beat the best so far is skipped unread.
     The search stops once the best total drops below floor; under the
     default floor of 1 that is a total of zero, which nothing improves.
-    subset_budget caps how many distinct candidate digraphs of n are read.
+    subset_budget caps how many distinct candidate digraphs of n are
+    built; skipped subsets do not count.
     """
+    shift = m.reticulation_count - n.reticulation_count
     best = None
     best_w = None
     examined = 0
-    for d, emb in _distinct_candidates(n):
+    # the test reads best when each subset comes up, so it tightens as best falls
+    for dropped, cut, d, _ in _distinct_candidates(
+            n, lambda cut: best is None or 2 * cut + shift < best):
         examined += 1
         if subset_budget is not None and examined > subset_budget:
             raise BudgetExceededError(
                 "stopped after %d candidate digraphs" % (examined - 1))
-        if not is_tree_child_digraph(d):
+        if not is_tree_child_digraph(d) or find_embedding(d, m) is None:
             continue
-        rn = extend(emb, n)
-        cut_n = cut_size(n, rn)
-        if best is not None and cut_n >= best:
-            continue
-        emb_m = find_embedding(d, m)
-        if emb_m is None:
-            continue
-        rm = extend(emb_m, m)
-        cut_m = cut_size(m, rm)
-        total = cut_n + cut_m
-        if best is None or total < best:
-            best = total
-            best_w = AgreementWitness(d, emb, emb_m, rn, rm, cut_n, cut_m)
-            if best < floor:
-                break
+        best = 2 * cut + shift
+        best_w = AgreementWitness(n, m, dropped, cut, cut + shift)
+        if best < floor:
+            break
     return best, best_w
 
 
@@ -250,9 +288,12 @@ def mtc(n: Network, m: Network, subset_budget=None):
 
     Returns (count, witness). The witness is the first optimum in
     enumeration order; each side carries a grown extension certifying
-    its cut. subset_budget caps how many distinct candidate digraphs of
-    n (one per isomorphism class, tree-child or not) are read before
-    giving up; the edge subsets behind them are not counted.
+    its cut, built on first access. subset_budget caps how many distinct
+    candidate digraphs of n (one per isomorphism class, tree-child or
+    not) are built before giving up. An edge subset whose total cut, read
+    off its size, cannot beat the best so far is skipped before its
+    digraph is built and is not counted, and neither are the edge subsets
+    behind a counted digraph.
     """
     _require_tree_child_pair(n, m)
     _check_taxa(n, m)

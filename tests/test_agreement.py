@@ -1,7 +1,12 @@
 """Shared-digraph measure, its bounds, and the independent tree oracle."""
 
+import functools
+import gc
 import itertools
+import random
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,11 +17,13 @@ from snprlab import (
     InvalidNetworkError,
     candidate_from_edges,
     check_bounds,
+    cut_size,
     dtc,
     digraph_signature,
     embedding_violations,
     enumerate_agreement_digraphs,
     enumerate_tree_child,
+    extend,
     extension_violations,
     find_embedding,
     gap_witness_search,
@@ -29,7 +36,8 @@ from snprlab import (
     write_enewick,
     write_witness_bundle,
 )
-from snprlab.agreement import _distinct_candidates, _valid_drops
+from snprlab.agreement import (
+    _distinct_candidates, _kept, _min_total_cut, _valid_drops)
 
 
 @pytest.fixture
@@ -41,6 +49,13 @@ def triples():
 def retic_pair():
     return (parse_enewick("((a,(b)#H1),(#H1,c));"),
             parse_enewick("(a,(b,c));"))
+
+
+@pytest.fixture
+def anchor():
+    # the measure anchor pair of the benchmark: a 14-edge host
+    return (parse_enewick("(((((c)#H1,f),a),((#H1,b),e)),d);"),
+            parse_enewick("(((((c)#H1,f),a),((#H1,e),b)),d);"))
 
 
 # ------------------------------------------------------------------ measure
@@ -109,6 +124,64 @@ def test_measure_budget(triples):
     n, m = triples
     with pytest.raises(BudgetExceededError):
         mtc(n, m, subset_budget=1)
+
+
+def test_measure_budget_counts_built_candidates(triples):
+    # four distinct candidates are built; the subsets the cut bound skips
+    # before building them are not counted
+    n, m = triples
+    assert mtc(n, m, subset_budget=4)[0] == 2
+    with pytest.raises(BudgetExceededError):
+        mtc(n, m, subset_budget=3)
+
+
+def test_measure_is_twice_the_forest_count_on_larger_trees():
+    # criterion 03 stops at five leaves, where dtc still finishes; the
+    # measure and the forest oracle alone reach seven and eight
+    for leaves in (7, 8):
+        for seed in range(10):
+            t = random_tree_child(leaves, 0, seed=700 + 2 * seed)
+            u = random_tree_child(leaves, 0, seed=701 + 2 * seed)
+            assert mtc(t, u)[0] == 2 * maf_rspr(t, u), (write_enewick(t),
+                                                        write_enewick(u))
+
+
+# ----------------------------------------------------------------- witness
+
+
+def _parts(w):
+    return (w.digraph, w.embedding_n, w.embedding_m,
+            w.extension_n, w.extension_m)
+
+
+def test_witness_is_built_once_on_first_access(anchor):
+    n, m = anchor
+    _, w = mtc(n, m)
+    assert w._parts is None
+    _, eager = _extending_min_total_cut(n, m)
+    assert write_witness_bundle(w) == write_witness_bundle(eager)
+    first = _parts(w)
+    assert all(a is b for a, b in zip(first, _parts(w)))
+    for streamed in enumerate_agreement_digraphs(n, m):
+        assert streamed._parts is None
+
+
+def test_retained_witnesses_are_small(anchor):
+    n, m = anchor
+    mtc(n, m)  # the hosts' lazily built tables exist before tracing starts
+    gc.collect()
+    tracemalloc.start()
+    try:
+        # the stream builds its witnesses the way mtc does, at a fraction of
+        # the cost of a traced mtc run each
+        kept = list(itertools.islice(enumerate_agreement_digraphs(n, m), 90))
+        kept += [mtc(n, m)[1] for _ in range(10)]
+        gc.collect()
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 100
+    assert size < 100_000, size
 
 
 # ----------------------------------------------------------------- streams
@@ -189,11 +262,6 @@ def _all_drops(n):
         yield from itertools.combinations(range(len(n.edges)), k)
 
 
-def _kept(n, dropped):
-    gone = set(dropped)
-    return [e for i, e in enumerate(n.edges) if i not in gone]
-
-
 def _candidates_of_every_subset(n):
     """The 2^|E| read that _distinct_candidates replaces, kept as its oracle."""
     seen = set()
@@ -222,7 +290,8 @@ def test_local_rule_is_exactly_candidate_acceptance():
     for n in hosts:
         accepted = [dropped for dropped in _all_drops(n)
                     if candidate_from_edges(n, _kept(n, dropped)) is not None]
-        assert list(_valid_drops(n)) == accepted, write_enewick(n)
+        assert [dropped for dropped, _ in _valid_drops(n)] == accepted, \
+            write_enewick(n)
 
 
 def test_candidate_stream_equals_the_every_subset_read():
@@ -233,10 +302,101 @@ def test_candidate_stream_equals_the_every_subset_read():
         got = list(_distinct_candidates(n))
         want = list(_candidates_of_every_subset(n))
         assert len(got) == len(want), write_enewick(n)
-        for (d, emb), (d0, emb0) in zip(got, want):
+        for (_, _, d, emb), (d0, emb0) in zip(got, want):
             assert digraph_signature(d) == digraph_signature(d0)
             assert emb.vertex_map == emb0.vertex_map
             assert emb.edge_map == emb0.edge_map
+
+
+def test_cut_of_every_valid_drop_is_read_off_its_size():
+    # k dropped edges and z emptied inner vertices cut k - z edges, for
+    # every subset and not only the first of each isomorphism class
+    subsets = 0
+    for n in list(enumerate_tree_child(3, 2)) + list(enumerate_tree_child(4, 1)):
+        for dropped, zeros in _valid_drops(n):
+            _, emb = candidate_from_edges(n, _kept(n, dropped))
+            assert cut_size(n, extend(emb, n)) == len(dropped) - zeros, (
+                write_enewick(n), dropped)
+            subsets += 1
+    assert subsets == 25896
+
+
+def test_stream_cuts_are_those_of_the_extensions():
+    # the stream reads its cuts off the subsets too; that holds for digraphs
+    # that are not tree-child and for hosts with a parallel pair as well
+    hosts = _level(3, 2)[::11] + [random_network(3, 2, seed=s) for s in PARALLEL_HOSTS]
+    witnesses = 0
+    for n in hosts:
+        for m in hosts:
+            for w in enumerate_agreement_digraphs(n, m, tree_child_only=False):
+                assert cut_size(n, w.extension_n) == w.cut_n, write_enewick(n)
+                assert cut_size(m, w.extension_m) == w.cut_m, write_enewick(m)
+                witnesses += 1
+    assert witnesses > 0
+
+
+@functools.lru_cache(maxsize=1)  # pairs come grouped by their first network
+def _extended_candidates(n):
+    """(digraph, embedding, extension, cut) in n of each tree-child candidate."""
+    got = []
+    for _, _, d, emb in _distinct_candidates(n):
+        if is_tree_child_digraph(d):
+            rn = extend(emb, n)
+            got.append((d, emb, rn, cut_size(n, rn)))
+    return got
+
+
+def _extending_min_total_cut(n, m, floor=1):
+    """The loop _min_total_cut replaces, kept as its oracle: every tree-child
+    candidate is extended in n, and in m unless its cut in n cannot win."""
+    best = None
+    best_w = None
+    for d, emb, rn, cut_n in _extended_candidates(n):
+        if best is not None and cut_n >= best:
+            continue
+        emb_m = find_embedding(d, m)
+        if emb_m is None:
+            continue
+        rm = extend(emb_m, m)
+        cut_m = cut_size(m, rm)
+        if best is None or cut_n + cut_m < best:
+            best = cut_n + cut_m
+            best_w = SimpleNamespace(
+                digraph=d, embedding_n=emb, embedding_m=emb_m,
+                extension_n=rn, extension_m=rm, cut_n=cut_n, cut_m=cut_m)
+            if best < floor:
+                break
+    return best, best_w
+
+
+def _differential_pairs():
+    nets = list(enumerate_tree_child(3, 1))
+    trees = _level(4, 0)
+    pairs = ([(a, b) for a in nets for b in nets]
+             + [(a, b) for a in trees for b in trees])
+    # 25 first networks of each size with four partners each, so that the
+    # oracle reads each first network's candidates once
+    rng = random.Random(12)
+    for size in ((3, 2), (4, 1), (4, 2)):
+        nets = list(enumerate_tree_child(*size))
+        pairs += [(a, rng.choice(nets)) for a in rng.sample(nets, 25)
+                  for _ in range(4)]
+    return pairs
+
+
+def test_cut_bound_loop_equals_the_extending_loop():
+    pairs = _differential_pairs()
+    assert len(pairs) == 576 + 225 + 300
+    for n, m in pairs:
+        for floor in (1, 5):
+            got = _min_total_cut(n, m, floor=floor)
+            want = _extending_min_total_cut(n, m, floor=floor)
+            where = (write_enewick(n), write_enewick(m), floor)
+            assert got[0] == want[0], where
+            w = got[1]
+            assert write_witness_bundle(w) == write_witness_bundle(want[1]), where
+            assert cut_size(n, w.extension_n) == w.cut_n, where
+            assert cut_size(m, w.extension_m) == w.cut_m, where
 
 
 # ------------------------------------------------------------------ bounds

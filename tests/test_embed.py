@@ -711,10 +711,11 @@ def test_cut_size_is_read_off_the_digraph():
     # extension, S counting in-degree-0 vertices and r reticulations
     extensions = 0
     for h in _cut_identity_hosts():
-        for i, (d, emb) in enumerate(_distinct_candidates(h)):
+        for i, (_, cut, d, emb) in enumerate(_distinct_candidates(h)):
             indegrees = [c.in_degree(v) for c in d.components for v in c.vertices]
             want = (indegrees.count(0) - 1 + h.reticulation_count
                     - indegrees.count(2))
+            assert cut == want, (h, d)
             for policy in (None, ExtensionPolicy(mode="seeded", seed=i)):
                 assert cut_size(h, extend(emb, h, policy)) == want, (h, d)
                 extensions += 1

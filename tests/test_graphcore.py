@@ -193,7 +193,7 @@ def digest_outputs():
         "canonical_signature": _digest(canonical_signature(n) for n in nets),
         "canonical_order": _digest(repr(canonical_order(n)).encode() for n in nets),
         "digraph_signature": _digest(itertools.chain.from_iterable(
-            (digraph_signature(d) for d, _ in _distinct_candidates(h))
+            (digraph_signature(d) for _, _, d, _ in _distinct_candidates(h))
             for h in hosts)),
         "generator_pnd": _digest(write_pnd(n).encode() for n in _generated()),
         "enumerate_moves/tree_child": _digest(_move_stream(move_hosts, True)),
