@@ -16,7 +16,9 @@ from .digraphcore import (
     is_tree_child_digraph,
     validate_component,
     validate_digraph,
+    _component,
     _quotient_with_paths,
+    _rho_first,
 )
 from .embed import Embedding, _check_taxa, extend, find_embedding
 from .snpr import _edits, dtc
@@ -92,13 +94,7 @@ def candidate_from_edges(n: Network, edge_subset):
     if stray:
         raise ContractViolationError(
             "edges %r are not edges of the host" % (sorted(stray),))
-    vertices = {v for e in subset for v in (e.src, e.dst)}
-    vertices |= set(n.leaves)
-    vertices.add(n.root)
-    labels = {v: lab for v, lab in n.leaf_labels.items() if v in vertices}
-
-    raw, edge_paths, problems = _quotient_with_paths(
-        vertices, subset, n.root, labels)
+    raw, edge_paths, problems = _subset_quotient(n, subset)
     if problems:
         return None
     try:
@@ -109,6 +105,27 @@ def candidate_from_edges(n: Network, edge_subset):
     vmap = {v: v for v in d.all_vertices()}
     emap = {e: edge_paths[e] for e in d.all_edges()}
     return d, Embedding(d, n, vmap, emap)
+
+
+def _subset_quotient(n: Network, subset):
+    """_quotient_with_paths of the subgraph of n on subset, the root and
+    the leaves."""
+    vertices = {v for e in subset for v in (e.src, e.dst)}
+    vertices |= set(n.leaves)
+    vertices.add(n.root)
+    return _quotient_with_paths(vertices, subset, n.root, n.leaf_labels)
+
+
+def _valid_candidate(n: Network, dropped):
+    """The digraph that candidate_from_edges reads off a subset passing the
+    local rule, without its embedding in n.
+
+    The rule proves the subset accepted (see _distinct_candidates), so the
+    quotient's components are assembled unchecked, in the order
+    validate_digraph gives them.
+    """
+    raw, _, _ = _subset_quotient(n, _kept(n, dropped))
+    return _rho_first([_component(*parts) for parts in raw], n.taxa)
 
 
 def _local_checks(n: Network):
@@ -188,7 +205,7 @@ def _kept(n: Network, dropped):
     return [e for i, e in enumerate(n.edges) if i not in gone]
 
 
-def _distinct_candidates(n: Network, wanted=None):
+def _distinct_candidates(n: Network):
     """Candidate digraphs of n, one per isomorphism class, smallest cut first
     within each exclusion level.
 
@@ -216,24 +233,15 @@ def _distinct_candidates(n: Network, wanted=None):
     |E| - |V| of the host minus that of the digraph; a subdivision has the
     digraph's |E| - |V|, and the kept subgraph has k edges and z vertices
     fewer than the host.
-
-    When wanted is given, a subset whose cut fails wanted(cut) is skipped
-    before it is read. Isomorphic candidates have the same cut, so as long
-    as wanted only ever turns from true to false for a cut, a skipped
-    subset hides no class that a later subset would have been the first
-    of, and the classes that are yielded are yielded from the same subsets.
     """
     seen = set()
     for dropped, zeros in _valid_drops(n):
-        cut = len(dropped) - zeros
-        if wanted is not None and not wanted(cut):
-            continue
         d, emb = candidate_from_edges(n, _kept(n, dropped))
         sig = digraph_signature(d)
         if sig in seen:
             continue
         seen.add(sig)
-        yield dropped, cut, d, emb
+        yield dropped, len(dropped) - zeros, d, emb
 
 
 def enumerate_agreement_digraphs(n: Network, m: Network,
@@ -254,26 +262,47 @@ def enumerate_agreement_digraphs(n: Network, m: Network,
 def _min_total_cut(n, m, floor=1, subset_budget=None):
     """Smallest total cut over the pair's shared tree-child digraphs.
 
-    Returns (total, witness) for the first optimum in enumeration order.
-    A digraph D cuts S(D) - 1 + r(h) - r(D) edges of either host h (see
-    cut_size), so its cut in m is its cut in n plus r(m) - r(n), and a
-    subset whose total cannot beat the best so far is skipped unread.
+    Returns (total, witness) for the first optimum in the order of
+    _valid_drops. A digraph D cuts S(D) - 1 + r(h) - r(D) edges of either
+    host h (see cut_size), so its cut in m is its cut in n plus r(m) - r(n),
+    and a subset whose total cannot beat the best so far is skipped unread.
+
+    Once no subset of the current size can win, the walk stops: a subset
+    of k dropped edges cuts k - z, where z counts the vertices other than
+    the root and the leaves that keep none of their edges. Each of those
+    has three edges, all dropped, and a dropped edge has two ends, so
+    3z <= 2k and the cut is at least ceil(k / 3). _valid_drops yields k in
+    increasing order, so once the best is at most 2 ceil(k / 3) + r(m) - r(n),
+    no subset of k or more dropped edges beats it.
+
+    Each remaining subset is read once, with no isomorphism dedupe: a later
+    copy of a class read earlier is tree-child and displayed by m exactly
+    when that copy was, and if it was, its total equals the best or lies
+    above it, so the strict comparison skips it. Subsets pass the local
+    rule, so _valid_candidate builds their digraphs unchecked.
+
     The search stops once the best total drops below floor; under the
     default floor of 1 that is a total of zero, which nothing improves.
-    subset_budget caps how many distinct candidate digraphs of n are
-    built; skipped subsets do not count.
+    subset_budget caps how many candidate digraphs of n are built, one per
+    subset read, isomorphic repeats included; skipped subsets do not count.
     """
     shift = m.reticulation_count - n.reticulation_count
     best = None
     best_w = None
-    examined = 0
-    # the test reads best when each subset comes up, so it tightens as best falls
-    for dropped, cut, d, _ in _distinct_candidates(
-            n, lambda cut: best is None or 2 * cut + shift < best):
-        examined += 1
-        if subset_budget is not None and examined > subset_budget:
+    built = 0
+    for dropped, zeros in _valid_drops(n):
+        k = len(dropped)
+        cut = k - zeros
+        if best is not None:
+            if 2 * -(-k // 3) + shift >= best:
+                break
+            if 2 * cut + shift >= best:
+                continue
+        built += 1
+        if subset_budget is not None and built > subset_budget:
             raise BudgetExceededError(
-                "stopped after %d candidate digraphs" % (examined - 1))
+                "stopped after %d candidate digraphs" % (built - 1))
+        d = _valid_candidate(n, dropped)
         if not is_tree_child_digraph(d) or find_embedding(d, m) is None:
             continue
         best = 2 * cut + shift
@@ -288,12 +317,11 @@ def mtc(n: Network, m: Network, subset_budget=None):
 
     Returns (count, witness). The witness is the first optimum in
     enumeration order; each side carries a grown extension certifying
-    its cut, built on first access. subset_budget caps how many distinct
-    candidate digraphs of n (one per isomorphism class, tree-child or
-    not) are built before giving up. An edge subset whose total cut, read
-    off its size, cannot beat the best so far is skipped before its
-    digraph is built and is not counted, and neither are the edge subsets
-    behind a counted digraph.
+    its cut, built on first access. subset_budget caps how many candidate
+    digraphs of n (tree-child or not) are built before giving up: one per
+    edge subset read, so isomorphic repeats count as well. An edge subset
+    whose total cut, read off its size, cannot beat the best so far is
+    skipped before its digraph is built and is not counted.
     """
     _require_tree_child_pair(n, m)
     _check_taxa(n, m)

@@ -258,9 +258,10 @@ def _build_parser():
         budget=dict(help="cap on search expansions; exhaustion exits with status 2"))
     add("mtc", _cmd_mtc, "shared-digraph measure with witness bundle", two,
         "--format", "--budget",
-        budget=dict(help="cap on distinct candidate digraphs built; edge subsets "
-                         "the cut bound skips are not counted; exhaustion "
-                         "exits with status 2"))
+        budget=dict(help="cap on candidate digraphs built, one per edge subset "
+                         "read, isomorphic repeats included; subsets the cut "
+                         "bound skips are not counted; exhaustion exits with "
+                         "status 2"))
     add("bounds", _cmd_bounds, "half-measure, distance, measure as TSV", two,
         "--format", "--cap")
     add("maf", _cmd_maf, "agreement-forest distance for trees", two, "--format")

@@ -130,12 +130,15 @@ def validate_component(edges, leaf_labels, rho=None, vertices=None,
             problems.append("label %r is outside the allowed taxa" % lab)
     if problems:
         raise InvalidDigraphError(problems)
-    if not edges and rho is not None:
-        case = RHO_SINGLETON
-    elif not edges:
-        case = LEAF_SINGLETON
-    else:
+    return _component(vertices, edges, leaf_labels, rho)
+
+
+def _component(vertices, edges, leaf_labels, rho):
+    """A component over parts already known to pass component_violations."""
+    if edges:
         case = GENERAL
+    else:
+        case = LEAF_SINGLETON if rho is None else RHO_SINGLETON
     return LeafDigraph(vertices, edges, leaf_labels, rho, case)
 
 
@@ -220,10 +223,14 @@ def validate_digraph(components, taxa) -> PhyloDigraph:
         problems.append("taxa %r are not in the taxon set" % sorted(extra))
     if problems:
         raise InvalidDigraphError(problems)
-    rho_first = with_rho + sorted(
-        (c for c in components if c.rho is None),
-        key=lambda c: (sorted(c.taxa), sorted(c.vertices)))
-    return PhyloDigraph(rho_first, taxa)
+    return _rho_first(components, taxa)
+
+
+def _rho_first(components, taxa) -> PhyloDigraph:
+    """The digraph of components already known to pass validate_digraph:
+    the one with rho first, then the others by their taxa."""
+    return PhyloDigraph(sorted(components, key=lambda c: (
+        c.rho is None, sorted(c.taxa), sorted(c.vertices))), taxa)
 
 
 def is_tree_child_digraph(d: PhyloDigraph) -> bool:

@@ -3,6 +3,7 @@
 import functools
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -37,7 +38,7 @@ from snprlab import (
     write_witness_bundle,
 )
 from snprlab.agreement import (
-    _distinct_candidates, _kept, _min_total_cut, _valid_drops)
+    _distinct_candidates, _kept, _min_total_cut, _valid_candidate, _valid_drops)
 
 
 @pytest.fixture
@@ -127,8 +128,8 @@ def test_measure_budget(triples):
 
 
 def test_measure_budget_counts_built_candidates(triples):
-    # four distinct candidates are built; the subsets the cut bound skips
-    # before building them are not counted
+    # four candidates are built, none of them isomorphic to another; the
+    # subsets the cut bound skips before building them are not counted
     n, m = triples
     assert mtc(n, m, subset_budget=4)[0] == 2
     with pytest.raises(BudgetExceededError):
@@ -281,17 +282,44 @@ def _candidates_of_every_subset(n):
 PARALLEL_HOSTS = (2, 10)
 
 
+def _rule_hosts():
+    # 60 hosts with 32,104 subsets: every kept-degree pair of tree vertices
+    # and reticulations occurs
+    return (list(enumerate_tree_child(2, 2)) + list(enumerate_tree_child(3, 1))
+            + _level(4, 0) + _level(3, 2)[::11] + _level(4, 1)[::20]
+            + [random_network(3, 2, seed=s) for s in PARALLEL_HOSTS])
+
+
 def test_local_rule_is_exactly_candidate_acceptance():
-    # 32,104 subsets of 60 hosts: every kept-degree pair of tree vertices
-    # and reticulations occurs, so a weaker or a stricter rule shows up here
-    hosts = (list(enumerate_tree_child(2, 2)) + list(enumerate_tree_child(3, 1))
-             + _level(4, 0) + _level(3, 2)[::11] + _level(4, 1)[::20]
-             + [random_network(3, 2, seed=s) for s in PARALLEL_HOSTS])
-    for n in hosts:
+    # a weaker or a stricter rule shows up on the subsets of these hosts
+    for n in _rule_hosts():
         accepted = [dropped for dropped in _all_drops(n)
                     if candidate_from_edges(n, _kept(n, dropped)) is not None]
         assert [dropped for dropped, _ in _valid_drops(n)] == accepted, \
             write_enewick(n)
+
+
+def test_unchecked_reader_equals_candidate_from_edges():
+    # the loop of _min_total_cut builds its digraphs through the unchecked
+    # reader; the partner of each host is the last host on its taxa
+    hosts = _rule_hosts()
+    partner = {n.taxa: n for n in hosts}
+    subsets = 0
+    for n in hosts:
+        m = partner[n.taxa]
+        for dropped, _ in _valid_drops(n):
+            got = _valid_candidate(n, dropped)
+            want, _ = candidate_from_edges(n, _kept(n, dropped))
+            where = (write_enewick(n), dropped)
+            assert digraph_signature(got) == digraph_signature(want), where
+            assert ([(c.case, c) for c in got.components]
+                    == [(c.case, c) for c in want.components]), where
+            assert got.taxa == want.taxa, where
+            assert is_tree_child_digraph(got) == is_tree_child_digraph(want), where
+            assert ((find_embedding(got, m) is None)
+                    == (find_embedding(want, m) is None)), where
+            subsets += 1
+    assert subsets == 2955
 
 
 def test_candidate_stream_equals_the_every_subset_read():
@@ -308,17 +336,33 @@ def test_candidate_stream_equals_the_every_subset_read():
             assert emb.edge_map == emb0.edge_map
 
 
+@functools.lru_cache(maxsize=1)
+def _small_host_drops():
+    """(host, dropped, zeros) of every valid subset of the (3, 2) and (4, 1)
+    hosts."""
+    hosts = list(enumerate_tree_child(3, 2)) + list(enumerate_tree_child(4, 1))
+    return [(n, dropped, zeros) for n in hosts
+            for dropped, zeros in _valid_drops(n)]
+
+
 def test_cut_of_every_valid_drop_is_read_off_its_size():
     # k dropped edges and z emptied inner vertices cut k - z edges, for
     # every subset and not only the first of each isomorphism class
-    subsets = 0
-    for n in list(enumerate_tree_child(3, 2)) + list(enumerate_tree_child(4, 1)):
-        for dropped, zeros in _valid_drops(n):
-            _, emb = candidate_from_edges(n, _kept(n, dropped))
-            assert cut_size(n, extend(emb, n)) == len(dropped) - zeros, (
-                write_enewick(n), dropped)
-            subsets += 1
-    assert subsets == 25896
+    drops = _small_host_drops()
+    for n, dropped, zeros in drops:
+        _, emb = candidate_from_edges(n, _kept(n, dropped))
+        assert cut_size(n, extend(emb, n)) == len(dropped) - zeros, (
+            write_enewick(n), dropped)
+    assert len(drops) == 25896
+
+
+def test_cut_is_at_least_a_third_of_the_dropped_edges():
+    # the drop-count bound that stops the loop of _min_total_cut
+    drops = _small_host_drops()
+    for n, dropped, zeros in drops:
+        assert len(dropped) - zeros >= math.ceil(len(dropped) / 3), (
+            write_enewick(n), dropped)
+    assert len(drops) == 25896
 
 
 def test_stream_cuts_are_those_of_the_extensions():

@@ -11,10 +11,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from snprlab import check_bounds, write_witness_bundle  # noqa: E402
+from snprlab.agreement import _min_total_cut  # noqa: E402
 from snprlab.netcore import (Edge, Network, _mu_key, canonical_signature,  # noqa: E402
                              is_tree_child, isomorphic, random_tree_child)
 from snprlab.snpr import (REVERSE_KIND, NeighborCache, _edits, dtc,  # noqa: E402
                           enumerate_moves, moves_to_json, sequence_weight)
+
+from test_agreement import _extending_min_total_cut  # noqa: E402
 
 DRAWS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -124,3 +128,17 @@ def test_dtc_symmetric_and_blind_to_a_shared_cache(pair):
     # a key, so only the weight and a valid witness are fixed
     across, across_seq = dtc(n, m, DTC_CAP, cache=SHARED_CACHE)
     assert across == weight and _certifies(across_seq, n, m, weight)
+
+
+@settings(DRAWS, max_examples=20)
+@given(tree_child_pairs())
+def test_measure_loop_and_the_sandwich(pair):
+    # the loop that prices, bounds and reads each subset once gives the
+    # extending oracle's value and witness, and the measure brackets dtc
+    n, m = pair
+    for floor in (1, 5):
+        got = _min_total_cut(n, m, floor=floor)
+        want = _extending_min_total_cut(n, m, floor=floor)
+        assert got[0] == want[0]
+        assert write_witness_bundle(got[1]) == write_witness_bundle(want[1])
+    assert check_bounds(n, m, cap=DTC_CAP).holds
