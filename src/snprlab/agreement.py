@@ -1,8 +1,8 @@
 """Shared digraphs of network pairs, the cut-count measure, and its bounds."""
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceededError,
@@ -27,35 +27,40 @@ from .snpr import _edits, dtc
 class AgreementWitness:
     """A digraph displayed by both hosts, with one extension on each side.
 
-    The witness holds only the indices of the edges of n it drops and the
-    two cuts. The digraph, its embeddings in n and m and their grown
-    extensions are built together on first access and kept. Networks are
-    immutable, so they are the parts an eager build would have made.
+    The witness holds the bit mask of the edge indices of n it drops and
+    its cut in n; the cut in m is the cut in n plus r(m) - r(n) (see
+    _min_total_cut). The digraph, its embeddings in n and m and their grown
+    extensions are built together on first access and take the mask's
+    place. Networks are immutable, so they are the parts an eager build
+    would have made.
     """
 
-    __slots__ = ("_n", "_m", "_dropped", "cut_n", "cut_m", "_parts")
+    __slots__ = ("_n", "_m", "cut_n", "_state")
 
-    def __init__(self, n, m, dropped, cut_n, cut_m):
+    def __init__(self, n, m, mask, cut_n):
         self._n = n
         self._m = m
-        self._dropped = dropped
         self.cut_n = cut_n
-        self.cut_m = cut_m
-        self._parts = None
+        self._state = mask
 
     def _built(self):
-        if self._parts is None:
-            n, m = self._n, self._m
-            d, emb_n = candidate_from_edges(n, _kept(n, self._dropped))
+        if isinstance(self._state, int):
+            n, m, mask = self._n, self._m, self._state
+            d, emb_n = candidate_from_edges(
+                n, [e for i, e in enumerate(n.edges) if not mask >> i & 1])
             emb_m = find_embedding(d, m)
-            self._parts = (d, emb_n, emb_m, extend(emb_n, n), extend(emb_m, m))
-        return self._parts
+            self._state = (d, emb_n, emb_m, extend(emb_n, n), extend(emb_m, m))
+        return self._state
 
     digraph = property(lambda self: self._built()[0])
     embedding_n = property(lambda self: self._built()[1])
     embedding_m = property(lambda self: self._built()[2])
     extension_n = property(lambda self: self._built()[3])
     extension_m = property(lambda self: self._built()[4])
+
+    @property
+    def cut_m(self):
+        return self.cut_n + self._m.reticulation_count - self._n.reticulation_count
 
     @property
     def total(self):
@@ -66,8 +71,7 @@ class AgreementWitness:
             self.cut_n, self.cut_m, len(self._n.taxa))
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     half_m: Fraction
     d: int
     m: int
@@ -205,6 +209,80 @@ def _kept(n: Network, dropped):
     return [e for i, e in enumerate(n.edges) if i not in gone]
 
 
+def _children_first(h: Network):
+    """The vertices of h, each after all of its children."""
+    left = {v: h.out_degree(v) for v in h.vertices}
+    order = sorted(h.leaves)
+    for v in order:
+        for p in h.parents(v):
+            left[p] -= 1
+            if not left[p]:
+                order.append(p)
+    return order
+
+
+def _split_test(n: Network, m: Network):
+    """A display test for the kept edges of n that builds nothing.
+
+    Returns splits_fit(mask), where mask holds the bits of the dropped
+    edge indices of n. It is False when some vertex v of n keeps both of
+    its out-edges, the leaves reachable through them over kept edges are
+    Y1 and Y2, and no vertex of m has two children whose leaves, all
+    those below each child, cover Y1 and Y2 in either order.
+
+    Then m does not display the subset's digraph D. Proof: D suppresses
+    only the vertices of the kept subgraph with one in- and one out-edge,
+    so v is a vertex of D whose two out-edges reach exactly the leaves Y1
+    and Y2. An embedding sends v to a vertex w of m and these two edges to
+    host paths that share no edge, so they begin with the two out-edges of
+    w (m is binary). Every digraph path from the head of such an edge to a
+    leaf maps to a host path that continues the edge's path, so that leaf
+    lies below the child of w the path enters. Only candidates that m does
+    not display fail the test, and find_embedding still decides the rest.
+    """
+    bit = {lab: 1 << i for i, lab in enumerate(sorted(n.taxa))}
+    below = {}
+    pairs = []
+    for v in _children_first(m):
+        kids = m.children(v)
+        below[v] = bit.get(m.leaf_labels.get(v), 0)
+        for c in kids:
+            below[v] |= below[c]
+        if len(kids) == 2:
+            pairs.append((below[kids[0]], below[kids[1]]))
+
+    index = {e: i for i, e in enumerate(n.edges)}
+    order = _children_first(n)
+    at = {v: i for i, v in enumerate(order)}
+    plan = [(bit.get(n.leaf_labels.get(v), 0),
+             tuple((at[e.dst], 1 << index[e]) for e in n.out_edges(v)))
+            for v in order]
+    fits = {}
+
+    def fit(y1, y2):
+        ok = fits.get((y1, y2))
+        if ok is None:
+            ok = fits[y1, y2] = any(
+                (y1 | p == p and y2 | q == q) or (y1 | q == q and y2 | p == p)
+                for p, q in pairs)
+        return ok
+
+    def splits_fit(mask):
+        reach = []
+        for leaf, outs in plan:
+            y = leaf
+            for c, e in outs:
+                if not mask & e:
+                    y |= reach[c]
+            if (len(outs) == 2 and not mask & (outs[0][1] | outs[1][1])
+                    and not fit(reach[outs[0][0]], reach[outs[1][0]])):
+                return False
+            reach.append(y)
+        return True
+
+    return splits_fit
+
+
 def _distinct_candidates(n: Network):
     """Candidate digraphs of n, one per isomorphism class, smallest cut first
     within each exclusion level.
@@ -251,12 +329,11 @@ def enumerate_agreement_digraphs(n: Network, m: Network,
     Deterministic order; one witness per digraph isomorphism class.
     """
     _check_taxa(n, m)
-    shift = m.reticulation_count - n.reticulation_count
     for dropped, cut, d, _ in _distinct_candidates(n):
         if tree_child_only and not is_tree_child_digraph(d):
             continue
         if find_embedding(d, m) is not None:
-            yield AgreementWitness(n, m, dropped, cut, cut + shift)
+            yield AgreementWitness(n, m, sum(1 << i for i in dropped), cut)
 
 
 def _min_total_cut(n, m, floor=1, subset_budget=None):
@@ -275,6 +352,11 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
     increasing order, so once the best is at most 2 ceil(k / 3) + r(m) - r(n),
     no subset of k or more dropped edges beats it.
 
+    A subset that fails the split test of _split_test is not displayed by
+    m, so it is skipped unbuilt as well; the test skips nothing that could
+    become the best, and the stream order, the first optimum and its
+    witness stay those of a loop without it.
+
     Each remaining subset is read once, with no isomorphism dedupe: a later
     copy of a class read earlier is tree-child and displayed by m exactly
     when that copy was, and if it was, its total equals the best or lies
@@ -284,9 +366,11 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
     The search stops once the best total drops below floor; under the
     default floor of 1 that is a total of zero, which nothing improves.
     subset_budget caps how many candidate digraphs of n are built, one per
-    subset read, isomorphic repeats included; skipped subsets do not count.
+    subset read, isomorphic repeats included; subsets that the cut bound
+    or the split test skips do not count.
     """
     shift = m.reticulation_count - n.reticulation_count
+    splits_fit = _split_test(n, m)
     best = None
     best_w = None
     built = 0
@@ -298,6 +382,9 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
                 break
             if 2 * cut + shift >= best:
                 continue
+        mask = sum(1 << i for i in dropped)
+        if not splits_fit(mask):
+            continue
         built += 1
         if subset_budget is not None and built > subset_budget:
             raise BudgetExceededError(
@@ -306,7 +393,7 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
         if not is_tree_child_digraph(d) or find_embedding(d, m) is None:
             continue
         best = 2 * cut + shift
-        best_w = AgreementWitness(n, m, dropped, cut, cut + shift)
+        best_w = AgreementWitness(n, m, mask, cut)
         if best < floor:
             break
     return best, best_w
@@ -320,8 +407,9 @@ def mtc(n: Network, m: Network, subset_budget=None):
     its cut, built on first access. subset_budget caps how many candidate
     digraphs of n (tree-child or not) are built before giving up: one per
     edge subset read, so isomorphic repeats count as well. An edge subset
-    whose total cut, read off its size, cannot beat the best so far is
-    skipped before its digraph is built and is not counted.
+    is skipped before its digraph is built, and is not counted, when its
+    total cut, read off its size, cannot beat the best so far, or when
+    the leaves below one of its splits fit below no split of m.
     """
     _require_tree_child_pair(n, m)
     _check_taxa(n, m)

@@ -12,7 +12,7 @@ whole extension across one rearrangement move of the host.
 """
 
 import random
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (ContractViolationError, EmbeddingError,
                      InvalidDigraphError, InvalidNetworkError, MoveError)
@@ -329,8 +329,13 @@ def enumerate_embeddings(d: PhyloDigraph, n: Network):
 # extensions
 
 
-@dataclass(frozen=True)
-class ExtensionPolicy:
+class _PolicyFields(NamedTuple):
+    mode: str = "by_id"
+    seed: int = 0
+    allow_e2: bool = True
+
+
+class ExtensionPolicy(_PolicyFields):
     """How to pick among applicable growth steps.
 
     by_id takes the first candidate in (vertex, parent edge) order and is
@@ -338,13 +343,12 @@ class ExtensionPolicy:
     restricts growth to in-degree-zero vertices, giving a root extension.
     """
 
-    mode: str = "by_id"
-    seed: int = 0
-    allow_e2: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in ("by_id", "seeded"):
-            raise ValueError("unknown policy mode %r" % (self.mode,))
+    def __new__(cls, mode="by_id", seed=0, allow_e2=True):
+        if mode not in ("by_id", "seeded"):
+            raise ValueError("unknown policy mode %r" % (mode,))
+        return super().__new__(cls, mode, seed, allow_e2)
 
 
 class Extension:
@@ -440,7 +444,7 @@ def extend(m: Embedding, n: Network, policy=None) -> Extension:
 def root_extend(m: Embedding, n: Network, policy=None) -> Extension:
     """extend with the reticulation growth rule switched off."""
     policy = policy or ExtensionPolicy()
-    return extend(m, n, replace(policy, allow_e2=False))
+    return extend(m, n, policy._replace(allow_e2=False))
 
 
 def cut_size(n: Network, r: Extension) -> int:

@@ -33,7 +33,6 @@ its parent key and move, and its Network is frozen only when the key is
 first expanded. enumerate_moves freezes every successor it yields.
 """
 
-from dataclasses import dataclass
 import heapq
 import itertools
 import json
@@ -57,8 +56,13 @@ def _as_edge(value) -> Edge:
     return Edge(*value)
 
 
-@dataclass(frozen=True)
-class Move:
+class _MoveFields(NamedTuple):
+    kind: str
+    edge: Edge
+    target: Optional[Edge] = None
+
+
+class Move(_MoveFields):
     """One rearrangement step.
 
     kind    "minus", "plus", or "pm".
@@ -71,20 +75,20 @@ class Move:
             that receives the new tail; naming the head edge itself
             means its upper half, which creates a parallel pair.
     """
-    kind: str
-    edge: Edge
-    target: Optional[Edge] = None
 
-    def __post_init__(self):
-        if self.kind not in WEIGHTS:
-            raise MoveError("unknown move kind %r" % (self.kind,))
-        object.__setattr__(self, "edge", _as_edge(self.edge))
-        if self.target is not None:
-            object.__setattr__(self, "target", _as_edge(self.target))
-        if self.kind == "minus" and self.target is not None:
+    __slots__ = ()
+
+    def __new__(cls, kind, edge, target=None):
+        if kind not in WEIGHTS:
+            raise MoveError("unknown move kind %r" % (kind,))
+        edge = _as_edge(edge)
+        if target is not None:
+            target = _as_edge(target)
+        if kind == "minus" and target is not None:
             raise MoveError("minus moves take no target edge")
-        if self.kind in ("pm", "plus") and self.target is None:
-            raise MoveError("%s moves need a target edge" % self.kind)
+        if kind in ("pm", "plus") and target is None:
+            raise MoveError("%s moves need a target edge" % kind)
+        return super().__new__(cls, kind, edge, target)
 
 
 class ApplyResult(NamedTuple):

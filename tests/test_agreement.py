@@ -4,6 +4,7 @@ import functools
 import gc
 import itertools
 import math
+import pathlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -38,7 +39,8 @@ from snprlab import (
     write_witness_bundle,
 )
 from snprlab.agreement import (
-    _distinct_candidates, _kept, _min_total_cut, _valid_candidate, _valid_drops)
+    _distinct_candidates, _kept, _min_total_cut, _split_test, _valid_candidate,
+    _valid_drops)
 
 
 @pytest.fixture
@@ -128,12 +130,28 @@ def test_measure_budget(triples):
 
 
 def test_measure_budget_counts_built_candidates(triples):
-    # four candidates are built, none of them isomorphic to another; the
-    # subsets the cut bound skips before building them are not counted
+    # two candidates are built, none of them isomorphic to the other; the
+    # subsets that the cut bound or the split test skips before building
+    # them are not counted
     n, m = triples
-    assert mtc(n, m, subset_budget=4)[0] == 2
+    assert mtc(n, m, subset_budget=2)[0] == 2
     with pytest.raises(BudgetExceededError):
-        mtc(n, m, subset_budget=3)
+        mtc(n, m, subset_budget=1)
+
+
+EIGHT_LEAF_PAIRS = pathlib.Path(__file__).parent / "golden" / "mtc_eight_leaf_pairs.txt"
+
+
+def test_measure_of_eight_leaf_pairs_matches_golden():
+    # 8 leaves with 2 reticulations each; the golden was written by the loop
+    # before the split test, so skipping undisplayed subsets changes no byte
+    got = []
+    for s in (1, 3, 5, 7):
+        value, w = mtc(random_tree_child(8, 2, seed=s),
+                       random_tree_child(8, 2, seed=s + 1))
+        got.append("== random_tree_child(8, 2, seed=%d) against seed=%d\n%d\n%s"
+                   % (s, s + 1, value, write_witness_bundle(w)))
+    assert "".join(got) == EIGHT_LEAF_PAIRS.read_text(encoding="utf-8")
 
 
 def test_measure_is_twice_the_forest_count_on_larger_trees():
@@ -158,13 +176,13 @@ def _parts(w):
 def test_witness_is_built_once_on_first_access(anchor):
     n, m = anchor
     _, w = mtc(n, m)
-    assert w._parts is None
+    assert isinstance(w._state, int)
     _, eager = _extending_min_total_cut(n, m)
     assert write_witness_bundle(w) == write_witness_bundle(eager)
     first = _parts(w)
     assert all(a is b for a, b in zip(first, _parts(w)))
     for streamed in enumerate_agreement_digraphs(n, m):
-        assert streamed._parts is None
+        assert isinstance(streamed._state, int)
 
 
 def test_retained_witnesses_are_small(anchor):
@@ -413,6 +431,7 @@ def _extending_min_total_cut(n, m, floor=1):
     return best, best_w
 
 
+@functools.lru_cache(maxsize=1)  # two tests read the same pairs
 def _differential_pairs():
     nets = list(enumerate_tree_child(3, 1))
     trees = _level(4, 0)
@@ -441,6 +460,23 @@ def test_cut_bound_loop_equals_the_extending_loop():
             assert write_witness_bundle(w) == write_witness_bundle(want[1]), where
             assert cut_size(n, w.extension_n) == w.cut_n, where
             assert cut_size(m, w.extension_m) == w.cut_m, where
+
+
+def test_split_test_rejects_only_undisplayed_subsets():
+    # every subset the loop of _min_total_cut skips by the split test is one
+    # that m does not display; the (4, 2) pairs are halved to save time
+    pairs = _differential_pairs()
+    pairs = pairs[:1001] + pairs[1001::2]
+    read = rejected = 0
+    for n, m in pairs:
+        splits_fit = _split_test(n, m)
+        for dropped, _ in _valid_drops(n):
+            read += 1
+            if not splits_fit(sum(1 << i for i in dropped)):
+                rejected += 1
+                assert find_embedding(_valid_candidate(n, dropped), m) is None, (
+                    write_enewick(n), write_enewick(m), dropped)
+    assert (read, rejected) == (53984, 15807)
 
 
 # ------------------------------------------------------------------ bounds
