@@ -46,8 +46,7 @@ class AgreementWitness:
     def _built(self):
         if isinstance(self._state, int):
             n, m, mask = self._n, self._m, self._state
-            d, emb_n = candidate_from_edges(
-                n, [e for i, e in enumerate(n.edges) if not mask >> i & 1])
+            d, emb_n = candidate_from_edges(n, _kept(n, mask))
             emb_m = find_embedding(d, m)
             self._state = (d, emb_n, emb_m, extend(emb_n, n), extend(emb_m, m))
         return self._state
@@ -91,7 +90,7 @@ def candidate_from_edges(n: Network, edge_subset):
     the subset itself witnesses.
 
     On a binary host the result is not None exactly when the subset passes
-    the local rule stated in _distinct_candidates.
+    the local rule stated in _valid_drops.
     """
     subset = set(edge_subset)
     stray = subset - set(n.edges)
@@ -120,15 +119,15 @@ def _subset_quotient(n: Network, subset):
     return _quotient_with_paths(vertices, subset, n.root, n.leaf_labels)
 
 
-def _valid_candidate(n: Network, dropped):
+def _valid_candidate(n: Network, mask):
     """The digraph that candidate_from_edges reads off a subset passing the
     local rule, without its embedding in n.
 
-    The rule proves the subset accepted (see _distinct_candidates), so the
+    The rule proves the subset accepted (see _valid_drops), so the
     quotient's components are assembled unchecked, in the order
     validate_digraph gives them.
     """
-    raw, _, _ = _subset_quotient(n, _kept(n, dropped))
+    raw, _, _ = _subset_quotient(n, _kept(n, mask))
     return _rho_first([_component(*parts) for parts in raw], n.taxa)
 
 
@@ -153,16 +152,38 @@ def _local_checks(n: Network):
 
 
 def _valid_drops(n: Network):
-    """Dropped host edges whose kept rest passes the local rule.
+    """Dropped host edges whose kept rest passes the local rule, with the
+    cut of the digraph that rest forms.
 
-    Yields (dropped, emptied): the tuple of dropped edge indices, and how
-    many vertices other than the root and the leaves keep none of their
-    edges. Fewest dropped edges first, then lexicographic. One depth-first
-    walk per size decides the edges in order, dropping before keeping so
-    that the tuples come out in lexicographic order, and abandons a branch
-    once a fully decided vertex breaks the rule. The walk keeps its own
-    stack, one entry per open branch, so the stream is lazy and its depth
-    is not bounded by the interpreter's recursion limit.
+    Yields (mask, cut): the bit mask of the dropped edge indices, and the
+    number of host edges that every grown extension of the subset's digraph
+    in n leaves out. Fewest dropped edges first, then lexicographic in their
+    indices. One depth-first walk per size decides the edges in order,
+    dropping before keeping so that the subsets come out in that order, and
+    abandons a branch once a fully decided vertex breaks the rule. The walk
+    keeps its own stack, one entry per open branch, so the stream is lazy
+    and its depth is not bounded by the interpreter's recursion limit.
+
+    On a binary host, candidate_from_edges accepts a subset exactly when
+      - every tree vertex keeps 0, 2 or 3 of its edges, and
+      - every reticulation keeps its out-edge exactly when it keeps at
+        least one in-edge.
+    Proof: component_violations rejects exactly the kept degree (0,1) at a
+    vertex other than rho and (1,0) or (2,0) at an unlabelled vertex; of a
+    tree vertex's kept pairs those are the ones with one edge, of a
+    reticulation's those with in- and out-edges not kept together.
+    Contracting (1,1) chains changes no degree of a surviving vertex, a
+    subgraph of a DAG has no cycle, and the root, (0,0) or (0,1), and the
+    leaves, (0,0) or (1,0), always pass. So the skipped subsets are exactly
+    those candidate_from_edges would reject, and the stream is the one a
+    read of all 2^|E| subsets in the same order gives.
+
+    The cut is k - z for k dropped edges and z vertices other than the
+    root and the leaves that keep none of their edges. The kept subgraph
+    is a subdivision of the digraph and cut_size's proof gives the cut as
+    |E| - |V| of the host minus that of the digraph; a subdivision has the
+    digraph's |E| - |V|, and the kept subgraph has k edges and z vertices
+    fewer than the host.
     """
     checks = _local_checks(n)
     size = len(checks)
@@ -185,28 +206,28 @@ def _valid_drops(n: Network):
         return count
 
     for k in range(size + 1):
-        stack = [(0, (), 0, 0)]
+        stack = [(0, 0, 0, 0)]
         while stack:
-            i, dropped, mask, zeros = stack.pop()
+            i, drops, mask, zeros = stack.pop()
             if i == size:
-                yield dropped, zeros
+                yield mask, k - zeros
                 continue
             rules = checks[i]
             # keep is pushed first so that the drop branch is walked first
-            if k - len(dropped) < size - i:
+            if k - drops < size - i:
                 z = emptied(rules, mask) if rules else 0
                 if z >= 0:
-                    stack.append((i + 1, dropped, mask, zeros + z))
-            if len(dropped) < k:
+                    stack.append((i + 1, drops, mask, zeros + z))
+            if drops < k:
                 mask_i = mask | 1 << i
                 z = emptied(rules, mask_i) if rules else 0
                 if z >= 0:
-                    stack.append((i + 1, dropped + (i,), mask_i, zeros + z))
+                    stack.append((i + 1, drops + 1, mask_i, zeros + z))
 
 
-def _kept(n: Network, dropped):
-    gone = set(dropped)
-    return [e for i, e in enumerate(n.edges) if i not in gone]
+def _kept(n: Network, mask):
+    """The edges of n whose index bit is not set in mask."""
+    return [e for i, e in enumerate(n.edges) if not mask >> i & 1]
 
 
 def _children_first(h: Network):
@@ -283,57 +304,30 @@ def _split_test(n: Network, m: Network):
     return splits_fit
 
 
-def _distinct_candidates(n: Network):
-    """Candidate digraphs of n, one per isomorphism class, smallest cut first
-    within each exclusion level.
-
-    Yields (dropped, cut, digraph, embedding), where cut is the number of
-    host edges that every grown extension of the digraph in n leaves out.
-    Only the edge subsets that pass a local rule are read, in the order of
-    their dropped edge indices (fewest first, then lexicographic). On a
-    binary host, candidate_from_edges accepts a subset exactly when
-      - every tree vertex keeps 0, 2 or 3 of its edges, and
-      - every reticulation keeps its out-edge exactly when it keeps at
-        least one in-edge.
-    Proof: component_violations rejects exactly the kept degree (0,1) at a
-    vertex other than rho and (1,0) or (2,0) at an unlabelled vertex; of a
-    tree vertex's kept pairs those are the ones with one edge, of a
-    reticulation's those with in- and out-edges not kept together.
-    Contracting (1,1) chains changes no degree of a surviving vertex, a
-    subgraph of a DAG has no cycle, and the root, (0,0) or (0,1), and the
-    leaves, (0,0) or (1,0), always pass. So the skipped subsets are exactly
-    those candidate_from_edges would reject, and the stream is the one a
-    read of all 2^|E| subsets in the same order gives.
-
-    The cut is k - z for k dropped edges and z vertices other than the
-    root and the leaves that keep none of their edges. The kept subgraph
-    is a subdivision of the digraph and cut_size's proof gives the cut as
-    |E| - |V| of the host minus that of the digraph; a subdivision has the
-    digraph's |E| - |V|, and the kept subgraph has k edges and z vertices
-    fewer than the host.
-    """
-    seen = set()
-    for dropped, zeros in _valid_drops(n):
-        d, emb = candidate_from_edges(n, _kept(n, dropped))
-        sig = digraph_signature(d)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        yield dropped, len(dropped) - zeros, d, emb
-
-
 def enumerate_agreement_digraphs(n: Network, m: Network,
                                  tree_child_only: bool = True):
     """Every digraph displayed by both hosts, as a witness stream.
 
-    Deterministic order; one witness per digraph isomorphism class.
+    Deterministic order; one witness per digraph isomorphism class. Being
+    tree-child and being displayed by m are class properties, and the split
+    test skips only subsets m does not display, so each witness holds the
+    first subset of its class in the order of _valid_drops.
     """
     _check_taxa(n, m)
-    for dropped, cut, d, _ in _distinct_candidates(n):
+    splits_fit = _split_test(n, m)
+    seen = set()
+    for mask, cut in _valid_drops(n):
+        if not splits_fit(mask):
+            continue
+        d = _valid_candidate(n, mask)
         if tree_child_only and not is_tree_child_digraph(d):
             continue
-        if find_embedding(d, m) is not None:
-            yield AgreementWitness(n, m, sum(1 << i for i in dropped), cut)
+        if find_embedding(d, m) is None:
+            continue
+        sig = digraph_signature(d)
+        if sig not in seen:
+            seen.add(sig)
+            yield AgreementWitness(n, m, mask, cut)
 
 
 def _min_total_cut(n, m, floor=1, subset_budget=None):
@@ -374,22 +368,19 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
     best = None
     best_w = None
     built = 0
-    for dropped, zeros in _valid_drops(n):
-        k = len(dropped)
-        cut = k - zeros
+    for mask, cut in _valid_drops(n):
         if best is not None:
-            if 2 * -(-k // 3) + shift >= best:
+            if 2 * -(-mask.bit_count() // 3) + shift >= best:
                 break
             if 2 * cut + shift >= best:
                 continue
-        mask = sum(1 << i for i in dropped)
         if not splits_fit(mask):
             continue
         built += 1
         if subset_budget is not None and built > subset_budget:
             raise BudgetExceededError(
                 "stopped after %d candidate digraphs" % (built - 1))
-        d = _valid_candidate(n, dropped)
+        d = _valid_candidate(n, mask)
         if not is_tree_child_digraph(d) or find_embedding(d, m) is None:
             continue
         best = 2 * cut + shift
@@ -553,13 +544,14 @@ def gap_witness_search(n_leaves, r, budget, seed=0):
     of five or more already pins the distance: the halved measure pushes
     it above two, equal reticulation counts force it even, and the two
     moves bound it by four. The final report recomputes both numbers from
-    scratch anyway. budget counts candidate pairs; nothing comes back
-    once it runs out.
+    scratch anyway. budget counts candidate pairs, a drawn network giving
+    none counting as one; nothing comes back once it runs out.
     """
     rng = random.Random(seed)
     left = budget
     while left > 0:
         base = random_tree_child(n_leaves, r, seed=rng.randrange(2 ** 30))
+        drawn = left
         seen = {_mu_key(base)}
         for mv1, b1 in _leaf_tail_moves(base):
             pruned = base.leaf_labels[mv1.edge.dst]
@@ -580,4 +572,6 @@ def gap_witness_search(n_leaves, r, budget, seed=0):
                 report = check_bounds(base, s2)
                 if report.holds and report.d < report.m:
                     return base, s2, report
+        if left == drawn:
+            left -= 1
     return None

@@ -273,7 +273,8 @@ def _build_parser():
         one)
     add("gap-search", _cmd_gap_search, "hunt for a pair whose distance beats the lower bound",
         (), "--leaves", "--retics", "--seed", "--budget", retics=dict(default=1),
-        budget=dict(default=200, help="candidate pairs to examine (default 200); "
+        budget=dict(default=200, help="candidate pairs to examine (default 200), "
+                                      "a drawn network with none counting as one; "
                                       "prints nothing when they run out"))
     return top
 

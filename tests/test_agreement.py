@@ -39,8 +39,7 @@ from snprlab import (
     write_witness_bundle,
 )
 from snprlab.agreement import (
-    _distinct_candidates, _kept, _min_total_cut, _split_test, _valid_candidate,
-    _valid_drops)
+    _kept, _min_total_cut, _split_test, _valid_candidate, _valid_drops)
 
 
 @pytest.fixture
@@ -276,24 +275,40 @@ def _level(leaves, retics):
 
 
 def _all_drops(n):
-    """Every dropped-index tuple of n.edges, fewest first, then lexicographic."""
+    """The bit mask of every set of dropped edge indices of n, fewest
+    dropped first, then lexicographic in their indices."""
     for k in range(len(n.edges) + 1):
-        yield from itertools.combinations(range(len(n.edges)), k)
+        for dropped in itertools.combinations(range(len(n.edges)), k):
+            yield sum(1 << i for i in dropped)
+
+
+def _first_of_each_class(candidates):
+    """The first of the candidates, tuples ending in (digraph, embedding),
+    of each digraph isomorphism class."""
+    seen = set()
+    for c in candidates:
+        sig = digraph_signature(c[-2])
+        if sig not in seen:
+            seen.add(sig)
+            yield c
 
 
 def _candidates_of_every_subset(n):
-    """The 2^|E| read that _distinct_candidates replaces, kept as its oracle."""
-    seen = set()
-    for dropped in _all_drops(n):
-        got = candidate_from_edges(n, _kept(n, dropped))
-        if got is None:
-            continue
-        d, emb = got
-        sig = digraph_signature(d)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        yield d, emb
+    """(mask, digraph, embedding) of the 2^|E| checked read that
+    _valid_drops replaces, kept as its oracle."""
+    for mask in _all_drops(n):
+        got = candidate_from_edges(n, _kept(n, mask))
+        if got is not None:
+            yield (mask,) + got
+
+
+def _checked_candidates(n):
+    """The candidates of n that candidate_from_edges reads off the subsets
+    of _valid_drops, one per digraph isomorphism class, as
+    (mask, cut, digraph, embedding)."""
+    return _first_of_each_class(
+        (mask, cut) + candidate_from_edges(n, _kept(n, mask))
+        for mask, cut in _valid_drops(n))
 
 
 # two random_network(3, 2) hosts with a parallel pair, neither tree-child
@@ -311,9 +326,9 @@ def _rule_hosts():
 def test_local_rule_is_exactly_candidate_acceptance():
     # a weaker or a stricter rule shows up on the subsets of these hosts
     for n in _rule_hosts():
-        accepted = [dropped for dropped in _all_drops(n)
-                    if candidate_from_edges(n, _kept(n, dropped)) is not None]
-        assert [dropped for dropped, _ in _valid_drops(n)] == accepted, \
+        accepted = [mask for mask in _all_drops(n)
+                    if candidate_from_edges(n, _kept(n, mask)) is not None]
+        assert [mask for mask, _ in _valid_drops(n)] == accepted, \
             write_enewick(n)
 
 
@@ -325,10 +340,10 @@ def test_unchecked_reader_equals_candidate_from_edges():
     subsets = 0
     for n in hosts:
         m = partner[n.taxa]
-        for dropped, _ in _valid_drops(n):
-            got = _valid_candidate(n, dropped)
-            want, _ = candidate_from_edges(n, _kept(n, dropped))
-            where = (write_enewick(n), dropped)
+        for mask, _ in _valid_drops(n):
+            got = _valid_candidate(n, mask)
+            want, _ = candidate_from_edges(n, _kept(n, mask))
+            where = (write_enewick(n), bin(mask))
             assert digraph_signature(got) == digraph_signature(want), where
             assert ([(c.case, c) for c in got.components]
                     == [(c.case, c) for c in want.components]), where
@@ -340,46 +355,65 @@ def test_unchecked_reader_equals_candidate_from_edges():
     assert subsets == 2955
 
 
-def test_candidate_stream_equals_the_every_subset_read():
-    hosts = ([parse_enewick("(((((c)#H1,f),a),((#H1,b),e)),d);")]
-             + _level(3, 2)[::22]
-             + [random_network(3, 2, seed=s) for s in PARALLEL_HOSTS])
+def _stream_oracle(n, m, classes, tree_child_only):
+    """The witness bundles of the shared digraphs among classes, the first
+    candidate of each class of n, in order; cuts are read off extensions."""
+    for _, d, emb in classes:
+        if tree_child_only and not is_tree_child_digraph(d):
+            continue
+        emb_m = find_embedding(d, m)
+        if emb_m is not None:
+            rn, rm = extend(emb, n), extend(emb_m, m)
+            yield write_witness_bundle(SimpleNamespace(
+                digraph=d, embedding_n=emb, embedding_m=emb_m,
+                extension_n=rn, extension_m=rm,
+                cut_n=cut_size(n, rn), cut_m=cut_size(m, rm)))
+
+
+def test_agreement_stream_equals_the_every_subset_read():
+    # each host against the first and the last two hosts on its taxa, in
+    # both modes; the last two on three taxa are the parallel hosts
+    hosts = _rule_hosts()
+    on_taxa = {}
+    for m in hosts:
+        on_taxa.setdefault(m.taxa, []).append(m)
+    witnesses = 0
     for n in hosts:
-        got = list(_distinct_candidates(n))
-        want = list(_candidates_of_every_subset(n))
-        assert len(got) == len(want), write_enewick(n)
-        for (_, _, d, emb), (d0, emb0) in zip(got, want):
-            assert digraph_signature(d) == digraph_signature(d0)
-            assert emb.vertex_map == emb0.vertex_map
-            assert emb.edge_map == emb0.edge_map
+        classes = list(_first_of_each_class(_candidates_of_every_subset(n)))
+        group = on_taxa[n.taxa]
+        for m in [group[0]] + group[1:][-2:]:
+            for tco in (True, False):
+                got = [write_witness_bundle(w)
+                       for w in enumerate_agreement_digraphs(n, m, tco)]
+                assert got == list(_stream_oracle(n, m, classes, tco)), (
+                    write_enewick(n), write_enewick(m), tco)
+                witnesses += len(got)
+    assert witnesses > 0
 
 
 @functools.lru_cache(maxsize=1)
 def _small_host_drops():
-    """(host, dropped, zeros) of every valid subset of the (3, 2) and (4, 1)
+    """(host, mask, cut) of every valid subset of the (3, 2) and (4, 1)
     hosts."""
     hosts = list(enumerate_tree_child(3, 2)) + list(enumerate_tree_child(4, 1))
-    return [(n, dropped, zeros) for n in hosts
-            for dropped, zeros in _valid_drops(n)]
+    return [(n, mask, cut) for n in hosts for mask, cut in _valid_drops(n)]
 
 
 def test_cut_of_every_valid_drop_is_read_off_its_size():
     # k dropped edges and z emptied inner vertices cut k - z edges, for
     # every subset and not only the first of each isomorphism class
     drops = _small_host_drops()
-    for n, dropped, zeros in drops:
-        _, emb = candidate_from_edges(n, _kept(n, dropped))
-        assert cut_size(n, extend(emb, n)) == len(dropped) - zeros, (
-            write_enewick(n), dropped)
+    for n, mask, cut in drops:
+        _, emb = candidate_from_edges(n, _kept(n, mask))
+        assert cut_size(n, extend(emb, n)) == cut, (write_enewick(n), bin(mask))
     assert len(drops) == 25896
 
 
 def test_cut_is_at_least_a_third_of_the_dropped_edges():
     # the drop-count bound that stops the loop of _min_total_cut
     drops = _small_host_drops()
-    for n, dropped, zeros in drops:
-        assert len(dropped) - zeros >= math.ceil(len(dropped) / 3), (
-            write_enewick(n), dropped)
+    for n, mask, cut in drops:
+        assert cut >= math.ceil(mask.bit_count() / 3), (write_enewick(n), bin(mask))
     assert len(drops) == 25896
 
 
@@ -401,7 +435,7 @@ def test_stream_cuts_are_those_of_the_extensions():
 def _extended_candidates(n):
     """(digraph, embedding, extension, cut) in n of each tree-child candidate."""
     got = []
-    for _, _, d, emb in _distinct_candidates(n):
+    for _, _, d, emb in _checked_candidates(n):
         if is_tree_child_digraph(d):
             rn = extend(emb, n)
             got.append((d, emb, rn, cut_size(n, rn)))
@@ -470,12 +504,12 @@ def test_split_test_rejects_only_undisplayed_subsets():
     read = rejected = 0
     for n, m in pairs:
         splits_fit = _split_test(n, m)
-        for dropped, _ in _valid_drops(n):
+        for mask, _ in _valid_drops(n):
             read += 1
-            if not splits_fit(sum(1 << i for i in dropped)):
+            if not splits_fit(mask):
                 rejected += 1
-                assert find_embedding(_valid_candidate(n, dropped), m) is None, (
-                    write_enewick(n), write_enewick(m), dropped)
+                assert find_embedding(_valid_candidate(n, mask), m) is None, (
+                    write_enewick(n), write_enewick(m), bin(mask))
     assert (read, rejected) == (53984, 15807)
 
 
@@ -548,5 +582,8 @@ def test_tree_specialization_spot_checks():
 
 
 def test_gap_search_respects_its_budget():
-    assert gap_witness_search(6, 1, 0) is None
+    # networks on one or two leaves have no two-leaf-move neighbour, so each
+    # draw of them spends a unit of budget
+    for leaves, retics, budget in ((6, 1, 0), (1, 0, 5), (2, 0, 5), (2, 1, 5)):
+        assert gap_witness_search(leaves, retics, budget) is None
     assert gap_witness_search(4, 1, 3, seed=1) is None

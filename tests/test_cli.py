@@ -314,6 +314,14 @@ def test_gap_search_budget_zero(capsys):
     assert out == ""
 
 
+def test_gap_search_ends_without_candidate_pairs(capsys):
+    # a one-leaf tree has no two-leaf-move neighbour
+    code, out, _ = run(capsys, "gap-search", "--leaves", "1", "--retics", "0",
+                       "--budget", "3")
+    assert code == 0
+    assert out == ""
+
+
 def test_budget_default_belongs_to_gap_search_alone(capsys, monkeypatch):
     parser = _build_parser()
     assert parser.parse_args(["mtc", "a", "b"]).budget is None

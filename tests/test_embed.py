@@ -38,7 +38,8 @@ from snprlab import (
     validate_digraph,
     write_extension_pnd,
 )
-from snprlab.agreement import _distinct_candidates
+
+from test_agreement import _checked_candidates
 
 
 def cherry_digraph():
@@ -711,7 +712,7 @@ def test_cut_size_is_read_off_the_digraph():
     # extension, S counting in-degree-0 vertices and r reticulations
     extensions = 0
     for h in _cut_identity_hosts():
-        for i, (_, cut, d, emb) in enumerate(_distinct_candidates(h)):
+        for i, (_, cut, d, emb) in enumerate(_checked_candidates(h)):
             indegrees = [c.in_degree(v) for c in d.components for v in c.vertices]
             want = (indegrees.count(0) - 1 + h.reticulation_count
                     - indegrees.count(2))

@@ -19,7 +19,6 @@ import json
 import pathlib
 import sys
 
-from snprlab.agreement import _distinct_candidates
 from snprlab.digraphcore import (component_violations, digraph_signature,
                                  quotient, validate_component, validate_digraph)
 from snprlab.errors import InvalidDigraphError
@@ -28,6 +27,8 @@ from snprlab.netcore import (Edge, canonical_order, canonical_signature,
                              random_network, random_tree_child)
 from snprlab.phyloio import write_pnd
 from snprlab.snpr import enumerate_moves
+
+from test_agreement import _checked_candidates
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 VIOLATIONS = GOLDEN / "graph_violations.json"
@@ -193,7 +194,7 @@ def digest_outputs():
         "canonical_signature": _digest(canonical_signature(n) for n in nets),
         "canonical_order": _digest(repr(canonical_order(n)).encode() for n in nets),
         "digraph_signature": _digest(itertools.chain.from_iterable(
-            (digraph_signature(d) for _, _, d, _ in _distinct_candidates(h))
+            (digraph_signature(d) for _, _, d, _ in _checked_candidates(h))
             for h in hosts)),
         "generator_pnd": _digest(write_pnd(n).encode() for n in _generated()),
         "enumerate_moves/tree_child": _digest(_move_stream(move_hosts, True)),
