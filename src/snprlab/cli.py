@@ -101,26 +101,26 @@ def _cmd_iso(args):
     return _bool_token(isomorphic(n, m)) + "\n"
 
 
-class _Truncated(BudgetExceededError):
-    """A budget ran out after part of the output was made; that part is kept."""
-
-    def __init__(self, message, output):
-        super().__init__(message)
-        self.output = output
-
-
 def _cmd_neighbors(args):
+    """Reads the input now and returns the lines as a generator, so main
+    writes each as it is made and memory does not grow with their count."""
     n = _read_network(args.file, args.format)
-    out = []
-    for mv, succ in enumerate_moves(n, tree_child_only=args.tree_child_only):
-        if args.budget is not None and len(out) >= args.budget:
-            raise _Truncated("stopped after the budget of %d successors; more remain"
-                             % args.budget, "".join(line + "\n" for line in out))
-        target = _edge_token(mv.target) if mv.target is not None else "-"
-        out.append("%s\t%s\t%s\t%s" % (mv.kind, _edge_token(mv.edge), target,
-                                       write_enewick(succ)))
-    _log("%d neighbors" % len(out))
-    return "".join(line + "\n" for line in out)
+    moves = enumerate_moves(n, tree_child_only=args.tree_child_only)
+    budget = args.budget
+
+    def lines():
+        count = 0
+        for mv, succ in moves:
+            if budget is not None and count >= budget:
+                raise BudgetExceededError(
+                    "stopped after the budget of %d successors; more remain" % budget)
+            target = _edge_token(mv.target) if mv.target is not None else "-"
+            yield "%s\t%s\t%s\t%s\n" % (mv.kind, _edge_token(mv.edge), target,
+                                         write_enewick(succ))
+            count += 1
+        _log("%d neighbors" % count)
+
+    return lines()
 
 
 def _cmd_distance(args):
@@ -279,30 +279,40 @@ def _build_parser():
     return top
 
 
+def _write(output, fh):
+    """Write a handler's output, a string or an iterator of strings made
+    as they are written; returns the exit status. A budget that runs out
+    while the iterator writes keeps what was written."""
+    if isinstance(output, str):
+        fh.write(output)
+        return EXIT_OK
+    try:
+        for chunk in output:
+            fh.write(chunk)
+    except BudgetExceededError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_BUDGET
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    code = EXIT_OK
     try:
         output = args.handler(args)
-    except _Truncated as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        output, code = exc.output, EXIT_BUDGET
     except BudgetExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
     except SnprLabError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(output)
-        except OSError as exc:
-            print("error: %s: %s" % (args.out, exc.strerror or exc), file=sys.stderr)
-            return EXIT_INVALID
-    else:
-        sys.stdout.write(output)
-    return code
+    if not args.out:
+        return _write(output, sys.stdout)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            return _write(output, fh)
+    except OSError as exc:
+        print("error: %s: %s" % (args.out, exc.strerror or exc), file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -177,25 +177,30 @@ class Network(_LabelledGraph):
         return self.reticulation_count == 0
 
     def reachable_from(self, v):
-        """All vertices reachable from v, including v itself."""
+        """All vertices reachable from v, including v itself, kept on the
+        network."""
         cached = self._reach.get(v)
-        if cached is not None:
-            return cached
-        seen = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for e in self.out_edges(x):
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    stack.append(e.dst)
-        result = frozenset(seen)
-        self._reach[v] = result
-        return result
+        if cached is None:
+            cached = self._reach[v] = frozenset(_below(self, v))
+        return cached
 
     def __repr__(self):
         return "Network(%d vertices, %d edges, %d reticulations)" % (
             len(self.vertices), len(self.edges), self.reticulation_count)
+
+
+def _below(n: Network, v) -> set:
+    """All vertices reachable from v, including v itself, walked afresh:
+    the move generators ask once per edge and keep nothing on n."""
+    out = n._adjacency()[0]
+    seen = {v}
+    stack = [v]
+    while stack:
+        for e in out[stack.pop()]:
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return seen
 
 
 def _label_problems(vertices, leaf_labels):
@@ -424,7 +429,7 @@ def _mu_key(g) -> bytes:
         return g._mu
     src, dst, out, inn = g.src, g.dst, g.out, g.inn
     width = 1 + g.retics
-    labels = sorted(g.labels.values())
+    labels = tuple(sorted(g.labels.values()))
     shift = {lab: i * width for i, lab in enumerate(labels)}
     mu = {v: 1 << shift[lab] for v, lab in g.labels.items()}
     left = {v: len(es) for v, es in out.items()}
@@ -436,7 +441,14 @@ def _mu_key(g) -> bytes:
             if not left[u]:
                 mu[u] = sum(mu[dst[f]] for f in out[u])
                 ready.append(u)
-    return b"mu%d%r|%r" % (width, tuple(labels), sorted(mu.values()))
+    return _mu_bytes(width, labels, list(mu.values()))
+
+
+def _mu_bytes(width, labels, packed) -> bytes:
+    """The mu key of the list of every vertex's packed vector, which it
+    sorts in place."""
+    packed.sort()
+    return b"mu%d%r|%r" % (width, labels, packed)
 
 
 def canonical_order(n: Network) -> tuple:
@@ -488,10 +500,9 @@ class _Builder:
     every edge of the result, how it arose from the input: kept, merged
     from a suppressed chain, half of a subdivision, or brand new. That lets
     callers carry edge-keyed bookkeeping through an edit without
-    re-deriving it. It also records the vertices whose edges the edit
-    changed, which is all keeps_tree_child reads, and keeps the
-    reticulation count as edges come and go: the input's count plus the
-    move's change, -1 for minus, +1 for plus and 0 for pm.
+    re-deriving it. It keeps the reticulation count as edges come and go:
+    the input's count plus the move's change, -1 for minus, +1 for plus
+    and 0 for pm.
     """
 
     def __init__(self, net: Network):
@@ -503,7 +514,6 @@ class _Builder:
         self._next_v = next_v
         self._next_e = len(net.edges)
         self.retics = net.reticulation_count
-        self.touched = set()
 
     def _set_in(self, v, eids):
         """Replace v's in-edges, keeping the reticulation count."""
@@ -518,7 +528,6 @@ class _Builder:
         self.origin[eid] = origin
         self.out[u] = self.out[u] | {eid}
         self._set_in(v, self.inn[v] | {eid})
-        self.touched.update((u, v))
         return eid
 
     def new_vertex(self):
@@ -532,7 +541,6 @@ class _Builder:
         u, v = self.src.pop(eid), self.dst.pop(eid)
         self.out[u] = self.out[u] - {eid}
         self._set_in(v, self.inn[v] - {eid})
-        self.touched.update((u, v))
         return self.origin.pop(eid)
 
     def subdivide(self, eid):
@@ -560,30 +568,13 @@ class _Builder:
         del self.out[v], self.inn[v]
         return merged
 
-    def keeps_tree_child(self, whole=False):
-        """Whether the result is tree-child, given that the input is, or
-        whatever the input with whole.
-
-        A vertex can lose its last child of in-degree at most one only when
-        its own out-edges change or the in-edges of one of its children do,
-        so unless whole only the live touched vertices and their parents
-        are read.
-        """
-        out, inn, src, dst = self.out, self.inn, self.src, self.dst
-        if whole:
-            check = out
-        else:
-            check = set()
-            for v in self.touched:
-                if v in inn:
-                    check.add(v)
-                    for eid in inn[v]:
-                        check.add(src[eid])
-        for x in check:
-            es = out[x]
-            if es and all(len(inn[dst[eid]]) > 1 for eid in es):
-                return False
-        return True
+    def is_tree_child(self):
+        """Whether the result is tree-child, read whole off the builder's
+        tables; the moves of a tree-child network are decided before any
+        edit by _Keyer.keeps_tree_child."""
+        inn, dst = self.inn, self.dst
+        return all(any(len(inn[dst[eid]]) < 2 for eid in es)
+                   for es in self.out.values() if es)
 
     def to_network(self):
         """Compact ids and freeze.
@@ -614,8 +605,9 @@ def _edit(n: Network, kind, e: Edge, target: Edge = None) -> _Builder:
     """The move of the given kind on n, as a _Builder holding the result.
 
     snpr.Move says what kind, edge and target name. Raises MoveError when
-    the move is not legal on n. Callers decide and key the result in the
-    builder and freeze it with to_network only when they keep it.
+    the move is not legal on n. Callers freeze the result with to_network
+    only when they keep it; on tree-child n, _Keyer decides and keys a
+    move before any edit.
     """
     ids = n._edge_tables()[3]  # edge -> id, one entry per edge of n
     if e not in ids:
@@ -668,8 +660,170 @@ def _plus_tails(n: Network, head: Edge) -> list:
     A tail edge must not hang below the head, or the new edge would close a
     directed cycle. The head edge itself qualifies and names its upper half.
     """
-    below = n.reachable_from(head.dst)
+    below = _below(n, head.dst)
     return [t for t in n.edges if t.src not in below]
+
+
+# ---------------------------------------------------------------------------
+# successors decided and keyed before any edit
+
+
+_RETIC_CHANGE = {"minus": -1, "pm": 0, "plus": 1}
+
+
+class _Keyer:
+    """Decides and keys the results of the legal moves on one tree-child
+    network n from tables read once off n, before any edit. A caller makes
+    one per expansion and drops it after; nothing of it is stored on n.
+
+    keeps_tree_child(kind, e, target) says whether the result is
+    tree-child: every vertex with out-edges has a child of in-degree at
+    most one. No move changes the in-degree of a vertex of n that it
+    keeps, since each edge it deletes or subdivides into a kept vertex is
+    replaced by exactly one edge into it. So only the new vertices and the
+    vertices whose children change can fail:
+
+    - minus on (u, v), u with parent p and other child c, v with other
+      parent q and child w: p trades u for c, and q trades v for w. In n,
+      c has in-degree one, since u needs such a child and v is a
+      reticulation, and q has a child of in-degree one besides v. So a
+      minus move always keeps tree-child.
+    - pm on e = (u, v) into (a, b), u with parent p and other child c:
+      the new vertex m has children b and v, a trades b for m, which has
+      in-degree one, and p trades u for c. The target named by u's other
+      out-edge (u, c) is the merged edge p -> c, so then a is p. The
+      result is tree-child iff v or b is not a reticulation, and a is p
+      or p has a child of in-degree one once u is replaced by c.
+    - plus with head (x, y) and tail (a, b): the new head h is a
+      reticulation with the one child y, the new tail t has children b
+      and h, a trades b for t, which has in-degree one, and x trades y for
+      h. A tail equal to the head names its upper half and gives t two
+      edges into h. The result is tree-child iff the tail is not the head,
+      neither y nor b is a reticulation, and x is a or has a child of
+      in-degree one besides y.
+
+    key(kind, e, target) gives the result's mu key and reticulation count
+    r'. Its tables, built on the first call, are P(z, x), the number of
+    paths from z to x for every vertex x and each of its ancestors z (x
+    itself counting one), and, per field width w, mu_w(z): z's vector of
+    path counts to the leaves packed at w bits per field as in _mu_key.
+    Packing is linear, mu_w(z) being the sum over leaves l of
+    P(z, l) << (i_l * w), so each integer identity between count vectors
+    holds between their packings. The result is keyed at width r' + 1.
+
+    A move changes the paths from z to the leaves only through the edge it
+    deletes and the edge it adds. The paths through a deleted edge (u, v)
+    are a path from z to u, the edge, and a path from v down: P(z, u) mu(v)
+    of them. The paths through the added edge run from z to its new tail,
+    which subdivides (a, b), and on down from v (for plus, v is the head
+    edge's y, below the new head). The paths from z to a are the same in n
+    and in the result: a is not below v, so none of them uses (u, v), and
+    those through a suppressed vertex keep their number through the merged
+    edge. Nothing below v changes, so mu'(v) = mu(v). Hence, for every
+    kept vertex z:
+
+    - minus on (u, v): mu'(z) = mu(z) - P(z, u) mu(v); u and v go.
+    - pm on (u, v) into (a, b): mu'(z) = mu(z) - P(z, u) mu(v) + P(z, a) mu(v).
+      u goes and the new vertex gets mu'(b) + mu(v); b may be an ancestor
+      of u, so it takes mu'(b), not mu(b). The merged target, named (u, c),
+      subdivides p -> c for u's parent p, but P(z, u) = P(z, p) for every
+      kept z, so a = u gives the same sums.
+    - plus with head (x, y) and tail (a, b): mu'(z) = mu(z) + P(z, a) mu(y).
+      The new head gets mu(y) and the new tail mu(b) + mu(y): b lies below
+      a, so mu'(b) = mu(b). A tail equal to the head gives b = y, and
+      2 mu(y) counts the tail's two edges into the head.
+
+    No field carries: every field of mu'(z) is a path count of the result,
+    at most 2^r', so it fits its r' + 1 bits, and by linearity the integer
+    formula is exactly the packing of that vector, whatever the parent's
+    counts take at this width. At a minus result's width r a parent count
+    of 2^r overflows its field, and the subtraction brings every field back
+    within it; for pm the subtraction comes before the addition, so every
+    intermediate value is the packing of true path counts.
+    """
+
+    def __init__(self, n: Network):
+        self._net = n
+        self._out, self._inn = n._adjacency()
+        self._retic = {v for v, es in self._inn.items() if len(es) == 2}
+        self._paths = None
+
+    def keeps_tree_child(self, kind, e: Edge, target: Edge = None) -> bool:
+        """Whether the result of the legal move is tree-child."""
+        if kind == "minus":
+            return True
+        retic, out = self._retic, self._out
+        u, v = e.src, e.dst
+        a, b = target.src, target.dst
+        if kind == "plus":
+            if target == e or v in retic or b in retic:
+                return False
+            return a == u or any(f.dst not in retic for f in out[u] if f != e)
+        if v in retic and b in retic:
+            return False
+        p = self._inn[u][0].src
+        if a in (u, p):  # a == u names the merged edge p -> c
+            return True
+        c = next(f.dst for f in out[u] if f != e)
+        return any((c if f.dst == u else f.dst) not in retic for f in out[p])
+
+    def _tables(self):
+        n, out = self._net, self._out
+        counts = {n.root: {n.root: 1}}
+        left = {v: len(es) for v, es in self._inn.items()}
+        order = [n.root]
+        for x in order:  # parents first, so x's own counts are complete
+            cx = counts[x]
+            for e in out[x]:
+                y = e.dst
+                cy = counts.setdefault(y, {y: 1})
+                for z, k in cx.items():
+                    cy[z] = cy.get(z, 0) + k
+                left[y] -= 1
+                if not left[y]:
+                    order.append(y)
+        self._index = index = {v: i for i, v in enumerate(order)}
+        self._paths = {x: [(index[z], k) for z, k in c.items()] for x, c in counts.items()}
+        self._retics = len(self._retic)
+        self._labels = tuple(sorted(n.taxa))
+        self._packed = {}
+
+    def _mu(self, width):
+        """mu_width by vertex index, in the topological order of _tables."""
+        mu = self._packed.get(width)
+        if mu is None:
+            mu = [0] * len(self._index)
+            leaf = {lab: v for v, lab in self._net.leaf_labels.items()}
+            for i, lab in enumerate(self._labels):
+                for j, k in self._paths[leaf[lab]]:
+                    mu[j] += k << (i * width)
+            self._packed[width] = mu
+        return mu
+
+    def key(self, kind, e: Edge, target: Edge = None):
+        """(mu key, reticulation count) of the result of the legal move."""
+        if self._paths is None:
+            self._tables()
+        retics = self._retics + _RETIC_CHANGE[kind]
+        mu = self._mu(retics + 1)
+        paths, index = self._paths, self._index
+        u, v = e.src, e.dst
+        moved = mu[index[v]]
+        new = mu.copy()
+        if kind != "plus":
+            for i, k in paths[u]:
+                new[i] -= k * moved
+        if kind == "minus":
+            del new[index[v]], new[index[u]]  # v comes after its parent u
+        else:
+            for i, k in paths[target.src]:
+                new[i] += k * moved
+            tail = new[index[target.dst]] + moved
+            if kind == "pm":
+                new[index[u]] = tail  # the new vertex takes u's place
+            else:
+                new += (moved, tail)
+        return _mu_bytes(retics + 1, self._labels, new), retics
 
 
 def delete_reticulation_edge(n: Network, edge: Edge) -> Network:
@@ -716,7 +870,7 @@ def random_network(n_leaves, n_reticulations, seed=0, require_tree_child=False):
     """Random network by leaf attachment plus reticulation insertion.
 
     With require_tree_child every intermediate insertion is filtered to keep
-    the tree-child property, decided before the candidate is frozen; raises
+    the tree-child property, decided before the candidate is edited; raises
     when the requested count is unreachable.
     """
     if n_leaves < 1:
@@ -732,10 +886,10 @@ def random_network(n_leaves, n_reticulations, seed=0, require_tree_child=False):
     for _ in range(n_reticulations):
         pairs = _reticulation_insertions(net)
         rng.shuffle(pairs)
+        keeps = _Keyer(net).keeps_tree_child
         for e1, e2 in pairs:
-            b = _edit(net, "plus", e1, e2)
-            if not require_tree_child or b.keeps_tree_child():
-                net = b.to_network()[0]
+            if not require_tree_child or keeps("plus", e1, e2):
+                net = _edit(net, "plus", e1, e2).to_network()[0]
                 break
         else:
             raise BudgetExceededError(
@@ -776,10 +930,10 @@ def enumerate_tree_child(n_leaves, max_reticulations=0, leaf_limit=5):
     for _ in range(max_reticulations):
         nxt = {}
         for _, net in sorted(level.items()):
+            keeps = _Keyer(net).keeps_tree_child
             for e1, e2 in _reticulation_insertions(net):
-                b = _edit(net, "plus", e1, e2)
-                if b.keeps_tree_child():
-                    succ = b.to_network()[0]
+                if keeps("plus", e1, e2):
+                    succ = _edit(net, "plus", e1, e2).to_network()[0]
                     nxt.setdefault(canonical_signature(succ), succ)
         level = nxt
         for _, net in sorted(level.items()):

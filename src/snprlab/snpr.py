@@ -26,11 +26,12 @@ and the replay; normalize_sequence and agreement's gap search follow it,
 and enforce_global_assumption, whose input need not be tree-child,
 replays on canonical signatures.
 
-Every move is drawn from one generator and edited in a netcore._Builder.
-In tree-child space the search decides, keys and counts each successor
-in its builder and freezes nothing: a key it has not seen is stored as
-its parent key and move, and its Network is frozen only when the key is
-first expanded. enumerate_moves freezes every successor it yields.
+Every move is drawn from one generator. In tree-child space the search
+decides and keys each successor of a tree-child network from tables read
+once off the parent (netcore._Keyer) and edits nothing: a key it has not
+seen is stored as its parent key and move, and its Network is edited and
+frozen in a netcore._Builder only when the key is first expanded.
+enumerate_moves freezes every successor it yields.
 """
 
 import heapq
@@ -40,7 +41,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      InvalidNetworkError, MoveError, ParseError)
-from .netcore import (Edge, Network, _edit, _mu_key, _plus_tails,
+from .netcore import (Edge, Network, _below, _edit, _Keyer, _mu_key, _plus_tails,
                       _require_tree_child_pair, canonical_signature, is_tree_child)
 from .phyloio import parse_pnd, write_pnd
 
@@ -117,15 +118,17 @@ def _moves(n: Network, kind=None):
 
     Order is deterministic: all minus moves, then pm, then plus, each
     block sorted by edge tuples. The blocks of other kinds are skipped
-    whole.
+    whole. Each move is legal by construction, so Move's checks are
+    skipped.
     """
     edges = sorted(n.edges)
+    make = Move._make
 
     if kind in (None, "minus"):
         retics = set(n.reticulations())
         for e in edges:
             if e.dst in retics and n.in_degree(e.src) == 1 and n.out_degree(e.src) == 2:
-                yield Move("minus", e)
+                yield make(("minus", e, None))
 
     if kind in (None, "pm"):
         for e in edges:
@@ -134,7 +137,7 @@ def _moves(n: Network, kind=None):
                 continue
             parent_edge = n.in_edges(u)[0]
             other_child = next(f for f in n.out_edges(u) if f != e)
-            blocked = n.reachable_from(v)
+            blocked = _below(n, v)
             for t in edges:
                 if t == e or t == parent_edge:
                     continue
@@ -142,12 +145,12 @@ def _moves(n: Network, kind=None):
                 src_eff = parent_edge.src if t == other_child else t.src
                 if src_eff in blocked:
                     continue
-                yield Move("pm", e, t)
+                yield make(("pm", e, t))
 
     if kind in (None, "plus"):
         for e1 in edges:
             for e2 in _plus_tails(n, e1):
-                yield Move("plus", e1, e2)
+                yield make(("plus", e1, e2))
 
 
 def _edits(n: Network, tree_child_only: bool = True, kind=None):
@@ -155,15 +158,35 @@ def _edits(n: Network, tree_child_only: bool = True, kind=None):
     given kind, in the order of _moves.
 
     With tree_child_only, results failing the tree-child condition are
-    dropped; on a tree-child n that reads only the vertices the edit
-    touched and their parents. Nothing is frozen: callers freeze the
-    results they keep with to_network.
+    dropped: on a tree-child n each move is decided by _Keyer before it is
+    edited, and on any other n the builder is checked whole. Nothing is
+    frozen: callers freeze the results they keep with to_network.
     """
-    whole = tree_child_only and not is_tree_child(n)
+    keeps = _Keyer(n).keeps_tree_child if tree_child_only and is_tree_child(n) else None
     for move in _moves(n, kind):
-        b = _edit(n, move.kind, move.edge, move.target)
-        if not tree_child_only or b.keeps_tree_child(whole):
+        if keeps and not keeps(*move):
+            continue
+        b = _edit(n, *move)
+        if keeps or not tree_child_only or b.is_tree_child():
             yield move, b
+
+
+def _keyed(n: Network, kind=None):
+    """(Move, mu key, reticulation count) for every tree-child successor
+    of n, or of the given kind, in the order of _moves.
+
+    On a tree-child n each move is decided and keyed from tables read once
+    off n, and nothing is edited; on any other n each result is edited
+    and keyed in its builder.
+    """
+    if not is_tree_child(n):
+        for move, b in _edits(n, True, kind):
+            yield move, _mu_key(b), b.retics
+        return
+    keyer = _Keyer(n)
+    for move in _moves(n, kind):
+        if keyer.keeps_tree_child(*move):
+            yield (move, *keyer.key(*move))
 
 
 def enumerate_moves(n: Network, tree_child_only: bool = True):
@@ -181,6 +204,8 @@ def enumerate_moves(n: Network, tree_child_only: bool = True):
 
 class MoveSequence:
     """A start network and the moves applied to it, in order."""
+
+    __slots__ = ("start", "moves", "_networks")
 
     def __init__(self, start: Network, moves=()):
         self.start = start
@@ -275,14 +300,16 @@ def _find_move_to(n: Network, kind: str, target_sig: bytes,
     """First enumerated move of the given kind whose successor has the
     wanted signature under _key(tree_child_only). Enumeration order makes
     the pick deterministic. Moves of other kinds are skipped before any
-    edit, and a mu key is read off the builder, so in tree-child space
-    only the match is frozen."""
-    for move, b in _edits(n, tree_child_only, kind):
-        if tree_child_only:
-            if _mu_key(b) == target_sig:
-                return move, b.to_network()[0]
-        elif canonical_signature(succ := b.to_network()[0]) == target_sig:
-            return move, succ
+    edit, and in tree-child space each move is keyed by _keyed, so only
+    the match is edited and frozen."""
+    if tree_child_only:
+        for move, key, _ in _keyed(n, kind):
+            if key == target_sig:
+                return move, _edit(n, *move).to_network()[0]
+    else:
+        for move, b in _edits(n, False, kind):
+            if canonical_signature(succ := b.to_network()[0]) == target_sig:
+                return move, succ
     raise ContractViolationError(
         "no %s move reaches the required network; the rewrite guaranteed "
         "by the underlying theory was not found" % kind)
@@ -381,15 +408,16 @@ class NeighborCache:
     Holds one representative per signature, the first successor found
     with it, and, per (signature, filter mode), the successor signatures
     with move kind, weight, and reticulation count. Tree-child successors
-    are keyed by mu key, read off the edit's builder together with the
-    reticulation count; a new key is stored as (parent key, Move), and
-    representative() freezes its Network from the parent's on first use,
-    which the search makes only when it expands the key. Most keys a
-    search meets are never expanded, so most are never frozen. The other
-    successors are frozen and keyed by canonical signature. The two kinds
-    of key never collide, so one cache serves both modes. Entries ignore
-    any reticulation cap so a cache can be shared between searches with
-    different caps.
+    are decided and keyed by mu key, with their reticulation count, by
+    _keyed: for a tree-child representative from tables that live only
+    for the expansion, with no edit. A new key is stored as (parent key,
+    Move), and representative() edits and freezes its Network from the
+    parent's on first use, which the search makes only when it expands
+    the key. Most keys a search meets are never expanded, so most are
+    never edited. The other successors are frozen and keyed by canonical
+    signature. The two kinds of key never collide, so one cache serves
+    both modes. Entries ignore any reticulation cap so a cache can be
+    shared between searches with different caps.
     """
 
     def __init__(self):
@@ -405,7 +433,7 @@ class NeighborCache:
         if isinstance(got, tuple):
             # the parent was expanded, so its representative is frozen
             parent, move = got
-            got = _edit(self.rep[parent], move.kind, move.edge, move.target).to_network()[0]
+            got = _edit(self.rep[parent], *move).to_network()[0]
             got._mu = sig
             self.rep[sig] = got
         return got
@@ -414,16 +442,18 @@ class NeighborCache:
         key = (sig, tree_child_only)
         if key not in self._succ:
             seen = []
-            for move, b in _edits(self.representative(sig), tree_child_only):
-                if tree_child_only:
-                    ssig = _mu_key(b)
+            n = self.representative(sig)
+            if tree_child_only:
+                for move, ssig, retics in _keyed(n):
                     if ssig not in self.rep:
                         self.rep[ssig] = (sig, move)
-                else:
+                    seen.append((ssig, move.kind, WEIGHTS[move.kind], retics))
+            else:
+                for move, b in _edits(n, False):
                     succ = b.to_network()[0]
                     ssig = canonical_signature(succ)
                     self.rep.setdefault(ssig, succ)
-                seen.append((ssig, move.kind, WEIGHTS[move.kind], b.retics))
+                    seen.append((ssig, move.kind, WEIGHTS[move.kind], b.retics))
             self._succ[key] = tuple(seen)
         return self._succ[key]
 

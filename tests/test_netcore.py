@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -10,7 +11,8 @@ from snprlab.errors import (
 )
 from snprlab.netcore import (
     Edge,
-    _Builder,
+    _edit,
+    _Keyer,
     _mu_key,
     canonical_signature,
     delete_reticulation_edge,
@@ -26,7 +28,7 @@ from snprlab.netcore import (
     validate,
 )
 from snprlab.phyloio import parse_enewick, write_enewick
-from snprlab.snpr import enumerate_moves
+from snprlab.snpr import _moves, enumerate_moves
 
 
 def count_identity_holds(n):
@@ -179,27 +181,25 @@ def test_tree_child_filter_matches_build_then_check():
     assert moves == 302085
 
 
-def test_keeps_tree_child_reads_any_builder_edit():
-    # the moves raise an in-degree only at a vertex they create and take an
-    # out-edge away only from a vertex they suppress; one added or deleted
-    # edge also reaches the other cases: a parent whose child gains another
-    # parent, and a vertex that loses its only tree child
-    verdicts = set()
-    for n in enumerate_tree_child(3, 1):
-        builders = []
-        for x, y in itertools.product(sorted(n.vertices), repeat=2):
-            b = _Builder(n)
-            b.add_edge(x, y)
-            builders.append(b)
-        for eid in n._edge_tables()[3].values():  # the host's edge ids
-            b = _Builder(n)
-            b.delete_edge(eid)
-            builders.append(b)
-        for b in builders:
-            verdict = is_tree_child(b.to_network()[0])
-            assert b.keeps_tree_child() == verdict
-            verdicts.add(verdict)
-    assert verdicts == {True, False}
+def test_keyer_decides_and_keys_every_move_as_its_edit():
+    # every move of every tree-child host of at most four leaves and two
+    # reticulations, rejected ones included: the verdict and the mu key
+    # read off the parent's tables must be those of the edited result,
+    # read whole off its builder (the kept ones are compared with their
+    # frozen networks in tests/test_snpr.py, and the verdicts in
+    # test_tree_child_filter_matches_build_then_check)
+    hosts = [n for leaves in (1, 2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
+    assert len(hosts) == 1585
+    verdicts = collections.Counter()
+    for n in hosts:
+        keyer = _Keyer(n)
+        for mv in _moves(n):
+            b = _edit(n, *mv)
+            verdict = b.is_tree_child()
+            assert keyer.keeps_tree_child(*mv) == verdict, (write_enewick(n), mv)
+            assert keyer.key(*mv) == (_mu_key(b), b.retics), (write_enewick(n), mv)
+            verdicts[verdict] += 1
+    assert verdicts == {True: 107424, False: 194113}
 
 
 def test_mu_key_splits_like_canonical_signature():
