@@ -1,7 +1,7 @@
 """Moves, sequences and the exact distance.
 
-The pm edit outcomes and the sequence rewrites on seeded walks are pinned
-to tests/golden/move_outcomes.json. Regenerate it with
+The edit outcomes of every move kind and the sequence rewrites on seeded
+walks are pinned to tests/golden/move_outcomes.json. Regenerate it with
 ``PYTHONPATH=src python tests/test_snpr.py`` only when a change of these
 outputs is intended. The dtc weight and witness of every distance pair in
 bench/expected.json are pinned to tests/golden/dtc_distance_pool.json.
@@ -582,21 +582,33 @@ def _pm_hosts():
             + [random_network(3, 2, seed=s) for s in (0, 1)])
 
 
-def _pm_outcomes(n):
-    """apply_move_detailed of every pm (edge, target) pair on n, one line
-    each: the successor's pnd, vertex_map and origin_of, or the MoveError
-    text. The targets are every edge of n, which includes the tail's parent
+def _move_outcomes(n, kind):
+    """apply_move_detailed of every move of the kind on n, one line each:
+    the successor's pnd, vertex_map and origin_of, or the MoveError text.
+
+    The pm targets are every edge of n, which includes the tail's parent
     edge and other child, the deleted edge and edges below its head, plus
-    the reversed edge, a non-edge that ends at the tail."""
-    for e in n.edges:
-        for t in n.edges + (Edge(e.dst, e.src),):
+    the reversed edge, a non-edge that ends at the tail. Minus and plus
+    moves name every edge of n plus a non-edge, the reversed first edge,
+    and plus targets are every edge of n plus the reversed head edge. A
+    plus target equal to its head edge makes a parallel pair, so the lines
+    pin which of the two edges takes slot 0."""
+    edges = n.edges
+    if kind != "pm":
+        edges += (Edge(n.edges[0].dst, n.edges[0].src),)
+    for e in edges:
+        targets = (None,) if kind == "minus" else n.edges + (Edge(e.dst, e.src),)
+        for t in targets:
             try:
-                r = apply_move_detailed(n, Move("pm", e, t))
+                r = apply_move_detailed(n, Move(kind, e, t))
                 out = "%s %r %r" % (write_pnd(r.network), sorted(r.vertex_map.items()),
                                     sorted(r.origin_of.items()))
             except MoveError as exc:
                 out = "MoveError: %s" % exc
-            yield "%r %r %s" % (tuple(e), tuple(t), out)
+            if t is None:
+                yield "%r %s" % (tuple(e), out)
+            else:
+                yield "%r %r %s" % (tuple(e), tuple(t), out)
 
 
 def _outcome_family(line):
@@ -623,12 +635,15 @@ def _rewrite_walk(seed, tree_child_only=True):
     return MoveSequence(start, moves)
 
 
-def pm_outcome_goldens():
-    outcomes = [list(_pm_outcomes(n)) for n in _pm_hosts()]
-    families = collections.Counter(_outcome_family(line) for lines in outcomes
-                                   for line in lines)
-    return {"pm_families": dict(sorted(families.items())),
-            "pm_hosts": [_digest(lines) for lines in outcomes]}
+def move_outcome_goldens():
+    goldens = {}
+    for kind in ("pm", "minus", "plus"):
+        outcomes = [list(_move_outcomes(n, kind)) for n in _pm_hosts()]
+        families = collections.Counter(_outcome_family(line) for lines in outcomes
+                                       for line in lines)
+        goldens[kind + "_families"] = dict(sorted(families.items()))
+        goldens[kind + "_hosts"] = [_digest(lines) for lines in outcomes]
+    return goldens
 
 
 def rewrite_goldens():
@@ -648,7 +663,15 @@ def _golden(*names):
 
 
 def test_pm_edit_outcomes_match_golden():
-    assert pm_outcome_goldens() == _golden("pm_families", "pm_hosts")
+    got = move_outcome_goldens()
+    assert {k: got[k] for k in ("pm_families", "pm_hosts")} == _golden(
+        "pm_families", "pm_hosts")
+
+
+def test_minus_and_plus_edit_outcomes_match_golden():
+    names = ("minus_families", "minus_hosts", "plus_families", "plus_hosts")
+    got = move_outcome_goldens()
+    assert {k: got[k] for k in names} == _golden(*names)
 
 
 def test_sequence_rewrites_match_golden():
@@ -663,6 +686,6 @@ def test_sequence_rewrites_match_golden():
 
 
 if __name__ == "__main__":
-    MOVE_GOLDEN.write_text(json.dumps({**pm_outcome_goldens(), **rewrite_goldens()},
+    MOVE_GOLDEN.write_text(json.dumps({**move_outcome_goldens(), **rewrite_goldens()},
                                       indent=1) + "\n", encoding="utf-8")
     sys.exit(0)
