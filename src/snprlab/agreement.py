@@ -21,7 +21,7 @@ from .digraphcore import (
     _rho_first,
 )
 from .embed import Embedding, _check_taxa, extend, find_embedding
-from .snpr import _edits, dtc
+from .snpr import _keyed, apply_move, dtc
 
 
 class AgreementWitness:
@@ -532,8 +532,9 @@ def maf_rspr(t: Network, u: Network) -> int:
 
 
 def _leaf_tail_moves(n):
-    """(Move, builder) for each tree-child pm move of n that moves a leaf."""
-    return ((mv, b) for mv, b in _edits(n, kind="pm") if mv.edge.dst in n.leaves)
+    """(Move, mu key) for each tree-child pm move of n that moves a leaf,
+    keyed without an edit."""
+    return ((mv, key) for mv, key, _ in _keyed(n, "pm") if mv.edge.dst in n.leaves)
 
 
 def gap_witness_search(n_leaves, r, budget, seed=0):
@@ -553,17 +554,16 @@ def gap_witness_search(n_leaves, r, budget, seed=0):
         base = random_tree_child(n_leaves, r, seed=rng.randrange(2 ** 30))
         drawn = left
         seen = {_mu_key(base)}
-        for mv1, b1 in _leaf_tail_moves(base):
+        for mv1, _ in _leaf_tail_moves(base):
             pruned = base.leaf_labels[mv1.edge.dst]
-            s1 = b1.to_network()[0]
-            for mv2, b2 in _leaf_tail_moves(s1):
+            s1 = apply_move(base, mv1)
+            for mv2, sig in _leaf_tail_moves(s1):
                 if s1.leaf_labels[mv2.edge.dst] == pruned:
                     continue
-                sig = _mu_key(b2)
                 if sig in seen:
                     continue
                 seen.add(sig)
-                s2 = b2.to_network()[0]
+                s2 = apply_move(s1, mv2)
                 if left <= 0:
                     return None
                 left -= 1

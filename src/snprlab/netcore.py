@@ -109,7 +109,7 @@ class Network(_LabelledGraph):
     Construct through validate(); the constructor itself checks nothing.
     """
 
-    __slots__ = ("root", "_sig", "_mu", "_retics", "_tables", "_reach", "_leaves")
+    __slots__ = ("root", "_sig", "_mu", "_retics", "_reach", "_leaves")
 
     def __init__(self, vertices, edges, root, leaf_labels):
         super().__init__(vertices, edges, leaf_labels)
@@ -117,7 +117,6 @@ class Network(_LabelledGraph):
         self._sig = None
         self._mu = None
         self._retics = None
-        self._tables = None
         self._reach = {}
         self._leaves = None
 
@@ -150,27 +149,6 @@ class Network(_LabelledGraph):
         if self._retics is None:
             self._retics = sum(1 for v in self.vertices if self.in_degree(v) == 2)
         return self._retics
-
-    def _edge_tables(self):
-        """The tables a _Builder starts from, built once: edge ids are
-        positions in self.edges, and the tuple holds src, dst and origin
-        by id, the id of each edge, out and inn as frozensets of ids by
-        vertex, and the first unused vertex id."""
-        if self._tables is None:
-            src, dst, origin, ids = {}, {}, {}, {}
-            out = {v: [] for v in self.vertices}
-            inn = {v: [] for v in self.vertices}
-            for eid, e in enumerate(self.edges):
-                src[eid], dst[eid] = e.src, e.dst
-                origin[eid] = ("kept", e)
-                ids[e] = eid
-                out[e.src].append(eid)
-                inn[e.dst].append(eid)
-            self._tables = (src, dst, origin, ids,
-                            {v: frozenset(es) for v, es in out.items()},
-                            {v: frozenset(es) for v, es in inn.items()},
-                            max(self.vertices) + 1)
-        return self._tables
 
     @property
     def is_tree(self):
@@ -407,14 +385,14 @@ def canonical_signature(n: Network) -> bytes:
     return n._sig
 
 
-def _mu_key(g) -> bytes:
+def _mu_key(n: Network) -> bytes:
     """The mu-representation as bytes: the sorted multiset of vectors, one
     per vertex, that count the paths from the vertex to each leaf.
 
-    g is a Network, whose key is cached in its _mu slot, or a _Builder,
-    whose key is read off its own tables before anything is frozen. On
-    tree-child networks the key is equal exactly for isomorphic networks
-    (Cardona, Rossello & Valiente, IEEE/ACM TCBB 2009), and one bottom-up
+    It is read off n's adjacency and cached in its _mu slot; _Keyer keys
+    the successors of a tree-child network without an edit. On tree-child
+    networks the key is equal exactly for isomorphic networks (Cardona,
+    Rossello & Valiente, IEEE/ACM TCBB 2009), and one bottom-up
     pass computes it. Each vector is packed into an int, one field of
     r + 1 bits per label in sorted order, r the reticulation count: a path
     from v to a leaf is fixed by the parent it takes at each of the r
@@ -423,25 +401,23 @@ def _mu_key(g) -> bytes:
     labels, and its prefix cannot start a canonical_signature, so the two
     kinds of key can share one dictionary.
     """
-    if isinstance(g, Network):
-        if g._mu is None:
-            g._mu = _mu_key(_Builder(g))
-        return g._mu
-    src, dst, out, inn = g.src, g.dst, g.out, g.inn
-    width = 1 + g.retics
-    labels = tuple(sorted(g.labels.values()))
-    shift = {lab: i * width for i, lab in enumerate(labels)}
-    mu = {v: 1 << shift[lab] for v, lab in g.labels.items()}
-    left = {v: len(es) for v, es in out.items()}
-    ready = list(mu)
-    while ready:
-        for eid in inn[ready.pop()]:
-            u = src[eid]
-            left[u] -= 1
-            if not left[u]:
-                mu[u] = sum(mu[dst[f]] for f in out[u])
-                ready.append(u)
-    return _mu_bytes(width, labels, list(mu.values()))
+    if n._mu is None:
+        out, inn = n._adjacency()
+        width = 1 + n.reticulation_count
+        labels = tuple(sorted(n.leaf_labels.values()))
+        shift = {lab: i * width for i, lab in enumerate(labels)}
+        mu = {v: 1 << shift[lab] for v, lab in n.leaf_labels.items()}
+        left = {v: len(es) for v, es in out.items()}
+        ready = list(mu)
+        while ready:
+            for e in inn[ready.pop()]:
+                u = e.src
+                left[u] -= 1
+                if not left[u]:
+                    mu[u] = sum(mu[f.dst] for f in out[u])
+                    ready.append(u)
+        n._mu = _mu_bytes(width, labels, list(mu.values()))
+    return n._mu
 
 
 def _mu_bytes(width, labels, packed) -> bytes:
@@ -492,166 +468,149 @@ def _flatten_origin(origin):
 
 
 class _Builder:
-    """Scratch copy of a network for local surgery.
+    """Scratch copy of a network for the surgery of one _edit.
 
-    It starts from shallow copies of the network's edge tables and replaces
-    a vertex's edge set on each edit instead of mutating it, so making one
-    costs a few dict copies and leaves the network untouched. Tracks, for
-    every edge of the result, how it arose from the input: kept, merged
-    from a suppressed chain, half of a subdivision, or brand new. That lets
-    callers carry edge-keyed bookkeeping through an edit without
-    re-deriving it. It keeps the reticulation count as edges come and go:
-    the input's count plus the move's change, -1 for minus, +1 for plus
-    and 0 for pm.
+    It starts from shallow copies of the network's adjacency, tuples of
+    Edge by vertex, and replaces a vertex's tuple on each edit instead of
+    mutating it, so making one costs two dict copies and leaves the
+    network untouched. Each edge it adds is named Edge(u, v, k), k counting
+    up from the input's edge count: every new slot is above every input
+    slot, so edges between one pair of vertices sort in creation order
+    after the kept ones. Tracks, for every edge of the result, how it arose
+    from the input: kept, merged from a suppressed chain, half of a
+    subdivision, or brand new. That lets callers carry edge-keyed
+    bookkeeping through an edit without re-deriving it.
     """
 
     def __init__(self, net: Network):
-        src, dst, origin, _, out, inn, next_v = net._edge_tables()
+        out, inn = net._adjacency()
         self.root = net.root
         self.labels = net.leaf_labels
-        self.src, self.dst, self.origin = src.copy(), dst.copy(), origin.copy()
         self.out, self.inn = out.copy(), inn.copy()
-        self._next_v = next_v
+        self.origin = {}  # the added edges; every other edge is kept
+        self._next_v = max(net.vertices) + 1
         self._next_e = len(net.edges)
-        self.retics = net.reticulation_count
-
-    def _set_in(self, v, eids):
-        """Replace v's in-edges, keeping the reticulation count."""
-        self.retics += (len(eids) == 2) - (len(self.inn[v]) == 2)
-        self.inn[v] = eids
 
     def add_edge(self, u, v, origin=("new",)):
-        eid = self._next_e
+        e = Edge(u, v, self._next_e)
         self._next_e += 1
-        self.src[eid] = u
-        self.dst[eid] = v
-        self.origin[eid] = origin
-        self.out[u] = self.out[u] | {eid}
-        self._set_in(v, self.inn[v] | {eid})
-        return eid
+        self.origin[e] = origin
+        self.out[u] += (e,)
+        self.inn[v] += (e,)
+        return e
 
-    def new_vertex(self):
-        v = self._next_v
-        self._next_v += 1
-        self.out[v] = self.inn[v] = frozenset()
-        return v
-
-    def delete_edge(self, eid):
+    def delete_edge(self, e):
         """Remove an edge; returns its origin."""
-        u, v = self.src.pop(eid), self.dst.pop(eid)
-        self.out[u] = self.out[u] - {eid}
-        self._set_in(v, self.inn[v] - {eid})
-        return self.origin.pop(eid)
+        self.out[e.src] = _without(self.out[e.src], e)
+        self.inn[e.dst] = _without(self.inn[e.dst], e)
+        return self.origin.pop(e, None) or ("kept", e)
 
-    def subdivide(self, eid):
-        """Split an edge with a fresh vertex; returns (vertex, upper id, lower id)."""
-        u, v = self.src[eid], self.dst[eid]
-        origin = self.origin[eid]
-        mid = self.new_vertex()
-        self.delete_edge(eid)
-        upper = self.add_edge(u, mid, ("upper", origin))
-        lower = self.add_edge(mid, v, ("lower", origin))
+    def subdivide(self, e):
+        """Split an edge with a fresh vertex; returns (vertex, upper, lower)."""
+        origin = self.delete_edge(e)
+        mid = self._next_v
+        self._next_v += 1
+        self.out[mid] = self.inn[mid] = ()
+        upper = self.add_edge(e.src, mid, ("upper", origin))
+        lower = self.add_edge(mid, e.dst, ("lower", origin))
         return mid, upper, lower
 
     def suppress(self, v):
-        """Remove a (1,1) vertex, merging its two edges; returns the id of
-        the merged edge."""
+        """Remove a (1,1) vertex, merging its two edges; returns the merged
+        edge."""
         degree = (len(self.inn[v]), len(self.out[v]))
         if degree != (1, 1):
             raise MoveError("vertex %d has degree %r, cannot suppress" % (v, degree))
-        ein = next(iter(self.inn[v]))
-        eout = next(iter(self.out[v]))
-        u, w = self.src[ein], self.dst[eout]
+        (ein,) = self.inn[v]
+        (eout,) = self.out[v]
         o_in = self.delete_edge(ein)
         o_out = self.delete_edge(eout)
-        merged = self.add_edge(u, w, ("merged", (o_in, o_out)))
+        merged = self.add_edge(ein.src, eout.dst, ("merged", (o_in, o_out)))
         del self.out[v], self.inn[v]
         return merged
-
-    def is_tree_child(self):
-        """Whether the result is tree-child, read whole off the builder's
-        tables; the moves of a tree-child network are decided before any
-        edit by _Keyer.keeps_tree_child."""
-        inn, dst = self.inn, self.dst
-        return all(any(len(inn[dst[eid]]) < 2 for eid in es)
-                   for es in self.out.values() if es)
 
     def to_network(self):
         """Compact ids and freeze.
 
         Returns (network, vertex_map, edge_origin) where vertex_map sends the
         builder's vertex ids to the result's dense ids, and edge_origin keys
-        every result edge by its provenance in the input network.
+        every result edge by its provenance in the input network. vertex_map
+        keeps the order of ids, so the edges, read in sorted order, come out
+        sorted, each pair's slots dense in the order of the builder's.
         """
         vmap = {v: i for i, v in enumerate(sorted(self.out))}
-        by_pair = {}
-        for eid in sorted(self.src):
-            u, v = vmap[self.src[eid]], vmap[self.dst[eid]]
-            by_pair.setdefault((u, v), []).append(eid)
         edges = []
         origin_of = {}
-        for (u, v), eids in by_pair.items():
-            for slot, eid in enumerate(eids):
-                e = Edge(u, v, slot)
-                edges.append(e)
-                origin_of[e] = self.origin[eid]
+        pair = None
+        slot = 0
+        for e in sorted(e for es in self.out.values() for e in es):
+            slot = slot + 1 if (e.src, e.dst) == pair else 0
+            pair = (e.src, e.dst)
+            f = Edge(vmap[e.src], vmap[e.dst], slot)
+            edges.append(f)
+            origin_of[f] = self.origin.get(e) or ("kept", e)
         labels = {vmap[v]: lab for v, lab in self.labels.items()}
-        net = Network(vmap.values(), edges, vmap[self.root], labels)
-        net._retics = self.retics
-        return net, vmap, origin_of
+        return Network(vmap.values(), edges, vmap[self.root], labels), vmap, origin_of
 
 
-def _edit(n: Network, kind, e: Edge, target: Edge = None) -> _Builder:
-    """The move of the given kind on n, as a _Builder holding the result.
+def _without(edges, e):
+    """The tuple edges with e taken out."""
+    i = edges.index(e)
+    return edges[:i] + edges[i + 1:]
+
+
+def _is_edge(out, e) -> bool:
+    """Whether e is an edge of the graph with out-adjacency out."""
+    return e in out.get(e.src, ())
+
+
+def _edit(n: Network, kind, e: Edge, target: Edge = None):
+    """The move of the given kind on n, frozen: the triple of
+    _Builder.to_network.
 
     snpr.Move says what kind, edge and target name. Raises MoveError when
-    the move is not legal on n. Callers freeze the result with to_network
-    only when they keep it; on tree-child n, _Keyer decides and keys a
-    move before any edit.
+    the move is not legal on n. The builder lives only for this call; on
+    tree-child n, _Keyer decides and keys a move without it.
     """
-    ids = n._edge_tables()[3]  # edge -> id, one entry per edge of n
-    if e not in ids:
+    out, inn = n._adjacency()
+    if not _is_edge(out, e):
         raise MoveError("edge %r is not an edge of the network" % (e,))
     u, v = e.src, e.dst
-    if kind == "minus" and n.in_degree(v) != 2:
+    if kind == "minus" and len(inn[v]) != 2:
         raise MoveError("edge %r is not a reticulation edge" % (e,))
-    if kind != "plus" and not (n.in_degree(u) == 1 and n.out_degree(u) == 2):
+    if kind != "plus" and not (len(inn[u]) == 1 and len(out[u]) == 2):
         raise MoveError("source of %r is not a tree vertex" % (e,))
     b = _Builder(n)
 
     if kind == "plus":
-        head_mid, upper, _ = b.subdivide(ids[e])
+        head_mid, upper, _ = b.subdivide(e)
         if target == e:
-            eid_2 = upper
-        else:
-            if target not in ids:
-                raise MoveError("edge %r is not an edge of the network" % (target,))
-            if target.src in n.reachable_from(v):
-                raise MoveError("target %r is a descendant of the new "
-                                "reticulation" % (target,))
-            eid_2 = ids[target]
-        tail_mid, _, _ = b.subdivide(eid_2)
+            target = upper
+        elif not _is_edge(out, target):
+            raise MoveError("edge %r is not an edge of the network" % (target,))
+        elif target.src in n.reachable_from(v):
+            raise MoveError("target %r is a descendant of the new "
+                            "reticulation" % (target,))
+        tail_mid, _, _ = b.subdivide(target)
         b.add_edge(tail_mid, head_mid)
     else:
         # minus and pm both delete e and suppress its tail
-        b.delete_edge(ids[e])
+        b.delete_edge(e)
         merged = b.suppress(u)
         if kind == "minus":
             b.suppress(v)
         else:
-            eid_f = ids.get(target)
-            if eid_f not in b.src:
-                # gone: e itself, a non-edge, or one of the two edges left
-                # at u, which the merged edge now carries
-                if eid_f is None or target == e:
-                    raise MoveError("edge %r is no longer present" % (target,))
-                eid_f = merged
-            if b.src[eid_f] in n.reachable_from(v):
+            if target == e or not _is_edge(out, target):
+                raise MoveError("edge %r is no longer present" % (target,))
+            if not _is_edge(b.out, target):
+                # one of u's two other edges, which the merged edge carries
+                target = merged
+            if target.src in n.reachable_from(v):
                 raise MoveError("target %r is a descendant of the moved subtree"
                                 % (target,))
-            mid, _, _ = b.subdivide(eid_f)
+            mid, _, _ = b.subdivide(target)
             b.add_edge(mid, v)
-    return b
+    return b.to_network()
 
 
 def _plus_tails(n: Network, head: Edge) -> list:
@@ -832,7 +791,7 @@ def delete_reticulation_edge(n: Network, edge: Edge) -> Network:
     The tail must be a tree vertex. On tree-child input the result is again
     tree-child. This is the "minus" move of snpr.
     """
-    return _edit(n, "minus", Edge(*edge)).to_network()[0]
+    return _edit(n, "minus", Edge(*edge))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +848,7 @@ def random_network(n_leaves, n_reticulations, seed=0, require_tree_child=False):
         keeps = _Keyer(net).keeps_tree_child
         for e1, e2 in pairs:
             if not require_tree_child or keeps("plus", e1, e2):
-                net = _edit(net, "plus", e1, e2).to_network()[0]
+                net = _edit(net, "plus", e1, e2)[0]
                 break
         else:
             raise BudgetExceededError(
@@ -933,7 +892,7 @@ def enumerate_tree_child(n_leaves, max_reticulations=0, leaf_limit=5):
             keeps = _Keyer(net).keeps_tree_child
             for e1, e2 in _reticulation_insertions(net):
                 if keeps("plus", e1, e2):
-                    succ = _edit(net, "plus", e1, e2).to_network()[0]
+                    succ = _edit(net, "plus", e1, e2)[0]
                     nxt.setdefault(canonical_signature(succ), succ)
         level = nxt
         for _, net in sorted(level.items()):

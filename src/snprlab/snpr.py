@@ -29,9 +29,9 @@ replays on canonical signatures.
 Every move is drawn from one generator. In tree-child space the search
 decides and keys each successor of a tree-child network from tables read
 once off the parent (netcore._Keyer) and edits nothing: a key it has not
-seen is stored as its parent key and move, and its Network is edited and
-frozen in a netcore._Builder only when the key is first expanded.
-enumerate_moves freezes every successor it yields.
+seen is stored as its parent key and move, and its Network is edited by
+netcore._edit only when the key is first expanded. enumerate_moves edits
+every successor it yields.
 """
 
 import heapq
@@ -106,11 +106,11 @@ class ApplyResult(NamedTuple):
 
 
 def apply_move_detailed(n: Network, move: Move) -> ApplyResult:
-    return ApplyResult(*_edit(n, move.kind, move.edge, move.target).to_network())
+    return ApplyResult(*_edit(n, *move))
 
 
 def apply_move(n: Network, move: Move) -> Network:
-    return _edit(n, move.kind, move.edge, move.target).to_network()[0]
+    return _edit(n, *move)[0]
 
 
 def _moves(n: Network, kind=None):
@@ -154,21 +154,21 @@ def _moves(n: Network, kind=None):
 
 
 def _edits(n: Network, tree_child_only: bool = True, kind=None):
-    """(Move, builder) for every legal move on n, or only those of the
+    """(Move, successor) for every legal move on n, or only those of the
     given kind, in the order of _moves.
 
     With tree_child_only, results failing the tree-child condition are
     dropped: on a tree-child n each move is decided by _Keyer before it is
-    edited, and on any other n the builder is checked whole. Nothing is
-    frozen: callers freeze the results they keep with to_network.
+    edited, and on any other n each result is edited and checked with
+    is_tree_child.
     """
     keeps = _Keyer(n).keeps_tree_child if tree_child_only and is_tree_child(n) else None
     for move in _moves(n, kind):
         if keeps and not keeps(*move):
             continue
-        b = _edit(n, *move)
-        if keeps or not tree_child_only or b.is_tree_child():
-            yield move, b
+        succ = _edit(n, *move)[0]
+        if keeps or not tree_child_only or is_tree_child(succ):
+            yield move, succ
 
 
 def _keyed(n: Network, kind=None):
@@ -176,12 +176,12 @@ def _keyed(n: Network, kind=None):
     of n, or of the given kind, in the order of _moves.
 
     On a tree-child n each move is decided and keyed from tables read once
-    off n, and nothing is edited; on any other n each result is edited
-    and keyed in its builder.
+    off n, and nothing is edited; on any other n each result is edited,
+    checked and keyed by _edits and _mu_key.
     """
     if not is_tree_child(n):
-        for move, b in _edits(n, True, kind):
-            yield move, _mu_key(b), b.retics
+        for move, succ in _edits(n, True, kind):
+            yield move, _mu_key(succ), succ.reticulation_count
         return
     keyer = _Keyer(n)
     for move in _moves(n, kind):
@@ -195,11 +195,10 @@ def enumerate_moves(n: Network, tree_child_only: bool = True):
     Order is deterministic: all minus moves, then pm, then plus, each
     block sorted by edge tuples. When tree_child_only is set, successors
     failing the tree-child condition are dropped (the moves themselves
-    are still legal in the wider space); they are decided before they
-    are built.
+    are still legal in the wider space); on a tree-child n they are
+    decided before they are built.
     """
-    for move, b in _edits(n, tree_child_only):
-        yield move, b.to_network()[0]
+    return _edits(n, tree_child_only)
 
 
 class MoveSequence:
@@ -305,10 +304,10 @@ def _find_move_to(n: Network, kind: str, target_sig: bytes,
     if tree_child_only:
         for move, key, _ in _keyed(n, kind):
             if key == target_sig:
-                return move, _edit(n, *move).to_network()[0]
+                return move, _edit(n, *move)[0]
     else:
-        for move, b in _edits(n, False, kind):
-            if canonical_signature(succ := b.to_network()[0]) == target_sig:
+        for move, succ in _edits(n, False, kind):
+            if canonical_signature(succ) == target_sig:
                 return move, succ
     raise ContractViolationError(
         "no %s move reaches the required network; the rewrite guaranteed "
@@ -385,7 +384,7 @@ def normalize_sequence(s: MoveSequence) -> MoveSequence:
             # one move of the other kind, else a minus then one of first's
             single = "pm" if first.kind == "plus" else "minus"
             tries = itertools.chain([([], a, single)], (
-                ([mv], b.to_network()[0], first.kind) for mv, b in _edits(a, kind="minus")))
+                ([mv], succ, first.kind) for mv, succ in _edits(a, kind="minus")))
             for head, mid, kind in tries:
                 try:
                     mv, after = _find_move_to(mid, kind, key_c, True)
@@ -414,10 +413,11 @@ class NeighborCache:
     Move), and representative() edits and freezes its Network from the
     parent's on first use, which the search makes only when it expands
     the key. Most keys a search meets are never expanded, so most are
-    never edited. The other successors are frozen and keyed by canonical
-    signature. The two kinds of key never collide, so one cache serves
-    both modes. Entries ignore any reticulation cap so a cache can be
-    shared between searches with different caps.
+    never edited. In the wider space each successor is edited, keyed by
+    canonical signature and counted by its reticulation_count. The two
+    kinds of key never collide, so one cache serves both modes. Entries
+    ignore any reticulation cap so a cache can be shared between searches
+    with different caps.
     """
 
     def __init__(self):
@@ -433,7 +433,7 @@ class NeighborCache:
         if isinstance(got, tuple):
             # the parent was expanded, so its representative is frozen
             parent, move = got
-            got = _edit(self.rep[parent], *move).to_network()[0]
+            got = _edit(self.rep[parent], *move)[0]
             got._mu = sig
             self.rep[sig] = got
         return got
@@ -449,11 +449,11 @@ class NeighborCache:
                         self.rep[ssig] = (sig, move)
                     seen.append((ssig, move.kind, WEIGHTS[move.kind], retics))
             else:
-                for move, b in _edits(n, False):
-                    succ = b.to_network()[0]
+                for move, succ in _edits(n, False):
                     ssig = canonical_signature(succ)
                     self.rep.setdefault(ssig, succ)
-                    seen.append((ssig, move.kind, WEIGHTS[move.kind], b.retics))
+                    seen.append((ssig, move.kind, WEIGHTS[move.kind],
+                                 succ.reticulation_count))
             self._succ[key] = tuple(seen)
         return self._succ[key]
 

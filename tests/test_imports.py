@@ -57,3 +57,24 @@ def test_relative_imports_are_acyclic():
     for name in graph:
         if name not in state:
             visit(name, [name])
+
+
+def _names(tree):
+    """Every identifier a module names: bare names, attributes and
+    imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_netcore_names_the_builder():
+    # the edit's scratch copy lives inside netcore._edit; every other
+    # module edits through _edit or apply_move and gets a frozen Network
+    trees = _trees()
+    assert "_Builder" in set(_names(trees["netcore"]))
+    assert [name for name, tree in trees.items()
+            if name != "netcore" and "_Builder" in set(_names(tree))] == []

@@ -1,5 +1,7 @@
 import collections
+import functools
 import itertools
+from typing import NamedTuple
 
 import pytest
 
@@ -11,7 +13,6 @@ from snprlab.errors import (
 )
 from snprlab.netcore import (
     Edge,
-    _edit,
     _Keyer,
     _mu_key,
     canonical_signature,
@@ -28,7 +29,7 @@ from snprlab.netcore import (
     validate,
 )
 from snprlab.phyloio import parse_enewick, write_enewick
-from snprlab.snpr import _moves, enumerate_moves
+from snprlab.snpr import enumerate_moves
 
 
 def count_identity_holds(n):
@@ -163,43 +164,65 @@ def test_tree_child_definition_agrees_with_patterns():
     assert verdicts == {True, False}
 
 
+class _Host(NamedTuple):
+    tree_child: bool
+    moves: int
+    filtered: bool  # the tree-child stream is the full one filtered
+    verdicts: collections.Counter  # tree-child hosts only
+    keyer_misses: list
+
+
+@functools.cache
+def _frozen_moves():
+    """One pass for the two tests below, which read the same results:
+    every move of every tree-child host of at most four leaves and two
+    reticulations, the one-leaf host first, then of four hosts that are
+    not tree-child, each result edited and frozen once. A _Host per host.
+    """
+    hosts = [n for leaves in (1, 2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
+    hosts += [random_network(3, 2, seed=s) for s in range(4)]
+    found = []
+    for n in hosts:
+        keyer = _Keyer(n) if is_tree_child(n) else None
+        moves, kept, verdicts, misses = 0, [], collections.Counter(), []
+        for mv, succ in enumerate_moves(n, tree_child_only=False):
+            moves += 1
+            verdict = is_tree_child(succ)
+            if verdict:
+                kept.append((mv, succ))
+            if keyer is not None:
+                verdicts[verdict] += 1
+                key = (_mu_key(succ), len(succ.reticulations()))
+                if keyer.keeps_tree_child(*mv) != verdict or keyer.key(*mv) != key:
+                    misses.append((write_enewick(n), mv))
+        found.append(_Host(keyer is not None, moves, list(enumerate_moves(n)) == kept,
+                           verdicts, misses))
+    return found
+
+
 def test_tree_child_filter_matches_build_then_check():
     # tree-child hosts decide each successor before it is built; the others
     # build it and check it whole. Either way the kept stream must be the
-    # full stream filtered by is_tree_child, move for move
-    hosts = [n for leaves in (2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
-    hosts += [random_network(3, 2, seed=s) for s in range(4)]
-    assert sum(not is_tree_child(n) for n in hosts) == 4
-    moves = 0
-    for n in hosts:
-        kept = []
-        for mv, succ in enumerate_moves(n, tree_child_only=False):
-            moves += 1
-            if is_tree_child(succ):
-                kept.append((mv, succ))
-        assert list(enumerate_moves(n)) == kept
-    assert moves == 302085
+    # full stream filtered by is_tree_child, move for move. The hosts have
+    # two leaves or more
+    hosts = _frozen_moves()[1:]
+    assert sum(not h.tree_child for h in hosts) == 4
+    assert all(h.filtered for h in hosts)
+    assert sum(h.moves for h in hosts) == 302085
 
 
 def test_keyer_decides_and_keys_every_move_as_its_edit():
     # every move of every tree-child host of at most four leaves and two
-    # reticulations, rejected ones included: the verdict and the mu key
-    # read off the parent's tables must be those of the edited result,
-    # read whole off its builder (the kept ones are compared with their
-    # frozen networks in tests/test_snpr.py, and the verdicts in
-    # test_tree_child_filter_matches_build_then_check)
-    hosts = [n for leaves in (1, 2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
+    # reticulations, rejected ones included: the verdict, the mu key and
+    # the reticulation count read off the parent's tables must be those of
+    # the frozen result, checked whole by is_tree_child, keyed by _mu_key
+    # and counted by in-degree (the kept ones are compared with the cache's
+    # representatives in tests/test_snpr.py)
+    hosts = [h for h in _frozen_moves() if h.tree_child]
     assert len(hosts) == 1585
-    verdicts = collections.Counter()
-    for n in hosts:
-        keyer = _Keyer(n)
-        for mv in _moves(n):
-            b = _edit(n, *mv)
-            verdict = b.is_tree_child()
-            assert keyer.keeps_tree_child(*mv) == verdict, (write_enewick(n), mv)
-            assert keyer.key(*mv) == (_mu_key(b), b.retics), (write_enewick(n), mv)
-            verdicts[verdict] += 1
-    assert verdicts == {True: 107424, False: 194113}
+    assert [miss for h in hosts for miss in h.keyer_misses] == []
+    assert sum((h.verdicts for h in hosts), collections.Counter()) == {
+        True: 107424, False: 194113}
 
 
 def test_mu_key_splits_like_canonical_signature():

@@ -14,8 +14,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from snprlab import check_bounds, write_witness_bundle  # noqa: E402
 from snprlab.agreement import _min_total_cut  # noqa: E402
 from snprlab.netcore import (Edge, Network, _mu_key, canonical_signature,  # noqa: E402
-                             is_tree_child, isomorphic, random_tree_child)
-from snprlab.snpr import (REVERSE_KIND, NeighborCache, _edits, dtc,  # noqa: E402
+                             is_tree_child, isomorphic, isomorphism_map,
+                             random_network, random_tree_child)
+from snprlab.phyloio import (parse_enewick, parse_pnd, write_enewick,  # noqa: E402
+                             write_pnd)
+from snprlab.snpr import (REVERSE_KIND, NeighborCache, dtc,  # noqa: E402
                           enumerate_moves, moves_to_json, sequence_weight)
 
 from test_agreement import _extending_min_total_cut  # noqa: E402
@@ -38,6 +41,25 @@ def tree_child_pairs(draw):
     return tuple(random_tree_child(leaves, draw(st.integers(0, 1)),
                                    seed=draw(st.integers(0, 2 ** 16)))
                  for _ in range(2))
+
+
+@st.composite
+def any_networks(draw):
+    # a random network, parallel pairs and all, or one of its successors
+    # among all binary networks
+    n = random_network(draw(st.integers(1, 5)), draw(st.integers(0, 2)),
+                       seed=draw(st.integers(0, 2 ** 16)))
+    successors = [succ for _, succ in enumerate_moves(n, tree_child_only=False)]
+    return draw(st.sampled_from([n] + successors))
+
+
+@st.composite
+def tree_child_triples(draw):
+    # three networks on the same three or four leaves, within DTC_CAP
+    leaves = draw(st.integers(3, 4))
+    return tuple(random_tree_child(leaves, draw(st.integers(0, 1)),
+                                   seed=draw(st.integers(0, 2 ** 16)))
+                 for _ in range(3))
 
 
 DTC_CAP = 2
@@ -74,19 +96,6 @@ def test_tree_child_decision_before_freezing(n):
     kept = [(mv, s) for mv, s in enumerate_moves(n, tree_child_only=False)
             if is_tree_child(s)]
     assert list(enumerate_moves(n)) == kept
-
-
-@DRAWS
-@given(tree_child_networks())
-def test_builder_mu_key_equals_frozen(n):
-    # every edit, tree-child or not: the key and reticulation count read
-    # off the builder equal those of the frozen result, copied without the
-    # count the builder hands it
-    for _, b in _edits(n, tree_child_only=False):
-        net = b.to_network()[0]
-        bare = Network(net.vertices, net.edges, net.root, net.leaf_labels)
-        assert _mu_key(b) == _mu_key(bare)
-        assert b.retics == len(bare.reticulations())
 
 
 @settings(DRAWS, max_examples=15)
@@ -142,3 +151,28 @@ def test_measure_loop_and_the_sandwich(pair):
         assert got[0] == want[0]
         assert write_witness_bundle(got[1]) == write_witness_bundle(want[1])
     assert check_bounds(n, m, cap=DTC_CAP).holds
+
+
+@settings(DRAWS, max_examples=200)
+@given(any_networks())
+def test_pnd_and_enewick_round_trip(n):
+    # pnd keeps every vertex id and slot; eNewick keeps the network up to
+    # isomorphism, and writing the parsed copy gives the same text
+    assert parse_pnd(write_pnd(n)) == n
+    text = write_enewick(n)
+    back = parse_enewick(text)
+    assert isomorphism_map(n, back) is not None
+    assert write_enewick(back) == text
+
+
+@settings(DRAWS, max_examples=12)
+@given(tree_child_triples())
+def test_dtc_is_a_metric_under_a_fixed_cap(triple):
+    # symmetry is checked above; here the distance to itself is zero and
+    # each side of the triangle is at most the sum of the other two
+    cache = NeighborCache()
+    a, b, c = triple
+    assert dtc(a, a, DTC_CAP, cache=cache, witness=False)[0] == 0
+    ab, bc, ac = (dtc(x, y, DTC_CAP, cache=cache, witness=False)[0]
+                  for x, y in ((a, b), (b, c), (a, c)))
+    assert ac <= ab + bc and ab <= ac + bc and bc <= ab + ac

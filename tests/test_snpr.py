@@ -388,9 +388,10 @@ def test_one_cache_serves_both_modes(retic_ab_c, triple_ab_c, triple_ac_b, tripl
 
 def _frozen_successors(n):
     """The successor tuples and representatives of a fresh cache holding n,
-    the way they were found before keys were read off the builder: every
-    tree-child successor is frozen, then copied without its cached counts
-    and keyed whole, and its reticulations are counted by in-degree."""
+    the way they were found before keys were read off the parent's tables:
+    every tree-child successor is frozen, then copied without its cached
+    counts and keyed whole, and its reticulations are counted by
+    in-degree."""
     sig = _mu_key(n)
     rep, seen = {sig: n}, []
     for mv, succ in enumerate_moves(n):
@@ -403,8 +404,9 @@ def _frozen_successors(n):
 
 def test_builder_keys_match_frozen_successors():
     # every host of at most four leaves and two reticulations: the cache
-    # keys, counts and freezes successors in the builder, and must give
-    # the same tuples, in order, and the same first network per key
+    # keys and counts successors off the parent's tables and freezes a
+    # key's representative on first use, and must give the same tuples,
+    # in order, and the same first network per key
     hosts = [n for leaves in (1, 2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
     assert len(hosts) == 1 + 3 + 66 + 1515
     successors = 0
