@@ -566,6 +566,25 @@ def test_forest_oracle_rejects_reticulations(retic_pair):
         maf_rspr(parse_enewick("((a,b),c);"), n)
 
 
+MAF_FIVE_LEAF_PAIRS = pathlib.Path(__file__).parent / "golden" / "maf_five_leaf_pairs.txt"
+
+
+def maf_five_leaf_values():
+    """maf_rspr of every ordered pair of five-leaf trees, one line each, in
+    the order of enumerate_tree_child(5, 0)."""
+    trees = list(enumerate_tree_child(5, 0))
+    return ["%d" % maf_rspr(t, u) for t in trees for u in trees]
+
+
+def test_forest_oracle_matches_five_leaf_golden():
+    # written by the partition enumerator; all 11,025 ordered pairs
+    golden = MAF_FIVE_LEAF_PAIRS.read_text(encoding="utf-8").splitlines()
+    assert len(golden) == 105 * 105
+    got = maf_five_leaf_values()
+    assert [i for i, (a, b) in enumerate(zip(got, golden)) if a != b] == []
+    assert len(got) == len(golden)
+
+
 def test_tree_specialization_spot_checks():
     # the halved distance and halved measure both land on the forest count
     for s1, s2 in ((0, 1), (2, 3), (4, 7)):
@@ -587,3 +606,8 @@ def test_gap_search_respects_its_budget():
     for leaves, retics, budget in ((6, 1, 0), (1, 0, 5), (2, 0, 5), (2, 1, 5)):
         assert gap_witness_search(leaves, retics, budget) is None
     assert gap_witness_search(4, 1, 3, seed=1) is None
+
+
+if __name__ == "__main__":
+    MAF_FIVE_LEAF_PAIRS.write_text("".join(v + "\n" for v in maf_five_leaf_values()),
+                                   encoding="utf-8")
