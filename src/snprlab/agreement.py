@@ -7,6 +7,7 @@ from typing import NamedTuple
 from .errors import (
     BudgetExceededError,
     ContractViolationError,
+    EmbeddingError,
     InvalidDigraphError,
     InvalidNetworkError,
 )
@@ -425,110 +426,199 @@ def check_bounds(n: Network, m: Network, cap=None) -> BoundsReport:
 _RHO = "\x00root"  # taxa are printable names, so this cannot collide
 
 
-def _partitions(items):
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [head]] + part[i + 1:]
-        yield part + [[head]]
+def _marked_tree(t: Network):
+    """t with the root marker, as index arrays.
+
+    Returns (parent, kids, index): vertex 0 is a new top vertex whose
+    children are t's top tree vertex (2) and the marker leaf (1), so t's
+    root edge is skipped. parent holds -1 at vertex 0, kids a pair of
+    children at an inner vertex and None at a leaf, and index maps each
+    label, the marker's included, to its leaf.
+    """
+    parent = [-1, 0, 0]
+    kids = [(2, 1), None, None]
+    index = {_RHO: 1}
+    stack = [(t.children(t.root)[0], 2)]
+    while stack:
+        v, i = stack.pop()
+        if v in t.leaf_labels:
+            index[t.leaf_labels[v]] = i
+            continue
+        j = len(parent)
+        kids[i] = (j, j + 1)
+        parent += (i, i)
+        kids += (None, None)
+        stack += zip(t.children(v), (j, j + 1))
+    return parent, kids, index
 
 
-def _tree_maps(t: Network):
-    parent = {}
-    depth = {t.root: 0}
-    order = [t.root]
-    while order:
-        v = order.pop()
-        for e in t.out_edges(v):
-            parent[e.dst] = v
-            depth[e.dst] = depth[v] + 1
-            order.append(e.dst)
-    return parent, depth
+def _cut_above(parent, kids, x):
+    """Cut the edge above x and suppress x's parent p, whose other child y
+    takes p's place (as a component root when p was one). Marks p gone
+    (-2) and returns y."""
+    p = parent[x]
+    parent[x] = -1
+    a, b = kids[p]
+    y = b if a == x else a
+    g = parent[y] = parent[p]
+    parent[p] = -2
+    if g >= 0:
+        a, b = kids[g]
+        kids[g] = (y, b) if a == p else (a, y)
+    return y
 
 
-def _block_span(t, parent, depth, block):
-    """Vertices and suppressed shape of one block's spanning subtree."""
-    leaves = {t.leaf_of_label(lab): lab for lab in block if lab != _RHO}
-    anchored = _RHO in block
-    if anchored:
-        anchor = t.root
-    else:
-        cur = set(leaves)
-        while len(cur) > 1:
-            deepest = max(cur, key=lambda v: (depth[v], v))
-            cur.discard(deepest)
-            cur.add(parent[deepest])
-        anchor = cur.pop()
-    span = {anchor}
-    kids = {}
-    for lf in leaves:
-        v = lf
-        while v != anchor:
-            p = parent[v]
-            if v not in kids.setdefault(p, []):
-                kids[p].append(v)
-            if v in span:
-                break
-            span.add(v)
-            v = p
-
-    def shp(v):
-        below = tuple(sorted(shp(w) for w in kids.get(v, ())))
-        if v in leaves:
-            return ("leaf", leaves[v])
-        if len(below) == 1:
-            return below[0]
-        return ("node",) + below
-
-    if anchored:
-        return span, ("anchor",) + tuple(sorted(shp(w) for w in kids.get(anchor, ())))
-    return span, shp(anchor)
+def _is_cherry(kids, p):
+    pair = kids[p]
+    return pair is not None and kids[pair[0]] is None and kids[pair[1]] is None
 
 
-def maf_rspr(t: Network, u: Network) -> int:
-    """Prune-regraft distance between two trees by forest enumeration.
+def _reduce_pair(par1, kids1, par2, kids2, twin):
+    """Apply the two forced rules of maf_rspr in place; return the twins in
+    F2 of a cherry of T1 that neither rule resolves, or None once T1 is a
+    single leaf.
 
-    Exhaustive over partitions of the taxa plus a root marker: a partition
-    agrees when each part spans the same suppressed shape in both trees and
-    the spanned regions are vertex-disjoint within each tree. The answer is
-    the smallest agreeing part count minus one.
+    twin maps each leaf of T1 to its leaf of F2. A leaf of T1 whose twin is
+    a whole component of F2 leaves T1, and a cherry of T1 whose twins are
+    siblings in F2 becomes one leaf in both, which leaves T1 in turn when
+    it is a whole component. Neither rule changes which pairs of other
+    leaves are siblings in F2, so a cherry once found unresolved stays so.
+    """
+    for v, p in enumerate(par1):
+        if p >= 0 and kids1[v] is None:
+            x = twin[v]
+            if par2[x] == -1 and kids2[x] is None:
+                _cut_above(par1, kids1, v)
+                par1[v] = -2
+    work = [v for v, p in enumerate(par1) if p != -2 and _is_cherry(kids1, v)]
+    blocked = None
+    while work:
+        p = work.pop()
+        a, c = kids1[p]
+        x, z = twin[a], twin[c]
+        q = par2[x]
+        if q < 0 or q != par2[z]:
+            if blocked is None:
+                blocked = x, z
+            continue
+        kids1[p] = kids2[q] = None
+        par1[a] = par1[c] = par2[x] = par2[z] = -2
+        twin[p] = q
+        if par2[q] == -1 and par1[p] >= 0:
+            p = _cut_above(par1, kids1, p)
+        g = par1[p]
+        if g >= 0 and _is_cherry(kids1, g):
+            work.append(g)
+    return blocked
+
+
+def _pendant_roots(parent, kids, x, z):
+    """Roots of the subtrees that hang off the path between the leaves x
+    and z, or None when x and z lie in different components."""
+    above_x = set()
+    w = x
+    while w >= 0:
+        above_x.add(w)
+        w = parent[w]
+    path = []
+    w = z
+    while w not in above_x:
+        path.append(w)
+        w = parent[w]
+        if w < 0:
+            return None
+    top = w
+    w = x
+    while parent[w] != top:
+        path.append(w)
+        w = parent[w]
+    roots = []
+    for w in path:
+        p = parent[w]
+        if p != top:
+            a, b = kids[p]
+            roots.append(b if a == w else a)
+    return roots
+
+
+def maf_rspr(t: Network, u: Network, budget=None) -> int:
+    """Rooted prune-regraft distance between two trees, by cherry branching.
+
+    The distance is the size of a maximum agreement forest of the trees
+    with a root marker rho hung beside each top tree vertex, less one
+    (Bordewich & Semple, Ann. Comb. 8, 2005). The search is the
+    fixed-parameter one of Whidden, Beiko & Zeh (SIAM J. Comput. 42, 2013)
+    in its simple O(3^k n) form: T1, the first tree, is reduced while F2,
+    a forest that starts as the second tree, is cut, and k, the number of
+    cuts allowed, is deepened from 0 until a search within k succeeds.
+
+    Two rules are forced, and _reduce_pair applies them first: a leaf of T1
+    that is a whole component of F2 leaves T1, and a cherry of T1 whose
+    two members are siblings in F2 becomes one leaf in both. When T1 is a
+    single leaf, F2 is an agreement forest of k + 1 components. Otherwise
+    the search branches on the first cherry (a, c) of T1 that neither rule
+    resolves:
+      - cut a from F2;
+      - cut c from F2;
+      - when a and c lie in one component of F2, cut every subtree that
+        hangs off the a-c path in F2, at a cost of their count.
+
+    Proof sketch. Take a maximum agreement forest F that F2 can still be cut
+    to. If a and c lie in different components of F, one of them is a
+    singleton: in T1 each reaches any other leaf through their common
+    parent, and the components of F span vertex-disjoint subtrees of T1. If
+    they lie in one component, that component has them as siblings in T1
+    and so in F2 as well: none of its leaves lies in a subtree that hangs
+    off the a-c path, and each such subtree is cut off the path in F.
+    Every cut adds one component, so one of the three branches is a step
+    towards F, and the first k that succeeds is the distance.
+
+    budget caps the branch nodes: every state the search reduces counts
+    one, the start of each deepening round included. Running out raises
+    BudgetExceededError. The search keeps its own stack, so neither depth
+    nor tree size meets the interpreter's recursion limit.
     """
     for net, side in ((t, "first"), (u, "second")):
         if net.reticulation_count:
             raise InvalidNetworkError(
                 ["%s input has reticulations" % side])
-    _check_taxa(t, u)
-    maps_t = _tree_maps(t)
-    maps_u = _tree_maps(u)
-    labels = [_RHO] + sorted(t.taxa)
-
-    best = None
-    for part in _partitions(labels):
-        if best is not None and len(part) >= best:
-            continue
-        ok = True
-        for net, (parent, depth) in ((t, maps_t), (u, maps_u)):
-            used = set()
-            shapes = []
-            for block in part:
-                span, shape = _block_span(net, parent, depth, block)
-                if used & span:
-                    ok = False
-                    break
-                used |= span
-                shapes.append(shape)
-            if not ok:
-                break
-            if net is t:
-                shapes_t = shapes
-            elif shapes != shapes_t:
-                ok = False
-        if ok:
-            best = len(part)
-    return best - 1
+    if t.taxa != u.taxa:
+        raise EmbeddingError("leaf sets differ: %r vs %r"
+                             % (sorted(t.taxa), sorted(u.taxa)))
+    par1, kids1, index1 = _marked_tree(t)
+    par2, kids2, index2 = _marked_tree(u)
+    twin = [0] * len(par1)
+    for lab, i in index1.items():
+        twin[i] = index2[lab]
+    start = (par1, kids1, par2, kids2, twin)
+    nodes = 0
+    k = 0
+    while True:
+        stack = [([s[:] for s in start], k)]
+        while stack:
+            state, left = stack.pop()
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError("stopped after %d branch nodes" % budget)
+            blocked = _reduce_pair(*state)
+            if blocked is None:
+                return k
+            if not left:
+                continue
+            x, z = blocked
+            cuts = [[z]]
+            pendants = _pendant_roots(state[2], state[3], x, z)
+            if pendants is not None and len(pendants) <= left:
+                cuts.append(pendants)
+            for cut in reversed(cuts):
+                child = [s[:] for s in state]
+                for w in cut:
+                    _cut_above(child[2], child[3], w)
+                stack.append((child, left - len(cut)))
+            # cutting a is popped first, on the parent's own lists
+            _cut_above(state[2], state[3], x)
+            stack.append((state, left - 1))
+        k += 1
 
 
 def _leaf_tail_moves(n):

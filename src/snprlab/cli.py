@@ -149,7 +149,7 @@ def _cmd_bounds(args):
 def _cmd_maf(args):
     t = _read_network(args.file, args.format)
     u = _read_network(args.other, args.format)
-    return "%d\n" % maf_rspr(t, u)
+    return "%d\n" % maf_rspr(t, u, budget=args.budget)
 
 
 @contextlib.contextmanager
@@ -264,7 +264,11 @@ def _build_parser():
                          "exhaustion exits with status 2"))
     add("bounds", _cmd_bounds, "half-measure, distance, measure as TSV", two,
         "--format", "--cap")
-    add("maf", _cmd_maf, "agreement-forest distance for trees", two, "--format")
+    add("maf", _cmd_maf, "agreement-forest distance for trees", two,
+        "--format", "--budget",
+        budget=dict(help="cap on branch nodes of the cherry search, every "
+                         "tree state it reduces counting one; exhaustion "
+                         "exits with status 2"))
     add("gen", _cmd_gen, "generate random networks, one per line", (),
         "--leaves", "--retics", "--count", "--seed", "--tree-child-only")
     add("enumerate", _cmd_enumerate, "list all networks at a small size", (),

@@ -417,24 +417,27 @@ class NeighborCache:
     canonical signature and counted by its reticulation_count. The two
     kinds of key never collide, so one cache serves both modes. Entries
     ignore any reticulation cap so a cache can be shared between searches
-    with different caps.
+    with different caps. Each key is held as one bytes object, shared by
+    rep, the successor entries and a representative's stored mu key.
     """
 
     def __init__(self):
         self.rep = {}
         self._succ = {}
+        self._keys = {}  # each key of rep mapped to itself
 
     def representative(self, sig: bytes, net: Network = None) -> Network:
-        if sig not in self.rep:
+        got = self.rep.get(sig)
+        if got is None:
             if net is None:
                 raise KeyError("no representative known for signature")
-            self.rep[sig] = net
-        got = self.rep[sig]
+            sig = self._keys.setdefault(sig, sig)
+            got = self.rep[sig] = net
         if isinstance(got, tuple):
             # the parent was expanded, so its representative is frozen
             parent, move = got
             got = _edit(self.rep[parent], *move)[0]
-            got._mu = sig
+            got._mu = self._keys[sig]
             self.rep[sig] = got
         return got
 
@@ -443,18 +446,22 @@ class NeighborCache:
         if key not in self._succ:
             seen = []
             n = self.representative(sig)
+            keys = self._keys
+            sig = keys[sig]
             if tree_child_only:
                 for move, ssig, retics in _keyed(n):
+                    ssig = keys.setdefault(ssig, ssig)
                     if ssig not in self.rep:
                         self.rep[ssig] = (sig, move)
                     seen.append((ssig, move.kind, WEIGHTS[move.kind], retics))
             else:
                 for move, succ in _edits(n, False):
                     ssig = canonical_signature(succ)
+                    ssig = keys.setdefault(ssig, ssig)
                     self.rep.setdefault(ssig, succ)
                     seen.append((ssig, move.kind, WEIGHTS[move.kind],
                                  succ.reticulation_count))
-            self._succ[key] = tuple(seen)
+            self._succ[sig, tree_child_only] = tuple(seen)
         return self._succ[key]
 
 

@@ -35,6 +35,7 @@ from snprlab import (
     parse_enewick,
     random_network,
     random_tree_child,
+    validate,
     write_enewick,
     write_witness_bundle,
 )
@@ -155,8 +156,8 @@ def test_measure_of_eight_leaf_pairs_matches_golden():
 
 def test_measure_is_twice_the_forest_count_on_larger_trees():
     # criterion 03 stops at five leaves, where dtc still finishes; the
-    # measure and the forest oracle alone reach seven and eight
-    for leaves in (7, 8):
+    # measure and the forest search alone reach seven to ten
+    for leaves in (7, 8, 9, 10):
         for seed in range(10):
             t = random_tree_child(leaves, 0, seed=700 + 2 * seed)
             u = random_tree_child(leaves, 0, seed=701 + 2 * seed)
@@ -556,6 +557,148 @@ def test_forest_oracle_on_caterpillars():
     assert maf_rspr(t, u) == 1
     far = parse_enewick("((a,d),(b,c));")
     assert maf_rspr(t, far) == 1
+
+
+def _partition_maf(t, u):
+    """The partition enumerator maf_rspr replaces, kept as its oracle.
+
+    Exhaustive over partitions of the taxa plus a root marker: a partition
+    agrees when each part spans the same suppressed shape in both trees and
+    the spanned regions are vertex-disjoint within each tree. The answer is
+    the smallest agreeing part count minus one.
+    """
+    rho = "\x00root"
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        head, rest = items[0], items[1:]
+        for part in partitions(rest):
+            for i in range(len(part)):
+                yield part[:i] + [part[i] + [head]] + part[i + 1:]
+            yield part + [[head]]
+
+    def tree_maps(net):
+        parent = {}
+        depth = {net.root: 0}
+        order = [net.root]
+        while order:
+            v = order.pop()
+            for e in net.out_edges(v):
+                parent[e.dst] = v
+                depth[e.dst] = depth[v] + 1
+                order.append(e.dst)
+        return parent, depth
+
+    def block_span(net, parent, depth, block):
+        leaves = {net.leaf_of_label(lab): lab for lab in block if lab != rho}
+        anchored = rho in block
+        if anchored:
+            anchor = net.root
+        else:
+            cur = set(leaves)
+            while len(cur) > 1:
+                deepest = max(cur, key=lambda v: (depth[v], v))
+                cur.discard(deepest)
+                cur.add(parent[deepest])
+            anchor = cur.pop()
+        span = {anchor}
+        kids = {}
+        for lf in leaves:
+            v = lf
+            while v != anchor:
+                p = parent[v]
+                if v not in kids.setdefault(p, []):
+                    kids[p].append(v)
+                if v in span:
+                    break
+                span.add(v)
+                v = p
+
+        def shp(v):
+            below = tuple(sorted(shp(w) for w in kids.get(v, ())))
+            if v in leaves:
+                return ("leaf", leaves[v])
+            if len(below) == 1:
+                return below[0]
+            return ("node",) + below
+
+        if anchored:
+            return span, ("anchor",) + tuple(sorted(shp(w) for w in kids.get(anchor, ())))
+        return span, shp(anchor)
+
+    maps = {id(t): tree_maps(t), id(u): tree_maps(u)}
+    best = None
+    for part in partitions([rho] + sorted(t.taxa)):
+        if best is not None and len(part) >= best:
+            continue
+        shapes = {}
+        for net in (t, u):
+            used = set()
+            shapes[id(net)] = []
+            for block in part:
+                span, shape = block_span(net, *maps[id(net)], block)
+                if used & span:
+                    break
+                used |= span
+                shapes[id(net)].append(shape)
+            else:
+                continue
+            break
+        else:
+            if shapes[id(t)] == shapes[id(u)]:
+                best = len(part)
+    return best - 1
+
+
+def test_forest_search_matches_partition_oracle_on_four_leaf_pairs():
+    trees = list(enumerate_tree_child(4, 0))
+    got = [(maf_rspr(t, u), _partition_maf(t, u)) for t in trees for u in trees]
+    assert len(got) == 225
+    assert [i for i, (a, b) in enumerate(got) if a != b] == []
+    assert {a for a, _ in got} == {0, 1, 2}
+
+
+def test_forest_search_matches_partition_oracle_on_seeded_larger_pairs():
+    # six to eight leaves, where the oracle takes up to about a second
+    got = []
+    for leaves, count in ((6, 6), (7, 4), (8, 2)):
+        for s in range(count):
+            t = random_tree_child(leaves, 0, seed=600 + 2 * s)
+            u = random_tree_child(leaves, 0, seed=601 + 2 * s)
+            got.append((maf_rspr(t, u), _partition_maf(t, u),
+                        write_enewick(t), write_enewick(u)))
+    assert [g for g in got if g[0] != g[1]] == []
+    assert len({g[0] for g in got}) >= 3
+
+
+def test_forest_search_on_identical_deep_trees():
+    # a 1,000-leaf caterpillar against its copy: every reduction and the
+    # marked arrays are walked with explicit stacks
+    leaves = 1000
+    edges = [(0, 1)] + [(i, i + 1) for i in range(1, leaves)]
+    edges += [(i, leaves + i) for i in range(1, leaves)]
+    labels = {leaves: "a0"}
+    labels.update({leaves + i: "a%d" % i for i in range(1, leaves)})
+    t = validate(edges, labels)
+    u = validate(edges, labels)
+    assert len(t.taxa) == leaves
+    assert maf_rspr(t, u) == 0
+    drawn = random_tree_child(leaves, 0, seed=1)
+    assert maf_rspr(drawn, drawn) == 0
+
+
+def test_forest_search_budget_counts_branch_nodes(triples):
+    # the triple pair: the round for k = 0 reduces its start (1 node), the
+    # round for k = 1 its start and the branch that cuts a (2 nodes)
+    n, m = triples
+    assert maf_rspr(n, m, budget=3) == 1
+    with pytest.raises(BudgetExceededError, match="stopped after 2 branch nodes"):
+        maf_rspr(n, m, budget=2)
+    assert maf_rspr(n, parse_enewick(write_enewick(n)), budget=1) == 0
+    with pytest.raises(BudgetExceededError):
+        maf_rspr(n, n, budget=0)
 
 
 def test_forest_oracle_rejects_reticulations(retic_pair):

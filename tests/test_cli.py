@@ -7,10 +7,11 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
-from snprlab import cli
+from snprlab import cli, random_tree_child, write_enewick
 from snprlab.cli import _build_parser, main
 
 TRIPLE_AB_C = "((a,b),c);"
@@ -106,7 +107,8 @@ def test_budget_help_says_what_it_counts():
     assert "candidate digraphs" in helps["mtc"]
     assert "candidate pairs" in helps["gap-search"]
     assert "successors" in helps["neighbors"]
-    assert set(helps) == {"distance", "mtc", "gap-search", "neighbors"}
+    assert "branch nodes" in helps["maf"]
+    assert set(helps) == {"distance", "mtc", "gap-search", "neighbors", "maf"}
 
 
 def _args_read(function):
@@ -125,7 +127,7 @@ def test_each_subcommand_takes_only_what_it_reads():
         dests = {a.dest for a in p._actions if a.dest != "help"}
         assert dests == _args_read(p.get_default("handler")) | {"out"}, name
         options += sum(1 for a in p._actions if a.option_strings and a.dest != "help")
-    assert options == 38
+    assert options == 39
 
 
 @pytest.mark.parametrize("argv", [
@@ -216,6 +218,19 @@ def test_maf_subcommand(files, capsys):
     code, _, err = run(capsys, "maf", a, r)
     assert code == 1
     assert "reticulations" in err
+
+
+def test_maf_budget_exhaustion_exits_2(files, capsys):
+    # a far 60-leaf pair: the budget stops the search at once, with one
+    # error line and nothing on stdout
+    a = files("a.nwk", write_enewick(random_tree_child(60, 0, seed=1)))
+    b = files("b.nwk", write_enewick(random_tree_child(60, 0, seed=2)))
+    start = time.process_time()
+    code, out, err = run(capsys, "maf", a, b, "--budget", "50")
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: stopped after 50 branch nodes\n"
+    assert run(capsys, "maf", a, a, "--budget", "1") == (0, "0\n", "")
 
 
 def test_gen_is_seeded(files, capsys):

@@ -78,3 +78,26 @@ def test_only_netcore_names_the_builder():
     assert "_Builder" in set(_names(trees["netcore"]))
     assert [name for name, tree in trees.items()
             if name != "netcore" and "_Builder" in set(_names(tree))] == []
+
+
+def test_forest_oracle_stays_independent():
+    # maf_rspr cross-checks the digraph measure on trees, so neither it nor
+    # any module function it reaches names what agreement imports from
+    # the digraph, embedding or move modules
+    tree = _trees()["agreement"]
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level
+                and node.module in ("digraphcore", "embed", "snpr")
+                for alias in node.names}
+    assert {"find_embedding", "dtc", "_component"} <= imported
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["maf_rspr"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for n in _names(functions[name]) if n in functions]
+    assert {"_marked_tree", "_reduce_pair", "_pendant_roots"} <= reached
+    assert sorted((name, used) for name in reached
+                  for used in _names(functions[name]) if used in imported) == []

@@ -435,6 +435,26 @@ def test_cold_dtc_freezes_only_expanded_keys_and_endpoints():
     assert len(frozen) < len(cache.rep)
 
 
+def test_cache_holds_one_object_per_key(retic_ab_c, triple_ab_c, triple_ac_b,
+                                        triple_a_bc):
+    # rep, the successor entries, their parent links and the stored mu
+    # keys of representatives share one bytes object per distinct key,
+    # in both modes and across calls that meet keys seen before
+    cache = NeighborCache()
+    for tree_child_only in (True, False):
+        for a, b in [(triple_ab_c, triple_ac_b), (triple_a_bc, retic_ab_c),
+                     (triple_ac_b, triple_ab_c)]:
+            dtc(a, b, cache=cache, tree_child_only=tree_child_only)
+    held = list(cache.rep)
+    held += [ssig for seen in cache._succ.values() for ssig, *_ in seen]
+    held += [sig for sig, _ in cache._succ]
+    held += [got[0] for got in cache.rep.values() if isinstance(got, tuple)]
+    held += [net._mu for net in cache.rep.values()
+             if isinstance(net, Network) and net._mu in cache.rep]
+    assert len(held) > 3 * len(cache.rep)
+    assert len({id(key) for key in held}) == len(cache.rep)
+
+
 def _dtc_digest(n, m, cache):
     weight, seq = dtc(parse_enewick(n), parse_enewick(m), cache=cache)
     return hashlib.sha256(b"%d\n" % weight + moves_to_json(seq).encode()).hexdigest()
