@@ -1,7 +1,9 @@
 """Moves, sequences and the exact distance.
 
 The edit outcomes of every move kind and the sequence rewrites on seeded
-walks are pinned to tests/golden/move_outcomes.json. Regenerate it with
+walks are pinned to tests/golden/move_outcomes.json, and the fresh-cache
+dtc weight and witness on small exhaustive and sampled corpora to
+tests/golden/dtc_corpora.json. Regenerate both with
 ``PYTHONPATH=src python tests/test_snpr.py`` only when a change of these
 outputs is intended. The dtc weight and witness of every distance pair in
 bench/expected.json are pinned to tests/golden/dtc_distance_pool.json.
@@ -32,6 +34,7 @@ from snprlab.phyloio import parse_enewick, write_enewick, write_pnd
 
 MOVE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "move_outcomes.json"
 DISTANCE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "dtc_distance_pool.json"
+CORPUS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "dtc_corpora.json"
 BENCH_EXPECTED = pathlib.Path(__file__).parent.parent / "bench" / "expected.json"
 
 
@@ -473,6 +476,56 @@ def test_dtc_distance_pool_matches_golden(shared):
     assert got == [want["%s %s" % pair] for pair in pairs]
 
 
+def _dtc_corpus(name):
+    """(ordered pairs, tree_child_only) of one pinned corpus: every ordered
+    pair of 3-leaf networks with at most two reticulations; 1,000 seeded
+    ordered pairs of 4-leaf networks with at most one; and every ordered
+    pair of 3-leaf networks with at most one, in each search space."""
+    if name == "three_leaves_two_retics":
+        nets = list(enumerate_tree_child(3, 2))
+        return [(a, b) for a in nets for b in nets], True
+    if name == "four_leaves_one_retic_sample":
+        nets = list(enumerate_tree_child(4, 1))
+        picks = random.Random(0).sample(range(len(nets) ** 2), 1000)
+        return [(nets[i // len(nets)], nets[i % len(nets)]) for i in picks], True
+    nets = list(enumerate_tree_child(3, 1))
+    return ([(a, b) for a in nets for b in nets],
+            name == "three_leaves_one_retic_tree_child")
+
+
+# corpus name -> number of ordered pairs
+DTC_CORPORA = {"three_leaves_two_retics": 4356, "four_leaves_one_retic_sample": 1000,
+               "three_leaves_one_retic_tree_child": 576, "three_leaves_one_retic_any": 576}
+
+
+def _corpus_line(a, b, tree_child_only):
+    """'<weight> <first 16 hex digits of the SHA-256 of the witness's
+    moves_to_json>' of dtc on a fresh cache at the default cap."""
+    w, s = dtc(a, b, tree_child_only=tree_child_only)
+    return "%d %s" % (w, hashlib.sha256(moves_to_json(s).encode()).hexdigest()[:16])
+
+
+def dtc_corpus_goldens():
+    goldens = {"about": "per corpus of tests/test_snpr.py::_dtc_corpus, in pair "
+                        "order: '<dtc weight> <first 16 hex digits of the SHA-256 of "
+                        "moves_to_json(witness)>', each dtc on a fresh NeighborCache "
+                        "at the default cap"}
+    for name in DTC_CORPORA:
+        pairs, tree_child_only = _dtc_corpus(name)
+        goldens[name] = [_corpus_line(a, b, tree_child_only) for a, b in pairs]
+    return goldens
+
+
+@pytest.mark.parametrize("name", DTC_CORPORA)
+def test_dtc_corpus_matches_golden(name):
+    want = json.loads(CORPUS_GOLDEN.read_text(encoding="utf-8"))[name]
+    pairs, tree_child_only = _dtc_corpus(name)
+    assert len(pairs) == len(want) == DTC_CORPORA[name]
+    for (a, b), line in zip(pairs, want):
+        assert _corpus_line(a, b, tree_child_only) == line, (
+            write_enewick(a), write_enewick(b))
+
+
 def test_dtc_cap_sensitivity(triple_ab_c, triple_ac_b, retic_ab_c, triple_a_bc):
     for a, b in [(triple_ab_c, triple_ac_b), (retic_ab_c, triple_a_bc)]:
         base = max(a.reticulation_count, b.reticulation_count)
@@ -710,4 +763,6 @@ def test_sequence_rewrites_match_golden():
 if __name__ == "__main__":
     MOVE_GOLDEN.write_text(json.dumps({**move_outcome_goldens(), **rewrite_goldens()},
                                       indent=1) + "\n", encoding="utf-8")
+    CORPUS_GOLDEN.write_text(json.dumps(dtc_corpus_goldens(), indent=1) + "\n",
+                             encoding="utf-8")
     sys.exit(0)
