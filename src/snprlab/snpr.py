@@ -419,6 +419,10 @@ class NeighborCache:
     ignore any reticulation cap so a cache can be shared between searches
     with different caps. Each key is held as one bytes object, shared by
     rep, the successor entries and a representative's stored mu key.
+
+    A key's successor order follows the vertex numbering of its
+    representative, so sharing a cache between calls keeps every dtc weight
+    but can change which of several optimal witnesses a later call returns.
     """
 
     def __init__(self):
@@ -479,9 +483,46 @@ def _check_dtc_inputs(n, m, reticulation_cap, tree_child_only):
 
 
 def _bidirectional(sig_n, sig_m, cache, cap, budget, tree_child_only):
-    # two frontiers over the same undirected weighted signature graph;
-    # edge weights agree in both directions because every move reverses
-    # at matching weight
+    """(weight, meeting key, parent maps) of a cheapest path between two
+    distinct keys, by uniform-cost search from both ends at once.
+
+    The two frontiers run over one undirected graph: every move reverses
+    at the same weight, and both sides drop successors over the cap. Each
+    step expands the side whose heap top is smaller, forward on a tie, so
+    sig_n is expanded first. Each relaxation that reaches a key labelled by
+    both sides prices a real walk, the sum of its two labels; best is the
+    least such sum and meet its key, replaced only by a strictly smaller
+    one. A settled key's label is its exact distance from its side's end,
+    and best is at most the sum of any key's two final labels, since the
+    check runs when the later of them is set.
+
+    The search stops once tops[0] + tops[1] + 2 >= best, tops being the two
+    heap minima; best is then optimal, for two reasons.
+
+    Parity: minus and plus weigh 1 and change the reticulation count r by
+    one, pm weighs 2 and keeps r, so every walk from n to m weighs
+    r(n) - r(m) mod 2. best is a walk's weight, so a shorter path weighs at
+    most best - 2.
+
+    No shorter path: take a shortest path P of weight L <= best - 2. Let y
+    be the first key of P not settled forward and u the last not settled
+    backward; both exist, or m would hold a forward label (n a backward
+    one) and best <= L. If u came before y, some key of P would be settled
+    on both sides, or an edge of P would join a key settled forward to one
+    settled backward, which the later of the two expansions relaxed with
+    both labels exact; either way best <= L. So y comes no later than u.
+    y is not n, and y's predecessor on P was expanded forward, so y is open
+    with its exact label and tops[0] <= d(n, y); likewise u is m, open at
+    0, or its successor on P was expanded backward, so tops[1] <= d(u, m).
+    If y = u, then best <= d(n, y) + d(y, m) = L. Otherwise the part of P
+    from y to u holds a move, which weighs at least 1, so
+    L >= tops[0] + 1 + tops[1] >= best - 1, against L <= best - 2.
+
+    Any later stop, such as the plain rule tops[0] + tops[1] >= best on the
+    same cache, returns the same result: once best is optimal meet never
+    changes, and each parent on the two chains from meet is a settled key,
+    whose label, and so whose parent, is final.
+    """
     dist = ({sig_n: 0}, {sig_m: 0})
     parent = ({sig_n: None}, {sig_m: None})
     heaps = ([(0, sig_n)], [(0, sig_m)])
@@ -491,7 +532,7 @@ def _bidirectional(sig_n, sig_m, cache, cap, budget, tree_child_only):
     expansions = 0
     while heaps[0] and heaps[1]:
         tops = [h[0][0] for h in heaps]
-        if best is not None and tops[0] + tops[1] >= best:
+        if best is not None and tops[0] + tops[1] + 2 >= best:
             break
         side = 0 if tops[0] <= tops[1] else 1
         other = 1 - side
@@ -546,13 +587,22 @@ def dtc(n: Network, m: Network, reticulation_cap=None, *, budget=None,
     Every intermediate network is tree-child with at most
     `reticulation_cap` reticulations (default: one above the inputs'
     maximum). Returns (weight, sequence); the witness sequence ends at a
-    network isomorphic to m and is None when witness is False. A shared
-    NeighborCache makes repeated calls over a corpus much cheaper.
-    budget caps the number of signature expansions.
+    network isomorphic to m and is None when witness is False. budget
+    caps the number of signature expansions.
 
-    The search always meets in the middle from both ends. bidirectional
-    is deprecated and ignored; it is accepted so existing callers keep
-    working.
+    The search always meets in the middle from both ends, and stops once
+    the cheapest meeting found is provably optimal: when the two
+    frontiers' smallest labels sum to at least its weight minus 2. Every
+    move weighs at least 1, and every path between n and m weighs the
+    difference of their reticulation counts mod 2; the proof is in
+    _bidirectional. bidirectional is deprecated and ignored; it is
+    accepted so existing callers keep working.
+
+    A shared NeighborCache makes repeated calls over a corpus much cheaper
+    and never changes a weight, but it may change the witness: equal-weight
+    meetings are ranked in the successor order of each key's
+    representative, the first copy of the key any earlier call met. On a
+    fresh cache the witness depends on the arguments alone.
 
     tree_child_only=False searches the wider space of all valid binary
     networks under the cap. No published optimality claims attach to

@@ -29,7 +29,8 @@ from snprlab.netcore import (Edge, Network, _mu_key, canonical_signature,
 from snprlab.snpr import (WEIGHTS, Move, MoveSequence, NeighborCache, apply_move,
                           apply_move_detailed, dtc, enforce_global_assumption,
                           enumerate_moves, moves_from_json, moves_to_json,
-                          normalize_sequence, sequence_weight, _find_move_to)
+                          normalize_sequence, sequence_weight, _find_move_to, _key)
+from snprlab.agreement import mtc
 from snprlab.phyloio import parse_enewick, write_enewick, write_pnd
 
 MOVE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "move_outcomes.json"
@@ -524,6 +525,70 @@ def test_dtc_corpus_matches_golden(name):
     for (a, b), line in zip(pairs, want):
         assert _corpus_line(a, b, tree_child_only) == line, (
             write_enewick(a), write_enewick(b))
+
+
+def test_move_weights_bound_the_stop():
+    # dtc's search stops once its two frontier minima sum to best - 2,
+    # which is exact only if every move weighs at least 1 and changes the
+    # reticulation count by the parity of its weight: checked on every
+    # successor entry the search reads, in both search spaces
+    assert min(WEIGHTS.values()) >= 1
+    hosts = [n for leaves in (1, 2, 3, 4) for n in enumerate_tree_child(leaves, 1)]
+    cache = NeighborCache()
+    for tree_child_only in (True, False):
+        kinds = set()
+        for n in hosts:
+            sig = _key(tree_child_only)(n)
+            cache.representative(sig, n)
+            for _, kind, w, retics in cache.successors(sig, tree_child_only):
+                assert w == WEIGHTS[kind]
+                assert (w - retics + n.reticulation_count) % 2 == 0
+                kinds.add(kind)
+        assert kinds == set(WEIGHTS)
+
+
+class _CountingCache(NeighborCache):
+    """A NeighborCache that counts successors calls: one per expansion."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def successors(self, sig, tree_child_only=True):
+        self.calls += 1
+        return super().successors(sig, tree_child_only)
+
+
+def test_dtc_stops_once_its_meeting_is_optimal():
+    # every ordered pair of 4-leaf trees answers within one expansion per
+    # side, and the distance baseline pair within three; the plain
+    # two-sided rule, tops[0] + tops[1] >= best, takes 50 to 54 on the
+    # tree pairs at distance 4 and 75 on the baseline pair
+    trees = list(enumerate_tree_child(4, 0))
+    assert len(trees) == 15
+    for a in trees:
+        for b in trees:
+            cache = _CountingCache()
+            dtc(a, b, reticulation_cap=1, cache=cache)
+            assert cache.calls <= 2, (write_enewick(a), write_enewick(b))
+    doc = json.loads(BENCH_EXPECTED.read_text(encoding="utf-8"))["distance"]
+    cache = _CountingCache()
+    dtc(parse_enewick(doc["baseline"]["n"]), parse_enewick(doc["baseline"]["m"]),
+        cache=cache)
+    assert cache.calls <= 3
+
+
+def test_dtc_answers_six_leaves_one_reticulation():
+    # 6 leaves, one reticulation, distance 8: under the plain two-sided
+    # rule the search finds no answer within 10,000 expansions
+    n = random_tree_child(6, 1, seed=3)
+    m = random_tree_child(6, 1, seed=4)
+    w, s = dtc(n, m, budget=1000)
+    assert w == 8 == mtc(n, m)[0]
+    replayed = moves_from_json(moves_to_json(s))
+    assert sequence_weight(replayed) == w
+    assert isomorphic(replayed.end, m)
+    assert all(is_tree_child(net) for net in replayed.networks)
 
 
 def test_dtc_cap_sensitivity(triple_ab_c, triple_ac_b, retic_ab_c, triple_a_bc):
