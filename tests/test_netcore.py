@@ -1,6 +1,17 @@
+"""Networks, the tree-child checks and the generators.
+
+Seeded generator output is pinned to tests/golden/random_networks.json.
+Regenerate it with ``PYTHONPATH=src python tests/test_netcore.py`` only when
+a change of these outputs is intended.
+"""
+
 import collections
 import functools
+import hashlib
 import itertools
+import json
+import pathlib
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -396,3 +407,50 @@ def test_enumeration_is_deterministic():
     first = [canonical_signature(n) for n in enumerate_tree_child(3, 1)]
     second = [canonical_signature(n) for n in enumerate_tree_child(3, 1)]
     assert first == second
+
+
+# --- generator golden ----------------------------------------------------------
+
+GENERATOR_GOLDEN = pathlib.Path(__file__).parent / "golden" / "random_networks.json"
+
+
+def _generated(*args, **kwargs):
+    """write_enewick of random_network(*args, **kwargs), or the class and
+    message of what it raises."""
+    try:
+        return write_enewick(random_network(*args, **kwargs))
+    except (ValueError, BudgetExceededError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def generator_goldens():
+    grid = {}
+    for tree_child in (False, True):
+        for leaves in range(1, 9):
+            for retics in range(4):
+                for seed in range(10):
+                    key = "%d %d %d %s" % (leaves, retics, seed, tree_child)
+                    grid[key] = _generated(leaves, retics, seed, tree_child)
+    digests = {"%d %d %d %s" % args: hashlib.sha256(_generated(*args).encode()).hexdigest()
+               for args in [(200, 1, s, True) for s in range(3)] + [(60, 3, 0, False)]}
+    return {"about": "'<leaves> <reticulations> <seed> <require_tree_child>' -> "
+                     "write_enewick(random_network(...)), or '<exception class>: "
+                     "<message>'; sha256 holds the SHA-256 of that text",
+            "grid": grid, "sha256": digests,
+            "exhausted": {"20 20 3 True": _generated(20, 20, 3, True)}}
+
+
+def test_random_networks_match_golden():
+    want = json.loads(GENERATOR_GOLDEN.read_text(encoding="utf-8"))
+    got = generator_goldens()
+    assert len(got["grid"]) == len(want["grid"]) == 640
+    for key, text in want["grid"].items():
+        assert got["grid"][key] == text, key
+    assert got["sha256"] == want["sha256"]
+    assert got["exhausted"] == want["exhausted"]
+
+
+if __name__ == "__main__":
+    GENERATOR_GOLDEN.write_text(json.dumps(generator_goldens(), indent=1) + "\n",
+                                encoding="utf-8")
+    sys.exit(0)
