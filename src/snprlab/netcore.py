@@ -7,9 +7,12 @@ Vertices are ints. Leaves are exactly the vertices of out-degree zero and
 carry the taxon labels. Parallel edges are legal and distinguished by slot.
 """
 
+import bisect
+import itertools
 import math
 import random
 import re
+from array import array
 from typing import NamedTuple
 
 from . import _canon
@@ -816,21 +819,34 @@ def _attach_leaf(tree: Network, edge: Edge, label) -> Network:
     return Network(range(leaf + 1), edges, tree.root, {**tree.leaf_labels, leaf: label})
 
 
+def _insertion_tails(n: Network, head: Edge) -> list:
+    """The tails of the plus pairs with this head edge, in insertion order:
+    the head itself first, then the other tails of _plus_tails."""
+    return [head] + [t for t in _plus_tails(n, head) if t != head]
+
+
 def _reticulation_insertions(n: Network):
-    """All legal plus (head, tail) pairs, by head; each head's own pair first."""
-    pairs = []
+    """All legal plus (head, tail) pairs, lazily: heads in edge order, each
+    with its _insertion_tails."""
     for head in n.edges:
-        pairs.append((head, head))
-        pairs += [(head, t) for t in _plus_tails(n, head) if t != head]
-    return pairs
+        for tail in _insertion_tails(n, head):
+            yield head, tail
 
 
 def random_network(n_leaves, n_reticulations, seed=0, require_tree_child=False):
     """Random network by leaf attachment plus reticulation insertion.
 
-    With require_tree_child every intermediate insertion is filtered to keep
-    the tree-child property, decided before the candidate is edited; raises
-    when the requested count is unreachable.
+    Seed contract: each insertion edits the first legal pair of one seeded
+    shuffle of all plus pairs in the fixed order of _reticulation_insertions
+    (heads in edge order, each head's own pair first, then its other tails
+    in edge order). With require_tree_child a pair is legal when the result
+    stays tree-child, decided before the candidate is edited. Raises when
+    the requested count is unreachable.
+
+    Cost per insertion: one random draw and one 8-byte index per pair, so
+    time and memory in O(pairs). The shuffle permutes pair indices; the scan
+    turns an index into its pair only when it reaches it, by a bisection on
+    the per-head counts, and reads each head's tails at most once.
     """
     if n_leaves < 1:
         raise ValueError("need at least one leaf")
@@ -843,10 +859,21 @@ def random_network(n_leaves, n_reticulations, seed=0, require_tree_child=False):
         edge = rng.choice(sorted(net.edges))
         net = _attach_leaf(net, edge, lab)
     for _ in range(n_reticulations):
-        pairs = _reticulation_insertions(net)
-        rng.shuffle(pairs)
+        heads, out = net.edges, net._adjacency()[0]
+        # len(_plus_tails(net, h)) without building it: the edges out of no
+        # vertex at or below h's end, h itself among them
+        starts = list(itertools.accumulate(
+            (len(heads) - sum(len(out[v]) for v in _below(net, h.dst)) for h in heads),
+            initial=0))
+        order = array("q", range(starts[-1]))
+        rng.shuffle(order)  # the same draws and permutation as on a list of the pairs
         keeps = _Keyer(net).keeps_tree_child
-        for e1, e2 in pairs:
+        tails = {}
+        for i in order:
+            h = bisect.bisect_right(starts, i) - 1
+            if h not in tails:
+                tails[h] = _insertion_tails(net, heads[h])
+            e1, e2 = heads[h], tails[h][i - starts[h]]
             if not require_tree_child or keeps("plus", e1, e2):
                 net = _edit(net, "plus", e1, e2)[0]
                 break

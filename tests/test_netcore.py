@@ -12,6 +12,7 @@ import itertools
 import json
 import pathlib
 import sys
+import tracemalloc
 from typing import NamedTuple
 
 import pytest
@@ -355,6 +356,18 @@ def test_random_tree_child_unreachable_count():
     # a single leaf admits no tree-child reticulation insertion
     with pytest.raises(BudgetExceededError):
         random_tree_child(1, 1, seed=0)
+
+
+def test_random_tree_child_keeps_one_index_per_pair():
+    # the 200-leaf tree has 152,737 plus pairs: 1.2 MB of shuffled
+    # 8-byte indices, and the scan maps only the indices it reaches
+    tracemalloc.start()
+    try:
+        random_tree_child(200, 1, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_random_network_reaches_non_tree_child():
