@@ -624,7 +624,7 @@ def maf_rspr(t: Network, u: Network, budget=None) -> int:
 def _leaf_tail_moves(n):
     """(Move, mu key) for each tree-child pm move of n that moves a leaf,
     keyed without an edit."""
-    return ((mv, key) for mv, key, _ in _keyed(n, "pm") if mv.edge.dst in n.leaves)
+    return ((mv, key) for mv, key, _ in _keyed(n, kind="pm") if mv.edge.dst in n.leaves)
 
 
 def gap_witness_search(n_leaves, r, budget, seed=0):

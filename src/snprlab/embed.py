@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import (ContractViolationError, EmbeddingError,
                      InvalidDigraphError, InvalidNetworkError, MoveError)
-from .netcore import Network, _flatten_origin, is_tree_child
+from .netcore import Network, _RETIC_CHANGE, _flatten_origin, is_tree_child
 from .digraphcore import PhyloDigraph, digraph_signature, is_tree_child_digraph
 from .snpr import apply_move_detailed
 
@@ -696,9 +696,6 @@ def path_extension(r: Extension, m: Embedding, p) -> frozenset:
 # ---------------------------------------------------------------------------
 # carrying an extension across a move
 
-_CUT_DELTA = {"minus": -1, "plus": 1, "pm": 0}
-
-
 def _carried(origin, r_edges):
     # which post-move edges inherit membership from the claimed set
     kind = origin[0]
@@ -733,7 +730,8 @@ def transfer_extension(n: Network, d: PhyloDigraph, r: Extension, move):
     """Carry an extension across one move of its tree-child host.
 
     Returns the moved network and an extension of the same digraph in
-    it.  The cut size shifts by a fixed amount per move kind: minus
+    it.  The digraph is the same on both sides, so by the identity in
+    cut_size the cut shifts by the host's change in reticulations: minus
     drops it by one, plus raises it by one, pm leaves it alone.
     """
     if not is_tree_child(n):
@@ -800,7 +798,7 @@ def transfer_extension(n: Network, d: PhyloDigraph, r: Extension, move):
         raise ContractViolationError("transfer left violations: "
                                      + "; ".join(probs))
     delta = cut_size(n2, r2) - before
-    if delta != _CUT_DELTA[move.kind]:
+    if delta != _RETIC_CHANGE[move.kind]:
         raise ContractViolationError("cut size moved by %d, wanted %d"
-                                     % (delta, _CUT_DELTA[move.kind]))
+                                     % (delta, _RETIC_CHANGE[move.kind]))
     return n2, r2

@@ -26,12 +26,14 @@ and the replay; normalize_sequence and agreement's gap search follow it,
 and enforce_global_assumption, whose input need not be tree-child,
 replays on canonical signatures.
 
-Every move is drawn from one generator. In tree-child space the search
-decides and keys each successor of a tree-child network from tables read
-once off the parent (netcore._Keyer) and edits nothing: a key it has not
-seen is stored as its parent key and move, and its Network is edited by
-netcore._edit only when the key is first expanded. enumerate_moves edits
-every successor it yields.
+Every move is drawn from one generator, and the search and the replay
+read each successor's key from one stream, _keyed. In tree-child space
+it decides and keys each successor of a tree-child network from tables
+read once off the parent (netcore._Keyer) and edits nothing; in the
+wider space it edits each successor and keys it by canonical signature.
+In both spaces a key the search has not seen is stored as its parent key
+and move, and its Network is edited by netcore._edit only when the key is
+first expanded. enumerate_moves edits every successor it yields.
 """
 
 import heapq
@@ -171,22 +173,24 @@ def _edits(n: Network, tree_child_only: bool = True, kind=None):
             yield move, succ
 
 
-def _keyed(n: Network, kind=None):
-    """(Move, mu key, reticulation count) for every tree-child successor
-    of n, or of the given kind, in the order of _moves.
+def _keyed(n: Network, tree_child_only: bool = True, kind=None):
+    """(Move, key, reticulation count) for every successor of n, or of the
+    given kind, that _edits keeps, in the order of _moves; the key is
+    _key(tree_child_only).
 
-    On a tree-child n each move is decided and keyed from tables read once
-    off n, and nothing is edited; on any other n each result is edited,
-    checked and keyed by _edits and _mu_key.
+    In tree-child space, on a tree-child n, each move is decided and keyed
+    from tables read once off n, and nothing is edited; otherwise each
+    result is edited, checked and keyed by _edits and _key.
     """
-    if not is_tree_child(n):
-        for move, succ in _edits(n, True, kind):
-            yield move, _mu_key(succ), succ.reticulation_count
+    if tree_child_only and is_tree_child(n):
+        keyer = _Keyer(n)
+        for move in _moves(n, kind):
+            if keyer.keeps_tree_child(*move):
+                yield (move, *keyer.key(*move))
         return
-    keyer = _Keyer(n)
-    for move in _moves(n, kind):
-        if keyer.keeps_tree_child(*move):
-            yield (move, *keyer.key(*move))
+    key = _key(tree_child_only)
+    for move, succ in _edits(n, tree_child_only, kind):
+        yield move, key(succ), succ.reticulation_count
 
 
 def enumerate_moves(n: Network, tree_child_only: bool = True):
@@ -299,16 +303,11 @@ def _find_move_to(n: Network, kind: str, target_sig: bytes,
     """First enumerated move of the given kind whose successor has the
     wanted signature under _key(tree_child_only). Enumeration order makes
     the pick deterministic. Moves of other kinds are skipped before any
-    edit, and in tree-child space each move is keyed by _keyed, so only
+    edit, and each move is keyed by _keyed, so in tree-child space only
     the match is edited and frozen."""
-    if tree_child_only:
-        for move, key, _ in _keyed(n, kind):
-            if key == target_sig:
-                return move, _edit(n, *move)[0]
-    else:
-        for move, succ in _edits(n, False, kind):
-            if canonical_signature(succ) == target_sig:
-                return move, succ
+    for move, key, _ in _keyed(n, tree_child_only, kind):
+        if key == target_sig:
+            return move, _edit(n, *move)[0]
     raise ContractViolationError(
         "no %s move reaches the required network; the rewrite guaranteed "
         "by the underlying theory was not found" % kind)
@@ -406,19 +405,19 @@ class NeighborCache:
 
     Holds one representative per signature, the first successor found
     with it, and, per (signature, filter mode), the successor signatures
-    with move kind, weight, and reticulation count. Tree-child successors
-    are decided and keyed by mu key, with their reticulation count, by
-    _keyed: for a tree-child representative from tables that live only
-    for the expansion, with no edit. A new key is stored as (parent key,
-    Move), and representative() edits and freezes its Network from the
-    parent's on first use, which the search makes only when it expands
-    the key. Most keys a search meets are never expanded, so most are
-    never edited. In the wider space each successor is edited, keyed by
-    canonical signature and counted by its reticulation_count. The two
-    kinds of key never collide, so one cache serves both modes. Entries
-    ignore any reticulation cap so a cache can be shared between searches
-    with different caps. Each key is held as one bytes object, shared by
-    rep, the successor entries and a representative's stored mu key.
+    with move kind, weight, and reticulation count, as _keyed gives them:
+    mu keys in tree-child space, read for a tree-child representative off
+    tables that live only for the expansion, with no edit, and canonical
+    signatures of edited successors in the wider space. In both spaces a
+    new key is stored as (parent key, Move), and representative() edits
+    and freezes its Network from the parent's on first use, which the
+    search makes only when it expands the key. Most keys a search meets
+    are never expanded, so most are never frozen. The two kinds of key
+    never collide, so one cache serves both modes. Entries ignore any
+    reticulation cap so a cache can be shared between searches with
+    different caps. Each key is held as one bytes object, shared by rep,
+    the successor entries and the key a representative stores in its _mu
+    or _sig slot.
 
     A key's successor order follows the vertex numbering of its
     representative, so sharing a cache between calls keeps every dtc weight
@@ -441,7 +440,11 @@ class NeighborCache:
             # the parent was expanded, so its representative is frozen
             parent, move = got
             got = _edit(self.rep[parent], *move)[0]
-            got._mu = self._keys[sig]
+            sig = self._keys[sig]
+            if sig.startswith(b"mu"):
+                got._mu = sig
+            else:
+                got._sig = sig
             self.rep[sig] = got
         return got
 
@@ -452,19 +455,11 @@ class NeighborCache:
             n = self.representative(sig)
             keys = self._keys
             sig = keys[sig]
-            if tree_child_only:
-                for move, ssig, retics in _keyed(n):
-                    ssig = keys.setdefault(ssig, ssig)
-                    if ssig not in self.rep:
-                        self.rep[ssig] = (sig, move)
-                    seen.append((ssig, move.kind, WEIGHTS[move.kind], retics))
-            else:
-                for move, succ in _edits(n, False):
-                    ssig = canonical_signature(succ)
-                    ssig = keys.setdefault(ssig, ssig)
-                    self.rep.setdefault(ssig, succ)
-                    seen.append((ssig, move.kind, WEIGHTS[move.kind],
-                                 succ.reticulation_count))
+            for move, ssig, retics in _keyed(n, tree_child_only):
+                ssig = keys.setdefault(ssig, ssig)
+                if ssig not in self.rep:
+                    self.rep[ssig] = (sig, move)
+                seen.append((ssig, move.kind, WEIGHTS[move.kind], retics))
             self._succ[sig, tree_child_only] = tuple(seen)
         return self._succ[key]
 
@@ -554,10 +549,9 @@ def _bidirectional(sig_n, sig_m, cache, cap, budget, tree_child_only):
                 heapq.heappush(heaps[side], (nd, ssig))
             # any vertex with a finite label on both sides witnesses a
             # real path; track the cheapest such meeting
-            here = dist[side][ssig] if ssig in dist[side] else nd
             there = dist[other].get(ssig)
             if there is not None:
-                total = here + there
+                total = dist[side][ssig] + there
                 if best is None or total < best:
                     best, meet = total, ssig
     if best is None:

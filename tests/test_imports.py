@@ -80,6 +80,21 @@ def test_only_netcore_names_the_builder():
             if name != "netcore" and "_Builder" in set(_names(tree))] == []
 
 
+def test_search_and_replay_read_one_successor_stream():
+    # the cache's expansion and the replay's move search read every key
+    # from _keyed, in both spaces; neither runs a loop of its own over
+    # edited successors or canonical signatures
+    tree = _trees()["snpr"]
+    cache = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "NeighborCache")
+    functions = {node.name: node for node in tree.body + cache.body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("successors", "_find_move_to"):
+        names = set(_names(functions[name]))
+        assert "_keyed" in names, name
+        assert names.isdisjoint({"_edits", "canonical_signature"}), name
+
+
 def test_forest_oracle_stays_independent():
     # maf_rspr cross-checks the digraph measure on trees, so neither it nor
     # any module function it reaches names what agreement imports from

@@ -390,60 +390,73 @@ def test_one_cache_serves_both_modes(retic_ab_c, triple_ab_c, triple_ac_b, tripl
     assert {sig[:2] == b"mu" for sig in cache.rep} == {True, False}
 
 
-def _frozen_successors(n):
+def _frozen_successors(n, tree_child_only):
     """The successor tuples and representatives of a fresh cache holding n,
-    the way they were found before keys were read off the parent's tables:
-    every tree-child successor is frozen, then copied without its cached
-    counts and keyed whole, and its reticulations are counted by
+    the way they were found before keys were stored lazily: every kept
+    successor is frozen, then copied without its cached counts and keyed
+    whole by _key(tree_child_only), and its reticulations are counted by
     in-degree."""
-    sig = _mu_key(n)
+    key = _key(tree_child_only)
+    sig = key(n)
     rep, seen = {sig: n}, []
-    for mv, succ in enumerate_moves(n):
+    for mv, succ in enumerate_moves(n, tree_child_only):
         bare = Network(succ.vertices, succ.edges, succ.root, succ.leaf_labels)
-        ssig = _mu_key(bare)
+        ssig = key(bare)
         rep.setdefault(ssig, succ)
         seen.append((ssig, mv.kind, WEIGHTS[mv.kind], len(bare.reticulations())))
     return sig, tuple(seen), rep
 
 
-def test_builder_keys_match_frozen_successors():
-    # every host of at most four leaves and two reticulations: the cache
-    # keys and counts successors off the parent's tables and freezes a
-    # key's representative on first use, and must give the same tuples,
-    # in order, and the same first network per key
-    hosts = [n for leaves in (1, 2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
-    assert len(hosts) == 1 + 3 + 66 + 1515
+SPACES = [pytest.param(True, id="tree_child"), pytest.param(False, id="wider")]
+
+
+@pytest.mark.parametrize("tree_child_only", SPACES)
+def test_builder_keys_match_frozen_successors(tree_child_only):
+    # every host of at most four leaves (three in the wider space, where
+    # each successor is edited) and two reticulations: the cache keys and
+    # counts successors, stores each new key as its parent key and move,
+    # and freezes a key's representative on first use, and must give the
+    # same tuples, in order, and the same first network per key, with its
+    # key in the slot the key function fills
+    leaves = (1, 2, 3, 4) if tree_child_only else (1, 2, 3)
+    hosts = [n for k in leaves for n in enumerate_tree_child(k, 2)]
+    slot = "_mu" if tree_child_only else "_sig"
     successors = 0
     for n in hosts:
-        sig, seen, rep = _frozen_successors(n)
+        sig, seen, rep = _frozen_successors(n, tree_child_only)
         cache = NeighborCache()
         cache.representative(sig, n)
-        assert cache.successors(sig) == seen
+        assert cache.successors(sig, tree_child_only) == seen
         frozen = {key: cache.representative(key) for key in cache.rep}
         assert frozen == rep
-        assert all(net._mu == key for key, net in frozen.items())
+        assert all(getattr(net, slot) == key for key, net in frozen.items())
         successors += len(seen)
-    assert successors == 107424
+    assert (len(hosts), successors) == ((1 + 3 + 66 + 1515, 107424) if tree_child_only
+                                        else (1 + 3 + 66, 7654))
 
 
-def test_cold_dtc_freezes_only_expanded_keys_and_endpoints():
+@pytest.mark.parametrize("tree_child_only", SPACES)
+def test_cold_dtc_freezes_only_expanded_keys_and_endpoints(tree_child_only):
     # keys the search meets but never expands stay (parent key, move)
-    # pairs; a cache that froze every new key would hold a Network for each
+    # pairs in both spaces; a cache that froze every new key would hold a
+    # Network for each
     n = random_tree_child(4, 1, seed=1)
     m = random_tree_child(4, 1, seed=2)
+    key = _key(tree_child_only)
     cache = NeighborCache()
-    dtc(n, m, cache=cache)
-    frozen = {key for key, net in cache.rep.items() if isinstance(net, Network)}
-    expanded = {key for key, _ in cache._succ}
-    assert frozen <= expanded | {_mu_key(n), _mu_key(m)}
+    dtc(n, m, cache=cache, tree_child_only=tree_child_only)
+    frozen = {sig for sig, net in cache.rep.items() if isinstance(net, Network)}
+    expanded = {sig for sig, _ in cache._succ}
+    assert frozen <= expanded | {key(n), key(m)}
     assert len(frozen) < len(cache.rep)
 
 
 def test_cache_holds_one_object_per_key(retic_ab_c, triple_ab_c, triple_ac_b,
                                         triple_a_bc):
-    # rep, the successor entries, their parent links and the stored mu
-    # keys of representatives share one bytes object per distinct key,
-    # in both modes and across calls that meet keys seen before
+    # rep, the successor entries, their parent links and the keys
+    # representatives store in their _mu and _sig slots share one bytes
+    # object per distinct key, in both modes and across calls that meet
+    # keys seen before
     cache = NeighborCache()
     for tree_child_only in (True, False):
         for a, b in [(triple_ab_c, triple_ac_b), (triple_a_bc, retic_ab_c),
@@ -453,8 +466,8 @@ def test_cache_holds_one_object_per_key(retic_ab_c, triple_ab_c, triple_ac_b,
     held += [ssig for seen in cache._succ.values() for ssig, *_ in seen]
     held += [sig for sig, _ in cache._succ]
     held += [got[0] for got in cache.rep.values() if isinstance(got, tuple)]
-    held += [net._mu for net in cache.rep.values()
-             if isinstance(net, Network) and net._mu in cache.rep]
+    held += [key for net in cache.rep.values() if isinstance(net, Network)
+             for key in (net._mu, net._sig) if key in cache.rep]
     assert len(held) > 3 * len(cache.rep)
     assert len({id(key) for key in held}) == len(cache.rep)
 
