@@ -154,6 +154,21 @@ def test_measure_of_eight_leaf_pairs_matches_golden():
     assert "".join(got) == EIGHT_LEAF_PAIRS.read_text(encoding="utf-8")
 
 
+NINE_LEAF_PAIRS = pathlib.Path(__file__).parent / "golden" / "mtc_nine_leaf_pairs.txt"
+
+
+def test_measure_of_nine_leaf_pairs_matches_golden():
+    # 9 leaves with 2 reticulations each; the golden was written before the
+    # leaf-chain check and the whole-branch bound, so neither changes a byte
+    got = []
+    for s in (1, 3, 5, 7):
+        value, w = mtc(random_tree_child(9, 2, seed=s),
+                       random_tree_child(9, 2, seed=s + 1))
+        got.append("== random_tree_child(9, 2, seed=%d) against seed=%d\n%d\n%s"
+                   % (s, s + 1, value, write_witness_bundle(w)))
+    assert "".join(got) == NINE_LEAF_PAIRS.read_text(encoding="utf-8")
+
+
 def test_measure_is_twice_the_forest_count_on_larger_trees():
     # criterion 03 stops at five leaves, where dtc still finishes; the
     # measure and the forest search alone reach seven to ten
