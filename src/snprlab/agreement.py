@@ -11,7 +11,8 @@ from .errors import (
     InvalidDigraphError,
     InvalidNetworkError,
 )
-from .netcore import Network, _mu_key, _require_tree_child_pair, random_tree_child
+from .netcore import (Network, _leaf_clusters, _mu_key, _require_tree_child_pair,
+                      random_tree_child)
 from .digraphcore import (
     digraph_signature,
     is_tree_child_digraph,
@@ -133,26 +134,32 @@ def _valid_candidate(n: Network, mask):
 
 
 def _local_checks(n: Network):
-    """Per edge index, the vertex rules that become decidable with that edge.
+    """Per edge index, the vertex rules that become decidable with that
+    edge, and the edges below it of the edge's ends.
 
-    A vertex other than the root and the leaves gives (edges, out): the
-    bits of its three edge indices, and for a reticulation the bit of its
-    out-edge (0 for a tree vertex). It is filed under the largest of its
-    three indices.
+    Returns (checks, ends). A vertex other than the root and the leaves
+    gives (edges, out): the bits of its three edge indices, and for a
+    reticulation the bit of its out-edge (0 for a tree vertex). It is filed
+    in checks under the largest of its three indices. ends holds, for edge
+    i, one mask for each end of the edge: the bits of that end's edges with
+    indices below i, or -1 when the end is the root or a leaf.
     """
     index = {e: i for i, e in enumerate(n.edges)}
     checks = [[] for _ in n.edges]
+    mine = {}
     for v in n.vertices:
         ins = [index[e] for e in n.in_edges(v)]
         outs = [index[e] for e in n.out_edges(v)]
         if ins and outs:
-            bits = sum(1 << i for i in ins + outs)
+            bits = mine[v] = sum(1 << i for i in ins + outs)
             out = 1 << outs[0] if len(ins) == 2 else 0
             checks[max(ins + outs)].append((bits, out))
-    return checks
+    ends = [tuple(mine[v] & ((1 << i) - 1) if v in mine else -1 for v in e[:2])
+            for i, e in enumerate(n.edges)]
+    return checks, ends
 
 
-def _valid_drops(n: Network):
+def _valid_drops(n: Network, cap=None):
     """Dropped host edges whose kept rest passes the local rule, with the
     cut of the digraph that rest forms.
 
@@ -184,46 +191,67 @@ def _valid_drops(n: Network):
     is a subdivision of the digraph and cut_size's proof gives the cut as
     |E| - |V| of the host minus that of the digraph; a subdivision has the
     digraph's |E| - |V|, and the kept subgraph has k edges and z vertices
-    fewer than the host.
-    """
-    checks = _local_checks(n)
-    size = len(checks)
+    fewer than the host. The walk counts the inner vertices that keep one
+    of the edges decided so far; z is the rest of them once all are decided.
 
-    def emptied(rules, mask):
-        """Vertices of rules that keep none of their edges, or -1 if one
-        breaks its rule, for the dropped edges in the bit mask.
+    cap, when given, is a one-item list holding a cut that the caller may
+    lower between items; only subsets that cut less are yielded, and the
+    walk skips whole branches and sizes that hold no such subset:
+      - In a branch at k dropped edges where c inner vertices keep a
+        decided edge, the other inner - c are those emptied so far and
+        those still open. A vertex that keeps an edge is never emptied, so
+        every subset of the branch cuts at least k - (inner - c), and the
+        branch is abandoned once inner - c <= k - cap[0].
+      - Every subset of k dropped edges cuts at least ceil(k / 3): each
+        emptied vertex has three edges, all dropped, and a dropped edge has
+        two ends, so 3z <= 2k. Sizes come in increasing order, so the walk
+        stops once ceil(k / 3) reaches cap[0].
+    So the stream is the unbounded one less exactly the subsets that cut
+    cap[0] or more, read at the time each would be yielded.
+    """
+    checks, ends = _local_checks(n)
+    size = len(checks)
+    inner = sum(map(len, checks))
+    if cap is None:
+        cap = [size + 1]  # no subset cuts more than size edges
+
+    def breaks(rules, mask):
+        """Whether a vertex of rules breaks its rule for the dropped edges in
+        the bit mask.
 
         A tree vertex keeps 0, 2 or 3 of its edges, and a reticulation
         keeps its out-edge exactly when it keeps an in-edge: so dropping
         two edges breaks either, and dropping one breaks a reticulation
         exactly when it is the out-edge.
         """
-        count = 0
         for bits, out in rules:
             gone = (mask & bits).bit_count()
             if gone == 2 or (gone == 1 and mask & out):
-                return -1
-            count += gone == 3
-        return count
+                return True
+        return False
 
     for k in range(size + 1):
+        if -(-k // 3) >= cap[0]:
+            return
         stack = [(0, 0, 0, 0)]
         while stack:
-            i, drops, mask, zeros = stack.pop()
+            i, drops, mask, closed = stack.pop()
+            if inner - closed <= k - cap[0]:
+                continue
             if i == size:
-                yield mask, k - zeros
+                yield mask, k - inner + closed
                 continue
             rules = checks[i]
             # keep is pushed first so that the drop branch is walked first
-            if k - drops < size - i:
-                z = emptied(rules, mask) if rules else 0
-                if z >= 0:
-                    stack.append((i + 1, drops, mask, zeros + z))
+            if k - drops < size - i and not (rules and breaks(rules, mask)):
+                # keeping edge i closes each end whose lower edges are dropped
+                a, b = ends[i]
+                stack.append((i + 1, drops, mask,
+                              closed + (a & mask == a) + (b & mask == b)))
             if drops < k:
                 mask_i = mask | 1 << i
-                z = emptied(rules, mask_i) if rules else 0
-                if z >= 0:
-                    stack.append((i + 1, drops + 1, mask_i, zeros + z))
+                if not (rules and breaks(rules, mask_i)):
+                    stack.append((i + 1, drops + 1, mask_i, closed))
 
 
 def _kept(n: Network, mask):
@@ -262,16 +290,9 @@ def _split_test(n: Network, m: Network):
     lies below the child of w the path enters. Only candidates that m does
     not display fail the test, and find_embedding still decides the rest.
     """
-    bit = {lab: 1 << i for i, lab in enumerate(sorted(n.taxa))}
-    below = {}
-    pairs = []
-    for v in _children_first(m):
-        kids = m.children(v)
-        below[v] = bit.get(m.leaf_labels.get(v), 0)
-        for c in kids:
-            below[v] |= below[c]
-        if len(kids) == 2:
-            pairs.append((below[kids[0]], below[kids[1]]))
+    bit, _, below = _leaf_clusters(m)  # n has the same taxa, so the same bits
+    pairs = [(below[kids[0]], below[kids[1]])
+             for kids in map(m.children, m.vertices) if len(kids) == 2]
 
     index = {e: i for i, e in enumerate(n.edges)}
     order = _children_first(n)
@@ -337,15 +358,10 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
     Returns (total, witness) for the first optimum in the order of
     _valid_drops. A digraph D cuts S(D) - 1 + r(h) - r(D) edges of either
     host h (see cut_size), so its cut in m is its cut in n plus r(m) - r(n),
-    and a subset whose total cannot beat the best so far is skipped unread.
-
-    Once no subset of the current size can win, the walk stops: a subset
-    of k dropped edges cuts k - z, where z counts the vertices other than
-    the root and the leaves that keep none of their edges. Each of those
-    has three edges, all dropped, and a dropped edge has two ends, so
-    3z <= 2k and the cut is at least ceil(k / 3). _valid_drops yields k in
-    increasing order, so once the best is at most 2 ceil(k / 3) + r(m) - r(n),
-    no subset of k or more dropped edges beats it.
+    and its total is twice its cut in n plus r(m) - r(n). A subset beats the
+    best so far exactly when its cut in n is below the best's, so the walk
+    is capped at that cut: it skips those subsets unread, whole branches and
+    sizes of them at a time (see _valid_drops).
 
     A subset that fails the split test of _split_test is not displayed by
     m, so it is skipped unbuilt as well; the test skips nothing that could
@@ -355,26 +371,22 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
     Each remaining subset is read once, with no isomorphism dedupe: a later
     copy of a class read earlier is tree-child and displayed by m exactly
     when that copy was, and if it was, its total equals the best or lies
-    above it, so the strict comparison skips it. Subsets pass the local
-    rule, so _valid_candidate builds their digraphs unchecked.
+    above it, so the cap skips it. Subsets pass the local rule, so
+    _valid_candidate builds their digraphs unchecked.
 
     The search stops once the best total drops below floor; under the
     default floor of 1 that is a total of zero, which nothing improves.
     subset_budget caps how many candidate digraphs of n are built, one per
-    subset read, isomorphic repeats included; subsets that the cut bound
-    or the split test skips do not count.
+    subset read, isomorphic repeats included; subsets that the cap or the
+    split test skips do not count.
     """
     shift = m.reticulation_count - n.reticulation_count
     splits_fit = _split_test(n, m)
+    cap = [len(n.edges) + 1]  # lowered to the best cut found so far
     best = None
     best_w = None
     built = 0
-    for mask, cut in _valid_drops(n):
-        if best is not None:
-            if 2 * -(-mask.bit_count() // 3) + shift >= best:
-                break
-            if 2 * cut + shift >= best:
-                continue
+    for mask, cut in _valid_drops(n, cap):
         if not splits_fit(mask):
             continue
         built += 1
@@ -384,6 +396,7 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
         d = _valid_candidate(n, mask)
         if not is_tree_child_digraph(d) or find_embedding(d, m) is None:
             continue
+        cap[0] = cut
         best = 2 * cut + shift
         best_w = AgreementWitness(n, m, mask, cut)
         if best < floor:

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 from .errors import (ContractViolationError, EmbeddingError,
                      InvalidDigraphError, InvalidNetworkError, MoveError)
-from .netcore import Network, _RETIC_CHANGE, _flatten_origin, is_tree_child
+from .netcore import (Network, _RETIC_CHANGE, _cluster_bits, _flatten_origin,
+                      _leaf_clusters, is_tree_child)
 from .digraphcore import PhyloDigraph, digraph_signature, is_tree_child_digraph
 from .snpr import apply_move_detailed
 
@@ -306,16 +307,73 @@ def _check_taxa(a, b):
                              % (sorted(a.taxa), sorted(b.taxa)))
 
 
+def _leaf_chains_clash(d: PhyloDigraph, n: Network) -> bool:
+    """True when two leaves of d have forced chains of host edges in n that
+    share an edge; then n does not display d.
+
+    The chain of a leaf x of d, with parent p and Y the leaves below p in
+    d, climbs from x's host leaf h: it starts with h's in-edge and goes on
+    with the in-edge of each vertex it reaches while that vertex has one
+    in-edge and its leaves do not cover Y. So it ends at the first vertex
+    that covers Y or has another in-degree.
+
+    Every embedding routes the edge (p, x) of d through that chain. Proof:
+    the image w of p lies above every leaf of Y, as p does in d, so w covers
+    Y; and the edge (p, x) maps to a host path from w down to h. The path
+    ends with h's only in-edge. While the top v of the chain so far does
+    not cover Y, v is not w, so the path runs on above v and enters v by an
+    in-edge, which is v's only one when v has in-degree one. Paths of
+    distinct digraph edges share no edge, and distinct leaves have distinct
+    in-edges (p, x), so two chains that share an edge leave no embedding.
+    The test is only a necessary condition: when n displays d no chains
+    clash, and the search runs as it would without the test.
+
+    The leaf clusters of n are read off its table (_leaf_clusters), built
+    once per host; each call claims every edge at most once before it
+    stops, so it costs time linear in the sizes of d and n.
+    """
+    bit, leaf, below = _leaf_clusters(n)
+    inn = n._adjacency()[1]
+    claimed = set()
+    for c in d.components:
+        if not c.edges:
+            continue
+        covers = _cluster_bits(c, bit)
+        c_in = c._adjacency()[1]
+        for x, lab in c.leaf_labels.items():
+            y = covers[c_in[x][0].src]
+            v = leaf[lab]
+            while True:
+                e = inn[v][0]
+                if e in claimed:
+                    return True
+                claimed.add(e)
+                v = e.src
+                if below[v] & y == y or len(inn[v]) != 1:
+                    break
+    return False
+
+
 def find_embedding(d: PhyloDigraph, n: Network):
-    """First embedding of d in n, or None when n does not display d."""
+    """First embedding of d in n, or None when n does not display d.
+
+    Digraphs whose forced leaf chains clash (_leaf_chains_clash) are
+    rejected before the search starts; for every other digraph the search
+    decides, so the result is the search's own.
+    """
     _check_taxa(d, n)
+    if _leaf_chains_clash(d, n):
+        return None
     got = _Search(d, n).solve(limit=1)
     return got[0] if got else None
 
 
 def enumerate_embeddings(d: PhyloDigraph, n: Network):
-    """All embeddings of d in n, deduplicated by host edge set, sorted."""
+    """All embeddings of d in n, deduplicated by host edge set, sorted;
+    none when the forced leaf chains clash (_leaf_chains_clash)."""
     _check_taxa(d, n)
+    if _leaf_chains_clash(d, n):
+        return
     seen = {}
     for m in _Search(d, n).solve():
         key = tuple(sorted(m.host_edges()))

@@ -112,7 +112,7 @@ class Network(_LabelledGraph):
     Construct through validate(); the constructor itself checks nothing.
     """
 
-    __slots__ = ("root", "_sig", "_mu", "_retics", "_reach", "_leaves")
+    __slots__ = ("root", "_sig", "_mu", "_retics", "_reach", "_leaves", "_clusters")
 
     def __init__(self, vertices, edges, root, leaf_labels):
         super().__init__(vertices, edges, leaf_labels)
@@ -122,6 +122,7 @@ class Network(_LabelledGraph):
         self._retics = None
         self._reach = {}
         self._leaves = None
+        self._clusters = None
 
     _top = property(lambda self: self.root)
 
@@ -182,6 +183,39 @@ def _below(n: Network, v) -> set:
                 seen.add(e.dst)
                 stack.append(e.dst)
     return seen
+
+
+def _cluster_bits(g: _LabelledGraph, bit) -> dict:
+    """Vertex -> the bits of the labels of the leaves below it, where bit
+    maps each label to its bit. Children come before their parents, and the
+    walk keeps its own list, so depth meets no recursion limit."""
+    out, inn = g._adjacency()
+    labels = g.leaf_labels
+    left = {v: len(es) for v, es in out.items()}
+    ready = [v for v, k in left.items() if not k]
+    below = {}
+    while ready:
+        v = ready.pop()
+        y = bit[labels[v]] if v in labels else 0
+        for e in out[v]:
+            y |= below[e.dst]
+        below[v] = y
+        for e in inn[v]:
+            left[e.src] -= 1
+            if not left[e.src]:
+                ready.append(e.src)
+    return below
+
+
+def _leaf_clusters(n: Network):
+    """(bit, leaf, below), built once and kept on n: bit maps each label to
+    its bit, one per taxon in sorted order; leaf maps each label to its leaf;
+    below maps each vertex to the bits of the leaves below it."""
+    if n._clusters is None:
+        bit = {lab: 1 << i for i, lab in enumerate(sorted(n.taxa))}
+        leaf = {lab: v for v, lab in n.leaf_labels.items()}
+        n._clusters = (bit, leaf, _cluster_bits(n, bit))
+    return n._clusters
 
 
 def _label_problems(vertices, leaf_labels):

@@ -43,8 +43,9 @@ from typing import NamedTuple, Optional
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      InvalidNetworkError, MoveError, ParseError)
-from .netcore import (Edge, Network, _below, _edit, _Keyer, _mu_key, _plus_tails,
-                      _require_tree_child_pair, canonical_signature, is_tree_child)
+from .netcore import (Edge, Network, _RETIC_CHANGE, _below, _edit, _Keyer, _mu_key,
+                      _plus_tails, _require_tree_child_pair, canonical_signature,
+                      is_tree_child)
 from .phyloio import parse_pnd, write_pnd
 
 WEIGHTS = {"minus": 1, "plus": 1, "pm": 2}
@@ -189,8 +190,9 @@ def _keyed(n: Network, tree_child_only: bool = True, kind=None):
                 yield (move, *keyer.key(*move))
         return
     key = _key(tree_child_only)
+    retics = n.reticulation_count
     for move, succ in _edits(n, tree_child_only, kind):
-        yield move, key(succ), succ.reticulation_count
+        yield move, key(succ), retics + _RETIC_CHANGE[move.kind]
 
 
 def enumerate_moves(n: Network, tree_child_only: bool = True):

@@ -39,6 +39,7 @@ from snprlab import (
     write_enewick,
     write_witness_bundle,
 )
+from snprlab import agreement
 from snprlab.agreement import (
     _kept, _min_total_cut, _split_test, _valid_candidate, _valid_drops)
 
@@ -425,6 +426,21 @@ def test_cut_of_every_valid_drop_is_read_off_its_size():
     assert len(drops) == 25896
 
 
+def test_capped_walk_is_the_walk_less_its_large_cuts():
+    # a fixed cap leaves out exactly the subsets that cut it or more, in
+    # the unbounded walk's order, however many whole branches it skips
+    by_host = {}
+    for n, mask, cut in _small_host_drops():
+        by_host.setdefault(n, []).append((mask, cut))
+    walks = 0
+    for n, drops in by_host.items():
+        for cap in range(max(cut for _, cut in drops) + 2):
+            assert list(_valid_drops(n, [cap])) == [
+                (mask, cut) for mask, cut in drops if cut < cap], (write_enewick(n), cap)
+            walks += 1
+    assert walks == 2121
+
+
 def test_cut_is_at_least_a_third_of_the_dropped_edges():
     # the drop-count bound that stops the loop of _min_total_cut
     drops = _small_host_drops()
@@ -510,6 +526,53 @@ def test_cut_bound_loop_equals_the_extending_loop():
             assert write_witness_bundle(w) == write_witness_bundle(want[1]), where
             assert cut_size(n, w.extension_n) == w.cut_n, where
             assert cut_size(m, w.extension_m) == w.cut_m, where
+
+
+def _skip_loop_min_total_cut(n, m, floor=1):
+    """The loop of _min_total_cut before its walk was capped, kept as its
+    oracle: the unbounded walk, each subset priced one at a time. Returns
+    (total, mask, cut, built) of the first optimum."""
+    shift = m.reticulation_count - n.reticulation_count
+    splits_fit = _split_test(n, m)
+    best = best_mask = best_cut = None
+    built = 0
+    for mask, cut in _valid_drops(n):
+        if best is not None:
+            if 2 * -(-mask.bit_count() // 3) + shift >= best:
+                break
+            if 2 * cut + shift >= best:
+                continue
+        if not splits_fit(mask):
+            continue
+        built += 1
+        d = _valid_candidate(n, mask)
+        if not is_tree_child_digraph(d) or find_embedding(d, m) is None:
+            continue
+        best, best_mask, best_cut = 2 * cut + shift, mask, cut
+        if best < floor:
+            break
+    return best, best_mask, best_cut, built
+
+
+def test_capped_walk_equals_the_skip_loop(monkeypatch):
+    # the capped walk reads, builds and finds the same subsets as the loop
+    # that skipped them one at a time: the same value, optimum and cut, and
+    # the same count of built candidates, which subset_budget caps
+    built = []
+
+    def counted(n, mask):
+        built.append(mask)
+        return _valid_candidate(n, mask)
+
+    monkeypatch.setattr(agreement, "_valid_candidate", counted)
+    pairs = _differential_pairs()
+    for n, m in pairs:
+        for floor in (1, 5):
+            built.clear()
+            total, w = _min_total_cut(n, m, floor=floor)
+            want = _skip_loop_min_total_cut(n, m, floor=floor)
+            got = (total, w._state, w.cut_n, len(built))
+            assert got == want, (write_enewick(n), write_enewick(m), floor)
 
 
 def test_split_test_rejects_only_undisplayed_subsets():

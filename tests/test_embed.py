@@ -1,5 +1,7 @@
 """Embeddings, extensions, and the rewiring operations between them."""
 
+import random
+
 import pytest
 
 from snprlab import (
@@ -39,7 +41,11 @@ from snprlab import (
     write_extension_pnd,
 )
 
-from test_agreement import _checked_candidates
+from snprlab.agreement import _valid_candidate, _valid_drops
+from snprlab.digraphcore import is_tree_child_digraph
+from snprlab.embed import _leaf_chains_clash, _same_embedding, _Search
+
+from test_agreement import PARALLEL_HOSTS, _checked_candidates
 
 
 def cherry_digraph():
@@ -352,6 +358,47 @@ def test_deep_host_embeds_and_extends():
         whole = find_embedding(network_as_digraph(n), n)
         assert whole is not None
         assert whole.host_edges() == frozenset(n.edges)
+
+
+def _chain_check_pairs():
+    # drawn pairs of the tree-child networks of two to four leaves with up
+    # to two reticulations, seeded pairs of five and six leaves, and three-
+    # leaf networks against the two hosts with a parallel pair
+    rng = random.Random(22)
+    pairs = []
+    for leaves, count in ((2, 9), (3, 40), (4, 80)):
+        nets = list(enumerate_tree_child(leaves, 2))
+        pairs += [(rng.choice(nets), rng.choice(nets)) for _ in range(count)]
+    pairs += [(random_tree_child(leaves, r, seed=s), random_tree_child(leaves, r, seed=s + 1))
+              for leaves, r in ((5, 1), (6, 0), (6, 1)) for s in range(0, 20, 2)]
+    nets = list(enumerate_tree_child(3, 2))
+    pairs += [(rng.choice(nets), random_network(3, 2, seed=s))
+              for s in PARALLEL_HOSTS for _ in range(5)]
+    return pairs
+
+
+def test_leaf_chain_check_rejects_only_undisplayed_digraphs():
+    # on every tree-child candidate of each pair, find_embedding gives what
+    # the bare search gives; the check alone rejects a share of them
+    pairs = _chain_check_pairs()
+    candidates = displayed = clashing = 0
+    for n, m in pairs:
+        for mask, _ in _valid_drops(n):
+            d = _valid_candidate(n, mask)
+            if not is_tree_child_digraph(d):
+                continue
+            candidates += 1
+            bare = _Search(d, m).solve(limit=1)
+            got = find_embedding(d, m)
+            assert (got is None) == (not bare), (n, m, bin(mask))
+            if got is not None:
+                displayed += 1
+                assert _same_embedding(got, bare[0]), (n, m, bin(mask))
+            elif _leaf_chains_clash(d, m):
+                clashing += 1
+                assert list(enumerate_embeddings(d, m)) == []
+    assert len(pairs) == 169
+    assert (candidates, displayed, clashing) == (25176, 8977, 6158)
 
 
 def random_corpus():

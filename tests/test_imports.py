@@ -116,3 +116,29 @@ def test_forest_oracle_stays_independent():
     assert {"_marked_tree", "_reduce_pair", "_pendant_roots"} <= reached
     assert sorted((name, used) for name in reached
                   for used in _names(functions[name]) if used in imported) == []
+
+
+def _functions(tree):
+    """The module's functions by name, those of its classes included."""
+    return {node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_embed_owns_the_display_decision():
+    # both embedding searches reject by the leaf-chain check first, and no
+    # function of agreement runs the check itself: after the split test, a
+    # candidate is judged only through find_embedding
+    trees = _trees()
+    embed = _functions(trees["embed"])
+    for name in ("find_embedding", "enumerate_embeddings"):
+        assert "_leaf_chains_clash" in set(_names(embed[name])), name
+    assert [name for name, node in _functions(trees["agreement"]).items()
+            if "_leaf_chains_clash" in set(_names(node))] == []
+
+
+def test_measure_and_stream_read_one_subset_walk():
+    # mtc's loop and the shared-digraph stream both read their subsets from
+    # _valid_drops, so the capped walk is the only walk
+    agreement = _functions(_trees()["agreement"])
+    for name in ("_min_total_cut", "enumerate_agreement_digraphs"):
+        assert "_valid_drops" in set(_names(agreement[name])), name
