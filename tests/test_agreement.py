@@ -170,6 +170,21 @@ def test_measure_of_nine_leaf_pairs_matches_golden():
     assert "".join(got) == NINE_LEAF_PAIRS.read_text(encoding="utf-8")
 
 
+TEN_LEAF_PAIRS = pathlib.Path(__file__).parent / "golden" / "mtc_ten_leaf_pairs.txt"
+
+
+def test_measure_of_ten_leaf_pairs_matches_golden():
+    # 10 leaves with 2 reticulations each; the golden was written before the
+    # split test checked leaf chains, so the check changes no byte
+    got = []
+    for s in (1, 3, 5, 7):
+        value, w = mtc(random_tree_child(10, 2, seed=s),
+                       random_tree_child(10, 2, seed=s + 1))
+        got.append("== random_tree_child(10, 2, seed=%d) against seed=%d\n%d\n%s"
+                   % (s, s + 1, value, write_witness_bundle(w)))
+    assert "".join(got) == TEN_LEAF_PAIRS.read_text(encoding="utf-8")
+
+
 def test_measure_is_twice_the_forest_count_on_larger_trees():
     # criterion 03 stops at five leaves, where dtc still finishes; the
     # measure and the forest search alone reach seven to ten
