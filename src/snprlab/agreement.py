@@ -22,7 +22,7 @@ from .digraphcore import (
     _quotient_with_paths,
     _rho_first,
 )
-from .embed import Embedding, _check_taxa, extend, find_embedding
+from .embed import Embedding, _check_taxa, _leaf_chain, extend, find_embedding
 from .snpr import _keyed, apply_move, dtc
 
 
@@ -275,20 +275,34 @@ def _split_test(n: Network, m: Network):
     """A display test for the kept edges of n that builds nothing.
 
     Returns splits_fit(mask), where mask holds the bits of the dropped
-    edge indices of n. It is False when some vertex v of n keeps both of
-    its out-edges, the leaves reachable through them over kept edges are
-    Y1 and Y2, and no vertex of m has two children whose leaves, all
-    those below each child, cover Y1 and Y2 in either order.
+    edge indices of n. It is False only when m does not display the
+    subset's digraph D, by one of two rules; find_embedding decides the
+    rest.
 
-    Then m does not display the subset's digraph D. Proof: D suppresses
+    Splits. Some vertex v of n keeps both of its out-edges, the leaves
+    reachable through them over kept edges are Y1 and Y2, and no vertex of
+    m has two children whose leaves, all those below each child, cover Y1
+    and Y2 in either order. Then m does not display D. Proof: D suppresses
     only the vertices of the kept subgraph with one in- and one out-edge,
     so v is a vertex of D whose two out-edges reach exactly the leaves Y1
     and Y2. An embedding sends v to a vertex w of m and these two edges to
     host paths that share no edge, so they begin with the two out-edges of
     w (m is binary). Every digraph path from the head of such an edge to a
     leaf maps to a host path that continues the edge's path, so that leaf
-    lies below the child of w the path enters. Only candidates that m does
-    not display fail the test, and find_embedding still decides the rest.
+    lies below the child of w the path enters.
+
+    Leaf chains. Every split fits, and two leaves of D have forced chains
+    in m that share an edge; then m does not display D (proof in
+    embed._leaf_chains_clash). A second pass over the same children-first
+    plan reads each leaf x's parent p in D and the leaves Y below p, as the
+    built digraph would give them, since D suppresses exactly the vertices
+    that keep one in- and one out-edge: such a vertex passes on the leaf
+    whose chain its kept child passes up, and any other vertex p that keeps
+    an edge is the parent in D of each leaf its kept children pass up, with
+    Y the leaves reachable from p over kept edges. Each chain of (x, Y) is
+    climbed by embed._leaf_chain once per call of _split_test and kept as
+    the bits of its edge indices in m; the tables this pass needs are built
+    on the first subset whose splits fit.
     """
     bit, _, below = _leaf_clusters(m)  # n has the same taxa, so the same bits
     pairs = [(below[kids[0]], below[kids[1]])
@@ -301,6 +315,8 @@ def _split_test(n: Network, m: Network):
              tuple((at[e.dst], 1 << index[e]) for e in n.out_edges(v)))
             for v in order]
     fits = {}
+    chains = {}  # (leaf bit, Y) -> the bits of the chain's edge indices in m
+    tables = None
 
     def fit(y1, y2):
         ok = fits.get((y1, y2))
@@ -309,6 +325,36 @@ def _split_test(n: Network, m: Network):
                 (y1 | p == p and y2 | q == q) or (y1 | q == q and y2 | p == p)
                 for p, q in pairs)
         return ok
+
+    def chains_clash(mask, reach):
+        nonlocal tables
+        if tables is None:
+            tables = ({e: i for i, e in enumerate(m.edges)},
+                      {b: lab for lab, b in bit.items()},
+                      [sum(1 << index[e] for e in n.in_edges(v)) for v in order])
+        m_index, label, in_bits = tables
+        claimed = 0
+        up = []  # per vertex, the bit of the leaf whose chain it passes up, or 0
+        for (leaf, outs), ins, y in zip(plan, in_bits, reach):
+            if leaf:
+                up.append(leaf)
+                continue
+            kids = [c for c, e in outs if not mask & e]
+            if len(kids) == 1 and (ins & ~mask).bit_count() == 1:
+                up.append(up[kids[0]])
+                continue
+            up.append(0)
+            for c in kids:
+                x = up[c]
+                if x:
+                    bits = chains.get((x, y))
+                    if bits is None:
+                        bits = chains[x, y] = sum(
+                            1 << m_index[e] for e in _leaf_chain(m, label[x], y))
+                    if claimed & bits:
+                        return True
+                    claimed |= bits
+        return False
 
     def splits_fit(mask):
         reach = []
@@ -321,7 +367,7 @@ def _split_test(n: Network, m: Network):
                     and not fit(reach[outs[0][0]], reach[outs[1][0]])):
                 return False
             reach.append(y)
-        return True
+        return not chains_clash(mask, reach)
 
     return splits_fit
 
@@ -363,10 +409,11 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
     is capped at that cut: it skips those subsets unread, whole branches and
     sizes of them at a time (see _valid_drops).
 
-    A subset that fails the split test of _split_test is not displayed by
-    m, so it is skipped unbuilt as well; the test skips nothing that could
-    become the best, and the stream order, the first optimum and its
-    witness stay those of a loop without it.
+    A subset that fails the split test of _split_test, by a split that
+    fits below no split of m or by leaf chains that clash in m, is not
+    displayed by m, so it is skipped unbuilt as well; the test skips
+    nothing that could become the best, and the stream order, the first
+    optimum and its witness stay those of a loop without it.
 
     Each remaining subset is read once, with no isomorphism dedupe: a later
     copy of a class read earlier is tree-child and displayed by m exactly
@@ -378,7 +425,7 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
     default floor of 1 that is a total of zero, which nothing improves.
     subset_budget caps how many candidate digraphs of n are built, one per
     subset read, isomorphic repeats included; subsets that the cap or the
-    split test skips do not count.
+    split test skips, by their splits or their leaf chains, do not count.
     """
     shift = m.reticulation_count - n.reticulation_count
     splits_fit = _split_test(n, m)
@@ -413,8 +460,9 @@ def mtc(n: Network, m: Network, subset_budget=None):
     digraphs of n (tree-child or not) are built before giving up: one per
     edge subset read, so isomorphic repeats count as well. An edge subset
     is skipped before its digraph is built, and is not counted, when its
-    total cut, read off its size, cannot beat the best so far, or when
-    the leaves below one of its splits fit below no split of m.
+    total cut, read off its size, cannot beat the best so far, when the
+    leaves below one of its splits fit below no split of m, or when the
+    forced chains of two of its leaves in m share an edge.
     """
     _require_tree_child_pair(n, m)
     _check_taxa(n, m)

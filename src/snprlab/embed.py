@@ -328,12 +328,13 @@ def _leaf_chains_clash(d: PhyloDigraph, n: Network) -> bool:
     The test is only a necessary condition: when n displays d no chains
     clash, and the search runs as it would without the test.
 
-    The leaf clusters of n are read off its table (_leaf_clusters), built
-    once per host; each call claims every edge at most once before it
-    stops, so it costs time linear in the sizes of d and n.
+    The chains are climbed by _leaf_chain, which the split test of
+    agreement climbs as well. The leaf clusters of n are read off its table
+    (_leaf_clusters), built once per host; each call claims every edge at
+    most once before it stops, so it costs time linear in the sizes of d
+    and n.
     """
-    bit, leaf, below = _leaf_clusters(n)
-    inn = n._adjacency()[1]
+    bit = _leaf_clusters(n)[0]
     claimed = set()
     for c in d.components:
         if not c.edges:
@@ -341,17 +342,26 @@ def _leaf_chains_clash(d: PhyloDigraph, n: Network) -> bool:
         covers = _cluster_bits(c, bit)
         c_in = c._adjacency()[1]
         for x, lab in c.leaf_labels.items():
-            y = covers[c_in[x][0].src]
-            v = leaf[lab]
-            while True:
-                e = inn[v][0]
+            for e in _leaf_chain(n, lab, covers[c_in[x][0].src]):
                 if e in claimed:
                     return True
                 claimed.add(e)
-                v = e.src
-                if below[v] & y == y or len(inn[v]) != 1:
-                    break
     return False
+
+
+def _leaf_chain(n: Network, label, y):
+    """The forced chain in n of the leaf labelled label whose parent in the
+    digraph has the leaves y below it (bits of _leaf_clusters(n)), as host
+    edges from the leaf upward; see _leaf_chains_clash."""
+    _, leaf, below = _leaf_clusters(n)
+    inn = n._adjacency()[1]
+    v = leaf[label]
+    while True:
+        e = inn[v][0]
+        yield e
+        v = e.src
+        if below[v] & y == y or len(inn[v]) != 1:
+            return
 
 
 def find_embedding(d: PhyloDigraph, n: Network):

@@ -42,6 +42,8 @@ from snprlab import (
 from snprlab import agreement
 from snprlab.agreement import (
     _kept, _min_total_cut, _split_test, _valid_candidate, _valid_drops)
+from snprlab.embed import _leaf_chains_clash, _Search
+from snprlab.netcore import _leaf_clusters
 
 
 @pytest.fixture
@@ -132,8 +134,8 @@ def test_measure_budget(triples):
 
 def test_measure_budget_counts_built_candidates(triples):
     # two candidates are built, none of them isomorphic to the other; the
-    # subsets that the cut bound or the split test skips before building
-    # them are not counted
+    # subsets that the cut bound or the split test (its splits or its leaf
+    # chains) skips before building them are not counted
     n, m = triples
     assert mtc(n, m, subset_budget=2)[0] == 2
     with pytest.raises(BudgetExceededError):
@@ -590,21 +592,66 @@ def test_capped_walk_equals_the_skip_loop(monkeypatch):
             assert got == want, (write_enewick(n), write_enewick(m), floor)
 
 
+def _splits_only_test(n, m):
+    """The split test before it checked leaf chains, kept as its oracle:
+    splits_fit(mask) is False exactly when a vertex of n keeps both
+    out-edges and the leaves reachable through them fit below no split of
+    m."""
+    bit, _, below = _leaf_clusters(m)
+    pairs = [(below[kids[0]], below[kids[1]])
+             for kids in map(m.children, m.vertices) if len(kids) == 2]
+    index = {e: i for i, e in enumerate(n.edges)}
+    order = agreement._children_first(n)
+    at = {v: i for i, v in enumerate(order)}
+    plan = [(bit.get(n.leaf_labels.get(v), 0),
+             tuple((at[e.dst], 1 << index[e]) for e in n.out_edges(v)))
+            for v in order]
+
+    def fit(y1, y2):
+        return any((y1 | p == p and y2 | q == q) or (y1 | q == q and y2 | p == p)
+                   for p, q in pairs)
+
+    def splits_fit(mask):
+        reach = []
+        for leaf, outs in plan:
+            y = leaf
+            for c, e in outs:
+                if not mask & e:
+                    y |= reach[c]
+            if (len(outs) == 2 and not mask & (outs[0][1] | outs[1][1])
+                    and not fit(reach[outs[0][0]], reach[outs[1][0]])):
+                return False
+            reach.append(y)
+        return True
+
+    return splits_fit
+
+
 def test_split_test_rejects_only_undisplayed_subsets():
-    # every subset the loop of _min_total_cut skips by the split test is one
-    # that m does not display; the (4, 2) pairs are halved to save time
+    # the split test skips a subset exactly when its splits do not fit in m
+    # or the leaf chains of its built digraph clash in m, and m displays
+    # none of the subsets it skips; the (4, 2) pairs are halved to save time
     pairs = _differential_pairs()
     pairs = pairs[:1001] + pairs[1001::2]
-    read = rejected = 0
+    read = by_splits = by_chains = 0
     for n, m in pairs:
         splits_fit = _split_test(n, m)
+        splits_only = _splits_only_test(n, m)
+        pair = (write_enewick(n), write_enewick(m))
         for mask, _ in _valid_drops(n):
             read += 1
-            if not splits_fit(mask):
-                rejected += 1
-                assert find_embedding(_valid_candidate(n, mask), m) is None, (
-                    write_enewick(n), write_enewick(m), bin(mask))
-    assert (read, rejected) == (53984, 15807)
+            d = _valid_candidate(n, mask)
+            if not splits_only(mask):
+                by_splits += 1
+                assert not splits_fit(mask), (pair, bin(mask))
+                assert find_embedding(d, m) is None, (pair, bin(mask))
+                continue
+            clash = _leaf_chains_clash(d, m)
+            assert splits_fit(mask) is not clash, (pair, bin(mask))
+            if clash:
+                by_chains += 1
+                assert _Search(d, m).solve(limit=1) == [], (pair, bin(mask))
+    assert (read, by_splits, by_chains) == (53984, 15807, 1294)
 
 
 # ------------------------------------------------------------------ bounds

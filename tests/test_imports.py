@@ -126,14 +126,19 @@ def _functions(tree):
 
 def test_embed_owns_the_display_decision():
     # both embedding searches reject by the leaf-chain check first, and no
-    # function of agreement runs the check itself: after the split test, a
-    # candidate is judged only through find_embedding
+    # function of agreement runs the check on a built digraph: after the
+    # split test, which claims the same chains on the edge mask, a
+    # candidate is judged only through find_embedding; the split test and
+    # the check climb a chain through one helper of embed
     trees = _trees()
     embed = _functions(trees["embed"])
+    agreement = _functions(trees["agreement"])
     for name in ("find_embedding", "enumerate_embeddings"):
         assert "_leaf_chains_clash" in set(_names(embed[name])), name
-    assert [name for name, node in _functions(trees["agreement"]).items()
+    assert [name for name, node in agreement.items()
             if "_leaf_chains_clash" in set(_names(node))] == []
+    assert "_leaf_chain" in set(_names(embed["_leaf_chains_clash"]))
+    assert "_leaf_chain" in set(_names(agreement["_split_test"]))
 
 
 def test_measure_and_stream_read_one_subset_walk():
