@@ -25,13 +25,14 @@ def _neighbour_tables(vertices, edges):
 
 def _refine(order, adj_in, adj_out, rank):
     """Refine vertex ranks until stable; ranks stay dense ints."""
+    # neighbour lists with multiplicity, expanded once for every round
+    ins = {v: list(adj_in[v].elements()) for v in order}
+    outs = {v: list(adj_out[v].elements()) for v in order}
     n_classes = -1
     while True:
-        keys = {}
-        for v in order:
-            ins = sorted(rank[u] for u, c in adj_in[v].items() for _ in range(c))
-            outs = sorted(rank[w] for w, c in adj_out[v].items() for _ in range(c))
-            keys[v] = (rank[v], tuple(ins), tuple(outs))
+        at = rank.__getitem__
+        keys = {v: (rank[v], tuple(sorted(map(at, ins[v]))), tuple(sorted(map(at, outs[v]))))
+                for v in order}
         ordered = sorted(set(keys.values()))
         lookup = {k: i for i, k in enumerate(ordered)}
         rank = {v: lookup[keys[v]] for v in order}

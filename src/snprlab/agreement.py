@@ -299,10 +299,13 @@ def _split_test(n: Network, m: Network):
     that keep one in- and one out-edge: such a vertex passes on the leaf
     whose chain its kept child passes up, and any other vertex p that keeps
     an edge is the parent in D of each leaf its kept children pass up, with
-    Y the leaves reachable from p over kept edges. Each chain of (x, Y) is
-    climbed by embed._leaf_chain once per call of _split_test and kept as
-    the bits of its edge indices in m; the tables this pass needs are built
-    on the first subset whose splits fit.
+    Y the leaves reachable from p over kept edges. The root of n, the one
+    vertex of the plan with no in-edges, is rho in D, so the chain of a
+    leaf it passes up is climbed with Y = None, to the root of m or the
+    first reticulation. Each chain of (x, Y) is climbed by embed._leaf_chain
+    once per call of _split_test and kept as the bits of its edge indices
+    in m; the tables this pass needs are built on the first subset whose
+    splits fit.
     """
     bit, _, below = _leaf_clusters(m)  # n has the same taxa, so the same bits
     pairs = [(below[kids[0]], below[kids[1]])
@@ -344,6 +347,8 @@ def _split_test(n: Network, m: Network):
                 up.append(up[kids[0]])
                 continue
             up.append(0)
+            if not ins:
+                y = None  # n's root is rho in D, and its image is m's root
             for c in kids:
                 x = up[c]
                 if x:
@@ -410,10 +415,11 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
     sizes of them at a time (see _valid_drops).
 
     A subset that fails the split test of _split_test, by a split that
-    fits below no split of m or by leaf chains that clash in m, is not
-    displayed by m, so it is skipped unbuilt as well; the test skips
-    nothing that could become the best, and the stream order, the first
-    optimum and its witness stay those of a loop without it.
+    fits below no split of m or by leaf chains that clash in m (the chain
+    of a leaf below rho climbing to the root of m), is not displayed by m,
+    so it is skipped unbuilt as well; the test skips nothing that could
+    become the best, and the stream order, the first optimum and its
+    witness stay those of a loop without it.
 
     Each remaining subset is read once, with no isomorphism dedupe: a later
     copy of a class read earlier is tree-child and displayed by m exactly
@@ -462,7 +468,10 @@ def mtc(n: Network, m: Network, subset_budget=None):
     is skipped before its digraph is built, and is not counted, when its
     total cut, read off its size, cannot beat the best so far, when the
     leaves below one of its splits fit below no split of m, or when the
-    forced chains of two of its leaves in m share an edge.
+    forced chains of two of its leaves in m share an edge; the chain of a
+    leaf whose parent is rho runs up to the root of m or the first
+    reticulation above the leaf, since every embedding sends rho to the
+    root.
     """
     _require_tree_child_pair(n, m)
     _check_taxa(n, m)

@@ -261,8 +261,9 @@ def _build_parser():
         budget=dict(help="cap on candidate digraphs built, one per edge subset "
                          "read, isomorphic repeats included; subsets the cut "
                          "bound or the split test (its splits or its leaf "
-                         "chains) skips are not counted; exhaustion exits "
-                         "with status 2"))
+                         "chains, a leaf below rho climbing to the root) "
+                         "skips are not counted; exhaustion exits with "
+                         "status 2"))
     add("bounds", _cmd_bounds, "half-measure, distance, measure as TSV", two,
         "--format", "--cap")
     add("maf", _cmd_maf, "agreement-forest distance for trees", two,

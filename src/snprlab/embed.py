@@ -315,16 +315,21 @@ def _leaf_chains_clash(d: PhyloDigraph, n: Network) -> bool:
     d, climbs from x's host leaf h: it starts with h's in-edge and goes on
     with the in-edge of each vertex it reaches while that vertex has one
     in-edge and its leaves do not cover Y. So it ends at the first vertex
-    that covers Y or has another in-degree.
+    that covers Y or has another in-degree. When p is the root marker rho
+    of its component the chain ignores Y: it climbs on to the root of n or
+    to the first vertex with two in-edges.
 
     Every embedding routes the edge (p, x) of d through that chain. Proof:
     the image w of p lies above every leaf of Y, as p does in d, so w covers
     Y; and the edge (p, x) maps to a host path from w down to h. The path
     ends with h's only in-edge. While the top v of the chain so far does
     not cover Y, v is not w, so the path runs on above v and enters v by an
-    in-edge, which is v's only one when v has in-degree one. Paths of
-    distinct digraph edges share no edge, and distinct leaves have distinct
-    in-edges (p, x), so two chains that share an edge leave no embedding.
+    in-edge, which is v's only one when v has in-degree one. When p is rho,
+    w is the root of n (every embedding pins rho there, see _Search), so no
+    v below the root is w, and the path runs on above v whatever v covers.
+    Paths of distinct digraph edges share no edge, and distinct leaves have
+    distinct in-edges (p, x), so two chains that share an edge leave no
+    embedding.
     The test is only a necessary condition: when n displays d no chains
     clash, and the search runs as it would without the test.
 
@@ -342,7 +347,8 @@ def _leaf_chains_clash(d: PhyloDigraph, n: Network) -> bool:
         covers = _cluster_bits(c, bit)
         c_in = c._adjacency()[1]
         for x, lab in c.leaf_labels.items():
-            for e in _leaf_chain(n, lab, covers[c_in[x][0].src]):
+            p = c_in[x][0].src
+            for e in _leaf_chain(n, lab, None if p == c.rho else covers[p]):
                 if e in claimed:
                     return True
                 claimed.add(e)
@@ -352,7 +358,9 @@ def _leaf_chains_clash(d: PhyloDigraph, n: Network) -> bool:
 def _leaf_chain(n: Network, label, y):
     """The forced chain in n of the leaf labelled label whose parent in the
     digraph has the leaves y below it (bits of _leaf_clusters(n)), as host
-    edges from the leaf upward; see _leaf_chains_clash."""
+    edges from the leaf upward; y is None when that parent is rho, whose
+    chain climbs to the root of n or the first reticulation. See
+    _leaf_chains_clash."""
     _, leaf, below = _leaf_clusters(n)
     inn = n._adjacency()[1]
     v = leaf[label]
@@ -360,7 +368,7 @@ def _leaf_chain(n: Network, label, y):
         e = inn[v][0]
         yield e
         v = e.src
-        if below[v] & y == y or len(inn[v]) != 1:
+        if len(inn[v]) != 1 or y is not None and below[v] & y == y:
             return
 
 

@@ -42,7 +42,7 @@ from snprlab import (
 from snprlab import agreement
 from snprlab.agreement import (
     _kept, _min_total_cut, _split_test, _valid_candidate, _valid_drops)
-from snprlab.embed import _leaf_chains_clash, _Search
+from snprlab.embed import _leaf_chain, _leaf_chains_clash, _Search
 from snprlab.netcore import _leaf_clusters
 
 
@@ -126,20 +126,24 @@ def test_measure_requires_matching_taxa(triples):
         mtc(n, parse_enewick("((a,b),d);"))
 
 
-def test_measure_budget(triples):
-    n, m = triples
+def test_measure_budget(retic_pair):
+    n, m = retic_pair
     with pytest.raises(BudgetExceededError):
-        mtc(n, m, subset_budget=1)
+        mtc(n, m, subset_budget=2)
 
 
-def test_measure_budget_counts_built_candidates(triples):
-    # two candidates are built, none of them isomorphic to the other; the
-    # subsets that the cut bound or the split test (its splits or its leaf
-    # chains) skips before building them are not counted
-    n, m = triples
-    assert mtc(n, m, subset_budget=2)[0] == 2
+def test_measure_budget_counts_built_candidates(retic_pair, triples):
+    # three candidates of the reticulated pair are built, none of them
+    # isomorphic to another; the subsets that the cut bound or the split
+    # test (its splits or its leaf chains) skips before building them are
+    # not counted. On the triple pair only the optimum is built: the one
+    # earlier subset whose splits fit keeps c below rho, and c's chain up
+    # to the root of m shares an edge with a's
+    n, m = retic_pair
+    assert mtc(n, m, subset_budget=3)[0] == 1
     with pytest.raises(BudgetExceededError):
-        mtc(n, m, subset_budget=1)
+        mtc(n, m, subset_budget=2)
+    assert mtc(*triples, subset_budget=1)[0] == 2
 
 
 EIGHT_LEAF_PAIRS = pathlib.Path(__file__).parent / "golden" / "mtc_eight_leaf_pairs.txt"
@@ -627,16 +631,70 @@ def _splits_only_test(n, m):
     return splits_fit
 
 
+def _cover_chains_test(n, m):
+    """The split test before the chain of a leaf below rho climbed to the
+    root of m, kept as its oracle: splits_fit(mask) is False exactly when
+    _splits_only_test rejects the subset or two leaf chains of its digraph
+    share an edge of m, each chain stopping at the first vertex that covers
+    the leaves below the leaf's parent, rho included."""
+    splits_only = _splits_only_test(n, m)
+    bit = _leaf_clusters(m)[0]
+    label = {b: lab for lab, b in bit.items()}
+    index = {e: i for i, e in enumerate(n.edges)}
+    order = agreement._children_first(n)
+    at = {v: i for i, v in enumerate(order)}
+    plan = [(bit.get(n.leaf_labels.get(v), 0),
+             [(at[e.dst], 1 << index[e]) for e in n.out_edges(v)],
+             sum(1 << index[e] for e in n.in_edges(v)))
+            for v in order]
+
+    def splits_fit(mask):
+        if not splits_only(mask):
+            return False
+        claimed = set()
+        reach = []
+        up = []  # per vertex, the bit of the leaf whose chain it passes up, or 0
+        for leaf, outs, ins in plan:
+            kids = [c for c, e in outs if not mask & e]
+            y = leaf
+            for c in kids:
+                y |= reach[c]
+            reach.append(y)
+            if leaf:
+                up.append(leaf)
+            elif len(kids) == 1 and (ins & ~mask).bit_count() == 1:
+                up.append(up[kids[0]])
+            else:
+                up.append(0)
+                for c in kids:
+                    if not up[c]:
+                        continue
+                    for e in _leaf_chain(m, label[up[c]], y):
+                        if e in claimed:
+                            return False
+                        claimed.add(e)
+        return True
+
+    return splits_fit
+
+
 def test_split_test_rejects_only_undisplayed_subsets():
     # the split test skips a subset exactly when its splits do not fit in m
     # or the leaf chains of its built digraph clash in m, and m displays
-    # none of the subsets it skips; the (4, 2) pairs are halved to save time
+    # none of the subsets it skips: the bare search embeds none of them. It
+    # skips every subset the oracle before the climb to the root skips, and
+    # the pinned counts split its skips into those and the rest. The (4, 2)
+    # pairs are halved to save time; seeded six-leaf pairs give rho more
+    # leaves to climb from
     pairs = _differential_pairs()
     pairs = pairs[:1001] + pairs[1001::2]
-    read = by_splits = by_chains = 0
+    pairs += [(random_tree_child(6, r, seed=s), random_tree_child(6, r, seed=s + 1))
+              for r in (0, 1) for s in range(0, 40, 2)]
+    read = by_splits = by_cover_chains = by_root_chains = 0
     for n, m in pairs:
         splits_fit = _split_test(n, m)
         splits_only = _splits_only_test(n, m)
+        cover_chains = _cover_chains_test(n, m)
         pair = (write_enewick(n), write_enewick(m))
         for mask, _ in _valid_drops(n):
             read += 1
@@ -649,9 +707,13 @@ def test_split_test_rejects_only_undisplayed_subsets():
             clash = _leaf_chains_clash(d, m)
             assert splits_fit(mask) is not clash, (pair, bin(mask))
             if clash:
-                by_chains += 1
                 assert _Search(d, m).solve(limit=1) == [], (pair, bin(mask))
-    assert (read, by_splits, by_chains) == (53984, 15807, 1294)
+            if not cover_chains(mask):
+                by_cover_chains += 1
+                assert clash, (pair, bin(mask))
+            elif clash:
+                by_root_chains += 1
+    assert (read, by_splits, by_cover_chains, by_root_chains) == (71207, 24038, 3933, 1963)
 
 
 # ------------------------------------------------------------------ bounds

@@ -191,9 +191,9 @@ def test_mtc_golden_witness(files, capsys, first, second, golden):
 
 
 def test_mtc_budget_exhaustion_exits_2(files, capsys):
-    a = files("a.nwk", TRIPLE_AB_C)
-    b = files("b.nwk", TRIPLE_AC_B)
-    code, out, err = run(capsys, "mtc", a, b, "--budget", "1")
+    a = files("a.nwk", RETIC_AB_C)
+    b = files("b.nwk", TRIPLE_A_BC)
+    code, out, err = run(capsys, "mtc", a, b, "--budget", "2")
     assert code == 2
     assert out == ""
     assert "stopped after" in err

@@ -398,7 +398,7 @@ def test_leaf_chain_check_rejects_only_undisplayed_digraphs():
                 clashing += 1
                 assert list(enumerate_embeddings(d, m)) == []
     assert len(pairs) == 169
-    assert (candidates, displayed, clashing) == (25176, 8977, 6158)
+    assert (candidates, displayed, clashing) == (25176, 8977, 6989)
 
 
 def random_corpus():

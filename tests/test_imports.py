@@ -129,7 +129,8 @@ def test_embed_owns_the_display_decision():
     # function of agreement runs the check on a built digraph: after the
     # split test, which claims the same chains on the edge mask, a
     # candidate is judged only through find_embedding; the split test and
-    # the check climb a chain through one helper of embed
+    # the check climb a chain through one helper of embed, which alone
+    # reads the host's in-edges on the way up, for a leaf below rho too
     trees = _trees()
     embed = _functions(trees["embed"])
     agreement = _functions(trees["agreement"])
@@ -139,6 +140,19 @@ def test_embed_owns_the_display_decision():
             if "_leaf_chains_clash" in set(_names(node))] == []
     assert "_leaf_chain" in set(_names(embed["_leaf_chains_clash"]))
     assert "_leaf_chain" in set(_names(agreement["_split_test"]))
+    # the root case is one test of y against None, inside the climb
+    chain = embed["_leaf_chain"]
+    assert "_adjacency" in set(_names(chain))
+    assert any(isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.IsNot)
+               and isinstance(node.comparators[0], ast.Constant)
+               and node.comparators[0].value is None for node in ast.walk(chain))
+    # no function of agreement reads m, the host the chains climb, upward
+    upward = {"_adjacency", "in_edges", "in_degree", "parents"}
+    assert sorted((name, node.attr) for name, f in agreement.items()
+                  for node in ast.walk(f)
+                  if isinstance(node, ast.Attribute) and node.attr in upward
+                  and isinstance(node.value, ast.Name) and node.value.id == "m") == []
+    assert [name for name, f in agreement.items() if "_adjacency" in set(_names(f))] == []
 
 
 def test_measure_and_stream_read_one_subset_walk():

@@ -26,6 +26,7 @@ from snprlab.errors import (
 from snprlab.netcore import (
     Edge,
     _Keyer,
+    _canon_input,
     _mu_key,
     canonical_signature,
     delete_reticulation_edge,
@@ -307,6 +308,45 @@ def test_matcher_backtracks_and_keeps_its_candidate_order():
     nine = _cycles(list(range(10, 19)))
     assert _canon.isomorphism_mapping(range(9), three_six, None,
                                       range(10, 19), nine, None) is None
+
+
+def _counter_refine(order, adj_in, adj_out, rank):
+    """_canon._refine before it expanded its neighbour lists once per call,
+    kept as its oracle: every round expands the neighbour Counters again."""
+    n_classes = -1
+    while True:
+        keys = {}
+        for v in order:
+            ins = sorted(rank[u] for u, c in adj_in[v].items() for _ in range(c))
+            outs = sorted(rank[w] for w, c in adj_out[v].items() for _ in range(c))
+            keys[v] = (rank[v], tuple(ins), tuple(outs))
+        ordered = sorted(set(keys.values()))
+        lookup = {k: i for i, k in enumerate(ordered)}
+        rank = {v: lookup[keys[v]] for v in order}
+        if len(ordered) == n_classes:
+            return rank
+        n_classes = len(ordered)
+
+
+def test_refine_gives_the_ranks_of_its_oracle(monkeypatch):
+    # every refinement that the canonical labelling and the matcher run on
+    # all tree-child networks of four leaves and seeded networks of five
+    # leaves and three reticulations ends in the oracle's ranks
+    refine = _canon._refine
+    calls = []
+
+    def both(order, adj_in, adj_out, rank):
+        got = refine(order, adj_in, adj_out, rank)
+        assert got == _counter_refine(order, adj_in, adj_out, rank)
+        calls.append(len(order))
+        return got
+
+    monkeypatch.setattr(_canon, "_refine", both)
+    nets = list(enumerate_tree_child(4, 2)) + [random_network(5, 3, seed=s) for s in range(300)]
+    for a, b in zip(nets, nets[1:] + nets[:1]):
+        _canon.canonical_labelling(*_canon_input([a], sorted(a.taxa)))
+        isomorphism_map(a, b)
+    assert len(calls) >= 2 * len(nets) == 2 * (1515 + 300)
 
 
 def test_delete_reticulation_edge_both_ways(retic_ab_c, triple_ab_c, triple_a_bc):
