@@ -22,7 +22,8 @@ from .digraphcore import (
     _quotient_with_paths,
     _rho_first,
 )
-from .embed import Embedding, _check_taxa, _leaf_chain, extend, find_embedding
+from .embed import (Embedding, _check_taxa, _claim, _forced_chain, extend,
+                    find_embedding)
 from .snpr import _keyed, apply_move, dtc
 
 
@@ -291,23 +292,28 @@ def _split_test(n: Network, m: Network):
     leaf maps to a host path that continues the edge's path, so that leaf
     lies below the child of w the path enters.
 
-    Leaf chains. Every split fits, and two leaves of D have forced chains
-    in m that share an edge; then m does not display D (proof in
-    embed._leaf_chains_clash). A second pass over the same children-first
-    plan reads each leaf x's parent p in D and the leaves Y below p, as the
-    built digraph would give them, since D suppresses exactly the vertices
-    that keep one in- and one out-edge: such a vertex passes on the leaf
-    whose chain its kept child passes up, and any other vertex p that keeps
-    an edge is the parent in D of each leaf its kept children pass up, with
-    Y the leaves reachable from p over kept edges. The root of n, the one
-    vertex of the plan with no in-edges, is rho in D, so the chain of a
-    leaf it passes up is climbed with Y = None, to the root of m or the
-    first reticulation. Each chain of (x, Y) is climbed by embed._leaf_chain
-    once per call of _split_test and kept as the bits of its edge indices
-    in m; the tables this pass needs are built on the first subset whose
-    splits fit.
+    Forced chains. Every split fits, and the forced chains of D's edges in
+    m give some vertex of m two owners; then m does not display D (proof in
+    embed._forced_chains_clash). A second pass over the same children-first
+    plan reads D off the mask as the built digraph would give it, since D
+    suppresses exactly the vertices that keep one in- and one out-edge.
+    Such a vertex passes on the forced image, in m, that its kept child
+    passes up; a leaf passes up its leaf in m. Any other vertex p that
+    keeps an edge is the parent in D of each vertex its kept children pass
+    up, with Y the leaves reachable from p over kept edges; each child's
+    chain is climbed from its image and its vertices claimed, and when the
+    two chains end at the same vertex of m, p passes that vertex up as its
+    own forced image. The root of n, the one vertex of the plan with no
+    in-edges, is rho in D and owns the root of m, and it and every vertex
+    that keeps two in-edges, a reticulation of D, climb their chains with
+    Y = None, to the root of m or the first reticulation. Each chain of
+    (image, Y) is climbed by embed._forced_chain once per call of
+    _split_test and claimed by embed._claim: its top is owned by p's index
+    in the plan, and its other vertices by the complement (~j) of the index
+    j of the child it climbs from, so that no two owners are equal. The
+    tables this pass needs are built on the first subset whose splits fit.
     """
-    bit, _, below = _leaf_clusters(m)  # n has the same taxa, so the same bits
+    bit, host_leaf, below = _leaf_clusters(m)  # n has the same taxa, so the same bits
     pairs = [(below[kids[0]], below[kids[1]])
              for kids in map(m.children, m.vertices) if len(kids) == 2]
 
@@ -318,7 +324,7 @@ def _split_test(n: Network, m: Network):
              tuple((at[e.dst], 1 << index[e]) for e in n.out_edges(v)))
             for v in order]
     fits = {}
-    chains = {}  # (leaf bit, Y) -> the bits of the chain's edge indices in m
+    chains = {}  # (image, Y) -> the vertices of m the chain climbs, top last
     tables = None
 
     def fit(y1, y2):
@@ -332,33 +338,33 @@ def _split_test(n: Network, m: Network):
     def chains_clash(mask, reach):
         nonlocal tables
         if tables is None:
-            tables = ({e: i for i, e in enumerate(m.edges)},
-                      {b: lab for lab, b in bit.items()},
+            tables = ({b: host_leaf[lab] for lab, b in bit.items()},
                       [sum(1 << index[e] for e in n.in_edges(v)) for v in order])
-        m_index, label, in_bits = tables
-        claimed = 0
-        up = []  # per vertex, the bit of the leaf whose chain it passes up, or 0
-        for (leaf, outs), ins, y in zip(plan, in_bits, reach):
+        image, in_bits = tables
+        owner = {m.root: at[n.root]}
+        up = []  # per vertex, the image it passes up and the index owning it, or None
+        for i, ((leaf, outs), ins, y) in enumerate(zip(plan, in_bits, reach)):
             if leaf:
-                up.append(leaf)
+                up.append((image[leaf], i))
                 continue
             kids = [c for c, e in outs if not mask & e]
-            if len(kids) == 1 and (ins & ~mask).bit_count() == 1:
+            kept = (ins & ~mask).bit_count()
+            if len(kids) == 1 and kept == 1:
                 up.append(up[kids[0]])
                 continue
-            up.append(0)
-            if not ins:
-                y = None  # n's root is rho in D, and its image is m's root
+            if not ins or kept == 2:
+                y = None  # rho or a reticulation of D
+            tops = []
             for c in kids:
-                x = up[c]
-                if x:
-                    bits = chains.get((x, y))
-                    if bits is None:
-                        bits = chains[x, y] = sum(
-                            1 << m_index[e] for e in _leaf_chain(m, label[x], y))
-                    if claimed & bits:
+                if up[c] is not None:
+                    v, j = up[c]
+                    chain = chains.get((v, y))
+                    if chain is None:
+                        chain = chains[v, y] = _forced_chain(m, v, y)
+                    if not _claim(owner, chain, ~j, i):
                         return True
-                    claimed |= bits
+                    tops.append(chain[-1])
+            up.append((tops[0], i) if len(tops) == 2 and tops[0] == tops[1] else None)
         return False
 
     def splits_fit(mask):
@@ -414,12 +420,14 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
     is capped at that cut: it skips those subsets unread, whole branches and
     sizes of them at a time (see _valid_drops).
 
-    A subset that fails the split test of _split_test, by a split that
-    fits below no split of m or by leaf chains that clash in m (the chain
-    of a leaf below rho climbing to the root of m), is not displayed by m,
-    so it is skipped unbuilt as well; the test skips nothing that could
-    become the best, and the stream order, the first optimum and its
-    witness stay those of a loop without it.
+    A subset that fails the split test of _split_test is not displayed by
+    m, so it is skipped unbuilt as well: by a split that fits below no
+    split of m, or by forced chains that give a vertex of m two owners (a
+    chain climbs from a leaf or a forced image, the shared top of both
+    child chains of a digraph vertex, and below rho or a reticulation it
+    climbs to the root of m or the first reticulation). The test skips
+    nothing that could become the best, and the stream order, the first
+    optimum and its witness stay those of a loop without it.
 
     Each remaining subset is read once, with no isomorphism dedupe: a later
     copy of a class read earlier is tree-child and displayed by m exactly
@@ -431,7 +439,7 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
     default floor of 1 that is a total of zero, which nothing improves.
     subset_budget caps how many candidate digraphs of n are built, one per
     subset read, isomorphic repeats included; subsets that the cap or the
-    split test skips, by their splits or their leaf chains, do not count.
+    split test skips, by their splits or their forced chains, do not count.
     """
     shift = m.reticulation_count - n.reticulation_count
     splits_fit = _split_test(n, m)
@@ -467,11 +475,16 @@ def mtc(n: Network, m: Network, subset_budget=None):
     edge subset read, so isomorphic repeats count as well. An edge subset
     is skipped before its digraph is built, and is not counted, when its
     total cut, read off its size, cannot beat the best so far, when the
-    leaves below one of its splits fit below no split of m, or when the
-    forced chains of two of its leaves in m share an edge; the chain of a
-    leaf whose parent is rho runs up to the root of m or the first
-    reticulation above the leaf, since every embedding sends rho to the
-    root.
+    leaves below one of its splits fit below no split of m, or when its
+    forced chains in m give a vertex of m two owners. A chain is the run of
+    edges above the image of a digraph vertex that every embedding routes
+    the vertex's in-edge through: the image is a leaf's host leaf, or the
+    shared top of the chains of both children of a tree vertex, which every
+    embedding sends there. The chain climbs to the first vertex covering
+    the leaves below the parent, or, when the parent is rho or a
+    reticulation, to the root of m or the first reticulation. Its inner
+    vertices belong to its edge and its top to the parent, and the root of
+    m belongs to rho.
     """
     _require_tree_child_pair(n, m)
     _check_taxa(n, m)

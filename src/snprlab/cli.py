@@ -260,10 +260,11 @@ def _build_parser():
         "--format", "--budget",
         budget=dict(help="cap on candidate digraphs built, one per edge subset "
                          "read, isomorphic repeats included; subsets the cut "
-                         "bound or the split test (its splits or its leaf "
-                         "chains, a leaf below rho climbing to the root) "
-                         "skips are not counted; exhaustion exits with "
-                         "status 2"))
+                         "bound or the split test skips are not counted: "
+                         "its splits, or its forced chains (from leaves and "
+                         "forced images, climbing to the root below rho or "
+                         "a reticulation) giving a vertex two owners; "
+                         "exhaustion exits with status 2"))
     add("bounds", _cmd_bounds, "half-measure, distance, measure as TSV", two,
         "--format", "--cap")
     add("maf", _cmd_maf, "agreement-forest distance for trees", two,

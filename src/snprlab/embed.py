@@ -307,80 +307,129 @@ def _check_taxa(a, b):
                              % (sorted(a.taxa), sorted(b.taxa)))
 
 
-def _leaf_chains_clash(d: PhyloDigraph, n: Network) -> bool:
-    """True when two leaves of d have forced chains of host edges in n that
-    share an edge; then n does not display d.
+def _forced_chains_clash(d: PhyloDigraph, n: Network) -> bool:
+    """True when the forced chains of d's edges in n clash; then n does not
+    display d.
 
-    The chain of a leaf x of d, with parent p and Y the leaves below p in
-    d, climbs from x's host leaf h: it starts with h's in-edge and goes on
-    with the in-edge of each vertex it reaches while that vertex has one
-    in-edge and its leaves do not cover Y. So it ends at the first vertex
-    that covers Y or has another in-degree. When p is the root marker rho
-    of its component the chain ignores Y: it climbs on to the root of n or
-    to the first vertex with two in-edges.
+    Chains. Take an edge (p, x) of d where every embedding sends x to one
+    host vertex h, with one in-edge; a leaf x has its host leaf for h. Let
+    Y be the leaves below p in d. The chain of (p, x) climbs from h: it
+    starts with h's in-edge and goes on with the in-edge of each vertex it
+    reaches while that vertex has one in-edge and its leaves do not cover
+    Y. So it ends at the first vertex, its top, that covers Y or has
+    another in-degree. When p is the root marker rho of its component, or
+    a reticulation of d, the chain ignores Y: it climbs on to the root of n
+    or to the first vertex with two in-edges.
 
     Every embedding routes the edge (p, x) of d through that chain. Proof:
     the image w of p lies above every leaf of Y, as p does in d, so w covers
-    Y; and the edge (p, x) maps to a host path from w down to h. The path
+    Y; and the edge (p, x) maps to a host path P from w down to h. The path
     ends with h's only in-edge. While the top v of the chain so far does
     not cover Y, v is not w, so the path runs on above v and enters v by an
     in-edge, which is v's only one when v has in-degree one. When p is rho,
-    w is the root of n (every embedding pins rho there, see _Search), so no
-    v below the root is w, and the path runs on above v whatever v covers.
-    Paths of distinct digraph edges share no edge, and distinct leaves have
-    distinct in-edges (p, x), so two chains that share an edge leave no
-    embedding.
-    The test is only a necessary condition: when n displays d no chains
+    w is the root of n (every embedding pins rho there, see _Search); when
+    p is a reticulation, w ends the paths of p's two in-edges, which share
+    no edge, so w has two in-edges. Either way no vertex of in-degree one
+    is w, and the path runs on above v whatever v covers.
+
+    Private vertices. The inner vertices of the chain lie strictly between
+    h and w on P, so they are inner vertices of P, which belong to P alone:
+    no other path runs through them and no image sits on them. The top is w
+    or an inner vertex of P. So each inner vertex is owned by the edge
+    (p, x), each top by p, the image of a vertex by that vertex, and the
+    root of n by rho. No host vertex has two owners in an embedding: a
+    vertex owned by p is p's image or inner to the path of the out-edge of
+    p whose chain it tops, so it is neither another vertex's image nor
+    inner to any other path. Two chains that share an edge share
+    its lower end, which is the top of neither; it is inner to both, or
+    inner to one and the start of the other (a leaf is inner to no chain),
+    so it has two owners as well. A chain that climbs to the root of n
+    while p is not rho gives the root a second owner too.
+
+    Forced images. Let p be a tree vertex of d whose two children have
+    forced images and whose two chains end at the same top v. If w, the
+    image of p, were not v, then v would be an inner vertex of both paths
+    out of p; so every embedding sends p to v. The two chains enter v by
+    different out-edges, since their lower ends would otherwise have two
+    owners, so v is a tree vertex of n (whose root has one out-edge) with
+    one in-edge, and the edge into p has a chain from v in turn. A walk
+    that lists children before their parents decides each image before
+    the parent's edge climbs from it.
+
+    The test is only a necessary condition: when n displays d no owners
     clash, and the search runs as it would without the test.
 
-    The chains are climbed by _leaf_chain, which the split test of
-    agreement climbs as well. The leaf clusters of n are read off its table
-    (_leaf_clusters), built once per host; each call claims every edge at
-    most once before it stops, so it costs time linear in the sizes of d
-    and n.
+    The chains are climbed by _forced_chain, which the split test of
+    agreement climbs as well, and their owners claimed by _claim. The leaf
+    clusters of n are read off its table (_leaf_clusters), built once per
+    host; each host vertex is claimed at most once before the test stops,
+    so it costs time linear in the sizes of d and n.
     """
-    bit = _leaf_clusters(n)[0]
-    claimed = set()
+    bit, leaf, _ = _leaf_clusters(n)
+    owner = {n.root: d.rho_component.rho}
     for c in d.components:
         if not c.edges:
             continue
-        covers = _cluster_bits(c, bit)
-        c_in = c._adjacency()[1]
-        for x, lab in c.leaf_labels.items():
-            p = c_in[x][0].src
-            for e in _leaf_chain(n, lab, None if p == c.rho else covers[p]):
-                if e in claimed:
-                    return True
-                claimed.add(e)
+        out, inn = c._adjacency()
+        image = {}  # the forced images of c's vertices
+        # _cluster_bits lists each vertex after its children
+        for p, y in _cluster_bits(c, bit).items():
+            if p in c.leaf_labels:
+                image[p] = leaf[c.leaf_labels[p]]
+                continue
+            if p == c.rho or len(inn[p]) == 2:
+                y = None
+            tops = []
+            for e in out[p]:
+                if e.dst in image:
+                    chain = _forced_chain(n, image[e.dst], y)
+                    if not _claim(owner, chain, e, p):
+                        return True
+                    tops.append(chain[-1])
+            if len(tops) == 2 and tops[0] == tops[1]:
+                image[p] = tops[0]
     return False
 
 
-def _leaf_chain(n: Network, label, y):
-    """The forced chain in n of the leaf labelled label whose parent in the
-    digraph has the leaves y below it (bits of _leaf_clusters(n)), as host
-    edges from the leaf upward; y is None when that parent is rho, whose
-    chain climbs to the root of n or the first reticulation. See
-    _leaf_chains_clash."""
-    _, leaf, below = _leaf_clusters(n)
+def _forced_chain(n: Network, v, y):
+    """The host vertices above v, in climbing order, of the forced chain in
+    n of a digraph edge whose lower end has the image v, a vertex with one
+    in-edge, and whose upper end has the leaves y below it (bits of
+    _leaf_clusters(n)); y is None when the upper end is rho or a
+    reticulation, whose chain climbs to the root of n or the first
+    reticulation. The last vertex is the chain's top. See
+    _forced_chains_clash."""
+    below = _leaf_clusters(n)[2]
     inn = n._adjacency()[1]
-    v = leaf[label]
+    chain = []
     while True:
-        e = inn[v][0]
-        yield e
-        v = e.src
+        v = inn[v][0].src
+        chain.append(v)
         if len(inn[v]) != 1 or y is not None and below[v] & y == y:
-            return
+            return tuple(chain)
+
+
+def _claim(owner, chain, inner, top):
+    """Record in owner, a dict from host vertices to their owners, that the
+    vertices of a chain of _forced_chain below its top belong to inner and
+    its top to top; False when one of them already has another owner. See
+    _forced_chains_clash."""
+    for v in chain[:-1]:
+        if v in owner:
+            return False
+        owner[v] = inner
+    return owner.setdefault(chain[-1], top) == top
 
 
 def find_embedding(d: PhyloDigraph, n: Network):
     """First embedding of d in n, or None when n does not display d.
 
-    Digraphs whose forced leaf chains clash (_leaf_chains_clash) are
+    Digraphs whose forced chains clash (_forced_chains_clash) are
     rejected before the search starts; for every other digraph the search
     decides, so the result is the search's own.
     """
     _check_taxa(d, n)
-    if _leaf_chains_clash(d, n):
+    if _forced_chains_clash(d, n):
         return None
     got = _Search(d, n).solve(limit=1)
     return got[0] if got else None
@@ -388,9 +437,9 @@ def find_embedding(d: PhyloDigraph, n: Network):
 
 def enumerate_embeddings(d: PhyloDigraph, n: Network):
     """All embeddings of d in n, deduplicated by host edge set, sorted;
-    none when the forced leaf chains clash (_leaf_chains_clash)."""
+    none when the forced chains clash (_forced_chains_clash)."""
     _check_taxa(d, n)
-    if _leaf_chains_clash(d, n):
+    if _forced_chains_clash(d, n):
         return
     seen = {}
     for m in _Search(d, n).solve():

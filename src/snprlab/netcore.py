@@ -187,8 +187,9 @@ def _below(n: Network, v) -> set:
 
 def _cluster_bits(g: _LabelledGraph, bit) -> dict:
     """Vertex -> the bits of the labels of the leaves below it, where bit
-    maps each label to its bit. Children come before their parents, and the
-    walk keeps its own list, so depth meets no recursion limit."""
+    maps each label to its bit. Children come before their parents, in the
+    walk and in the dict, and the walk keeps its own list, so depth meets no
+    recursion limit."""
     out, inn = g._adjacency()
     labels = g.leaf_labels
     left = {v: len(es) for v, es in out.items()}

@@ -42,7 +42,7 @@ from snprlab import (
 from snprlab import agreement
 from snprlab.agreement import (
     _kept, _min_total_cut, _split_test, _valid_candidate, _valid_drops)
-from snprlab.embed import _leaf_chain, _leaf_chains_clash, _Search
+from snprlab.embed import _forced_chains_clash, _Search
 from snprlab.netcore import _leaf_clusters
 
 
@@ -55,6 +55,13 @@ def triples():
 def retic_pair():
     return (parse_enewick("((a,(b)#H1),(#H1,c));"),
             parse_enewick("(a,(b,c));"))
+
+
+@pytest.fixture
+def budget_pair():
+    # random_tree_child(4, 1, seed=9) against seed=10
+    return (parse_enewick("(((((b)#H1,c),#H1),d),a);"),
+            parse_enewick("(((((d)#H1,a),#H1),c),b);"))
 
 
 @pytest.fixture
@@ -126,23 +133,24 @@ def test_measure_requires_matching_taxa(triples):
         mtc(n, parse_enewick("((a,b),d);"))
 
 
-def test_measure_budget(retic_pair):
-    n, m = retic_pair
+def test_measure_budget(budget_pair):
+    n, m = budget_pair
     with pytest.raises(BudgetExceededError):
         mtc(n, m, subset_budget=2)
 
 
-def test_measure_budget_counts_built_candidates(retic_pair, triples):
-    # three candidates of the reticulated pair are built, none of them
-    # isomorphic to another; the subsets that the cut bound or the split
-    # test (its splits or its leaf chains) skips before building them are
-    # not counted. On the triple pair only the optimum is built: the one
-    # earlier subset whose splits fit keeps c below rho, and c's chain up
-    # to the root of m shares an edge with a's
-    n, m = retic_pair
-    assert mtc(n, m, subset_budget=3)[0] == 1
+def test_measure_budget_counts_built_candidates(budget_pair, retic_pair, triples):
+    # three candidates of the budget pair are built: a first one m does not
+    # display, the optimum, and one that would cut less and is not
+    # displayed either; the subsets that the cut bound or the split test
+    # (its splits or its forced chains) skips before building them are not
+    # counted. On the reticulated pair and the triple pair only the optimum
+    # is built
+    n, m = budget_pair
+    assert mtc(n, m, subset_budget=3)[0] == 6
     with pytest.raises(BudgetExceededError):
         mtc(n, m, subset_budget=2)
+    assert mtc(*retic_pair, subset_budget=1)[0] == 1
     assert mtc(*triples, subset_budget=1)[0] == 2
 
 
@@ -189,6 +197,33 @@ def test_measure_of_ten_leaf_pairs_matches_golden():
         got.append("== random_tree_child(10, 2, seed=%d) against seed=%d\n%d\n%s"
                    % (s, s + 1, value, write_witness_bundle(w)))
     assert "".join(got) == TEN_LEAF_PAIRS.read_text(encoding="utf-8")
+
+
+def test_ten_leaf_pairs_build_and_search_counts(monkeypatch):
+    # how many candidates mtc builds and how many full embedding searches it
+    # runs on the pairs of the ten-leaf golden; unlike timings these counts
+    # repeat exactly, and each subset the split test or the forced-chain
+    # check skips lowers them
+    built, searched = [], []
+
+    def counted_candidate(n, mask):
+        built.append(mask)
+        return _valid_candidate(n, mask)
+
+    def counted_solve(search, limit=None):
+        searched.append(limit)
+        return solve(search, limit)
+
+    solve = _Search.solve
+    monkeypatch.setattr(agreement, "_valid_candidate", counted_candidate)
+    monkeypatch.setattr(_Search, "solve", counted_solve)
+    got = []
+    for s in (1, 3, 5, 7):
+        built.clear()
+        searched.clear()
+        mtc(random_tree_child(10, 2, seed=s), random_tree_child(10, 2, seed=s + 1))
+        got.append((s, len(built), len(searched)))
+    assert got == [(1, 27, 27), (3, 1, 1), (5, 120, 113), (7, 6, 6)]
 
 
 def test_measure_is_twice_the_forest_count_on_larger_trees():
@@ -631,12 +666,30 @@ def _splits_only_test(n, m):
     return splits_fit
 
 
-def _cover_chains_test(n, m):
-    """The split test before the chain of a leaf below rho climbed to the
-    root of m, kept as its oracle: splits_fit(mask) is False exactly when
+def _leaf_chain_edges(m, label, y):
+    """The forced chain in m of the leaf labelled label whose parent in the
+    digraph has the leaves y below it, as host edges from the leaf upward,
+    stopping at the first vertex that covers y or has another in-degree,
+    or with y None at the root of m or the first reticulation: the climb
+    the leaf-chain oracles below were written with."""
+    _, leaf, below = _leaf_clusters(m)
+    v = leaf[label]
+    while True:
+        e = m.in_edges(v)[0]
+        yield e
+        v = e.src
+        if m.in_degree(v) != 1 or y is not None and below[v] & y == y:
+            return
+
+
+def _leaf_chains_test(n, m, rho_climbs):
+    """The split test before it checked forced images and vertex owners,
+    kept as its oracle: splits_fit(mask) is False exactly when
     _splits_only_test rejects the subset or two leaf chains of its digraph
     share an edge of m, each chain stopping at the first vertex that covers
-    the leaves below the leaf's parent, rho included."""
+    the leaves below the leaf's parent. With rho_climbs, the chain of a
+    leaf whose parent is rho climbs to the root of m or the first
+    reticulation instead; without it, rho is read like any parent."""
     splits_only = _splits_only_test(n, m)
     bit = _leaf_clusters(m)[0]
     label = {b: lab for lab, b in bit.items()}
@@ -666,10 +719,12 @@ def _cover_chains_test(n, m):
                 up.append(up[kids[0]])
             else:
                 up.append(0)
+                if rho_climbs and not ins:
+                    y = None
                 for c in kids:
                     if not up[c]:
                         continue
-                    for e in _leaf_chain(m, label[up[c]], y):
+                    for e in _leaf_chain_edges(m, label[up[c]], y):
                         if e in claimed:
                             return False
                         claimed.add(e)
@@ -680,21 +735,26 @@ def _cover_chains_test(n, m):
 
 def test_split_test_rejects_only_undisplayed_subsets():
     # the split test skips a subset exactly when its splits do not fit in m
-    # or the leaf chains of its built digraph clash in m, and m displays
+    # or the forced chains of its built digraph clash in m, and m displays
     # none of the subsets it skips: the bare search embeds none of them. It
-    # skips every subset the oracle before the climb to the root skips, and
-    # the pinned counts split its skips into those and the rest. The (4, 2)
-    # pairs are halved to save time; seeded six-leaf pairs give rho more
-    # leaves to climb from
+    # skips every subset the leaf-chain oracles skip, and the pinned counts
+    # split its skips into those of the splits, of leaf chains stopping at
+    # the first cover, of the climb to the root, and the rest: forced
+    # images, private vertices and reticulation climbs. The (4, 2) pairs
+    # are halved to save time; seeded six-leaf pairs give rho more leaves
+    # to climb from, and the reticulated ones images to force
     pairs = _differential_pairs()
     pairs = pairs[:1001] + pairs[1001::2]
     pairs += [(random_tree_child(6, r, seed=s), random_tree_child(6, r, seed=s + 1))
               for r in (0, 1) for s in range(0, 40, 2)]
-    read = by_splits = by_cover_chains = by_root_chains = 0
+    pairs += [(random_tree_child(6, 2, seed=s), random_tree_child(6, 2, seed=s + 1))
+              for s in range(0, 20, 2)]
+    read = by_splits = by_cover_chains = by_root_chains = by_forced = 0
     for n, m in pairs:
         splits_fit = _split_test(n, m)
         splits_only = _splits_only_test(n, m)
-        cover_chains = _cover_chains_test(n, m)
+        cover_chains = _leaf_chains_test(n, m, rho_climbs=False)
+        root_chains = _leaf_chains_test(n, m, rho_climbs=True)
         pair = (write_enewick(n), write_enewick(m))
         for mask, _ in _valid_drops(n):
             read += 1
@@ -704,16 +764,20 @@ def test_split_test_rejects_only_undisplayed_subsets():
                 assert not splits_fit(mask), (pair, bin(mask))
                 assert find_embedding(d, m) is None, (pair, bin(mask))
                 continue
-            clash = _leaf_chains_clash(d, m)
+            clash = _forced_chains_clash(d, m)
             assert splits_fit(mask) is not clash, (pair, bin(mask))
             if clash:
                 assert _Search(d, m).solve(limit=1) == [], (pair, bin(mask))
             if not cover_chains(mask):
                 by_cover_chains += 1
                 assert clash, (pair, bin(mask))
-            elif clash:
+            elif not root_chains(mask):
                 by_root_chains += 1
-    assert (read, by_splits, by_cover_chains, by_root_chains) == (71207, 24038, 3933, 1963)
+                assert clash, (pair, bin(mask))
+            elif clash:
+                by_forced += 1
+    assert (read, by_splits, by_cover_chains, by_root_chains, by_forced) == (
+        87798, 32034, 6503, 2292, 8364)
 
 
 # ------------------------------------------------------------------ bounds

@@ -191,8 +191,9 @@ def test_mtc_golden_witness(files, capsys, first, second, golden):
 
 
 def test_mtc_budget_exhaustion_exits_2(files, capsys):
-    a = files("a.nwk", RETIC_AB_C)
-    b = files("b.nwk", TRIPLE_A_BC)
+    # random_tree_child(4, 1, seed=9) against seed=10 builds three candidates
+    a = files("a.nwk", "(((((b)#H1,c),#H1),d),a);")
+    b = files("b.nwk", "(((((d)#H1,a),#H1),c),b);")
     code, out, err = run(capsys, "mtc", a, b, "--budget", "2")
     assert code == 2
     assert out == ""

@@ -43,9 +43,10 @@ from snprlab import (
 
 from snprlab.agreement import _valid_candidate, _valid_drops
 from snprlab.digraphcore import is_tree_child_digraph
-from snprlab.embed import _leaf_chains_clash, _same_embedding, _Search
+from snprlab.embed import _forced_chains_clash, _same_embedding, _Search
+from snprlab.netcore import _cluster_bits, _leaf_clusters
 
-from test_agreement import PARALLEL_HOSTS, _checked_candidates
+from test_agreement import PARALLEL_HOSTS, _checked_candidates, _leaf_chain_edges
 
 
 def cherry_digraph():
@@ -370,18 +371,42 @@ def _chain_check_pairs():
         nets = list(enumerate_tree_child(leaves, 2))
         pairs += [(rng.choice(nets), rng.choice(nets)) for _ in range(count)]
     pairs += [(random_tree_child(leaves, r, seed=s), random_tree_child(leaves, r, seed=s + 1))
-              for leaves, r in ((5, 1), (6, 0), (6, 1)) for s in range(0, 20, 2)]
+              for leaves, r in ((5, 1), (6, 0), (6, 1), (6, 2)) for s in range(0, 20, 2)]
     nets = list(enumerate_tree_child(3, 2))
     pairs += [(rng.choice(nets), random_network(3, 2, seed=s))
               for s in PARALLEL_HOSTS for _ in range(5)]
     return pairs
 
 
+def _leaf_chains_clash(d, n):
+    """The check before it forced images and vertex owners, kept as its
+    oracle: True when two leaves of d have chains in n that share an edge,
+    each chain climbing from the leaf to the first vertex that covers the
+    leaves below its parent, or to the root or the first reticulation when
+    that parent is rho."""
+    bit = _leaf_clusters(n)[0]
+    claimed = set()
+    for c in d.components:
+        if not c.edges:
+            continue
+        covers = _cluster_bits(c, bit)
+        c_in = c._adjacency()[1]
+        for x, lab in c.leaf_labels.items():
+            p = c_in[x][0].src
+            for e in _leaf_chain_edges(n, lab, None if p == c.rho else covers[p]):
+                if e in claimed:
+                    return True
+                claimed.add(e)
+    return False
+
+
 def test_leaf_chain_check_rejects_only_undisplayed_digraphs():
     # on every tree-child candidate of each pair, find_embedding gives what
-    # the bare search gives; the check alone rejects a share of them
+    # the bare search gives; the check alone rejects a share of them, every
+    # one the leaf-chain oracle rejects and more by forced images, private
+    # vertices and reticulation climbs
     pairs = _chain_check_pairs()
-    candidates = displayed = clashing = 0
+    candidates = displayed = by_leaf_chains = by_forced = 0
     for n, m in pairs:
         for mask, _ in _valid_drops(n):
             d = _valid_candidate(n, mask)
@@ -391,14 +416,19 @@ def test_leaf_chain_check_rejects_only_undisplayed_digraphs():
             bare = _Search(d, m).solve(limit=1)
             got = find_embedding(d, m)
             assert (got is None) == (not bare), (n, m, bin(mask))
+            clash = _forced_chains_clash(d, m)
             if got is not None:
                 displayed += 1
                 assert _same_embedding(got, bare[0]), (n, m, bin(mask))
-            elif _leaf_chains_clash(d, m):
-                clashing += 1
+            elif clash:
                 assert list(enumerate_embeddings(d, m)) == []
-    assert len(pairs) == 169
-    assert (candidates, displayed, clashing) == (25176, 8977, 6989)
+            if _leaf_chains_clash(d, m):
+                by_leaf_chains += 1
+                assert clash, (n, m, bin(mask))
+            elif clash:
+                by_forced += 1
+    assert len(pairs) == 179
+    assert (candidates, displayed, by_leaf_chains, by_forced) == (38226, 11084, 11912, 11849)
 
 
 def random_corpus():

@@ -125,23 +125,37 @@ def _functions(tree):
 
 
 def test_embed_owns_the_display_decision():
-    # both embedding searches reject by the leaf-chain check first, and no
+    # both embedding searches reject by the forced-chain check first, and no
     # function of agreement runs the check on a built digraph: after the
     # split test, which claims the same chains on the edge mask, a
     # candidate is judged only through find_embedding; the split test and
     # the check climb a chain through one helper of embed, which alone
-    # reads the host's in-edges on the way up, for a leaf below rho too
+    # reads the host's in-edges on the way up, from a leaf or a forced
+    # image, below rho or a reticulation too, and claim its vertices
+    # through one helper of embed as well
     trees = _trees()
     embed = _functions(trees["embed"])
     agreement = _functions(trees["agreement"])
     for name in ("find_embedding", "enumerate_embeddings"):
-        assert "_leaf_chains_clash" in set(_names(embed[name])), name
+        assert "_forced_chains_clash" in set(_names(embed[name])), name
     assert [name for name, node in agreement.items()
-            if "_leaf_chains_clash" in set(_names(node))] == []
-    assert "_leaf_chain" in set(_names(embed["_leaf_chains_clash"]))
-    assert "_leaf_chain" in set(_names(agreement["_split_test"]))
-    # the root case is one test of y against None, inside the climb
-    chain = embed["_leaf_chain"]
+            if "_forced_chains_clash" in set(_names(node))] == []
+    for helper in ("_forced_chain", "_claim"):
+        assert helper in set(_names(embed["_forced_chains_clash"])), helper
+        assert helper in set(_names(agreement["_split_test"])), helper
+    # the climb from a host vertex is defined once, in embed, and only the
+    # check and the split test's chain pass call it
+    assert sorted((module, name) for module, tree in trees.items()
+                  for name in _functions(tree) if name == "_forced_chain") == [
+        ("embed", "_forced_chain")]
+    assert sorted((module, name) for module, tree in trees.items()
+                  for name, f in _functions(tree).items()
+                  if "_forced_chain" in set(_names(f))) == [
+        ("agreement", "_split_test"), ("agreement", "chains_clash"),
+        ("embed", "_forced_chains_clash")]
+    # the root and reticulation cases are one test of y against None,
+    # inside the climb
+    chain = embed["_forced_chain"]
     assert "_adjacency" in set(_names(chain))
     assert any(isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.IsNot)
                and isinstance(node.comparators[0], ast.Constant)
