@@ -6,7 +6,9 @@ dtc weight and witness on small exhaustive and sampled corpora to
 tests/golden/dtc_corpora.json. Regenerate both with
 ``PYTHONPATH=src python tests/test_snpr.py`` only when a change of these
 outputs is intended. The dtc weight and witness of every distance pair in
-bench/expected.json are pinned to tests/golden/dtc_distance_pool.json.
+bench/expected.json are pinned to tests/golden/dtc_distance_pool.json, and
+that of the farthest seeded pairs dtc answers within 3,000 expansions to
+tests/golden/dtc_reach_pairs.txt, which the same command rewrites.
 """
 
 import collections
@@ -36,6 +38,7 @@ from snprlab.phyloio import parse_enewick, write_enewick, write_pnd
 MOVE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "move_outcomes.json"
 DISTANCE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "dtc_distance_pool.json"
 CORPUS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "dtc_corpora.json"
+REACH_GOLDEN = pathlib.Path(__file__).parent / "golden" / "dtc_reach_pairs.txt"
 BENCH_EXPECTED = pathlib.Path(__file__).parent.parent / "bench" / "expected.json"
 
 
@@ -540,6 +543,32 @@ def test_dtc_corpus_matches_golden(name):
             write_enewick(a), write_enewick(b))
 
 
+# (leaves, reticulations, seeds) of the reach pairs: random_tree_child(L, R,
+# seed=s) against seed=s+1, at distance 6 or 8
+REACH_PAIRS = [(6, 1, (1, 5, 7)), (6, 2, (1, 3, 5)), (7, 1, (1, 3, 5)), (8, 0, (1, 3, 5))]
+
+
+def dtc_reach_lines():
+    """'<L> <R> <s> <dtc weight> <SHA-256 of moves_to_json(witness)>' per
+    reach pair, each dtc on a fresh NeighborCache at budget=3000 and the
+    default cap."""
+    lines = []
+    for leaves, retics, seeds in REACH_PAIRS:
+        for seed in seeds:
+            n, m = (random_tree_child(leaves, retics, seed=s) for s in (seed, seed + 1))
+            w, seq = dtc(n, m, budget=3000, cache=NeighborCache())
+            lines.append("%d %d %d %d %s" % (leaves, retics, seed, w, hashlib.sha256(
+                moves_to_json(seq).encode()).hexdigest()))
+    return lines
+
+
+def test_dtc_reach_pairs_match_golden():
+    want = [line for line in REACH_GOLDEN.read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")]
+    assert len(want) == 12
+    assert dtc_reach_lines() == want
+
+
 def test_move_weights_bound_the_stop():
     # dtc's search stops once its two frontier minima sum to best - 2,
     # which is exact only if every move weighs at least 1 and changes the
@@ -843,4 +872,8 @@ if __name__ == "__main__":
                                       indent=1) + "\n", encoding="utf-8")
     CORPUS_GOLDEN.write_text(json.dumps(dtc_corpus_goldens(), indent=1) + "\n",
                              encoding="utf-8")
+    REACH_GOLDEN.write_text("# L R s weight sha256(moves_to_json(witness)): dtc from "
+                            "random_tree_child(L, R, seed=s) to seed=s+1, fresh cache, "
+                            "budget=3000\n" + "".join(line + "\n" for line in dtc_reach_lines()),
+                            encoding="utf-8")
     sys.exit(0)
