@@ -24,7 +24,7 @@ from .digraphcore import (
 )
 from .embed import (Embedding, _check_taxa, _claim, _forced_chain, extend,
                     find_embedding)
-from .snpr import _keyed, apply_move, dtc
+from .snpr import Move, _keyed, apply_move, dtc
 
 
 class AgreementWitness:
@@ -706,8 +706,11 @@ def maf_rspr(t: Network, u: Network, budget=None) -> int:
 
 def _leaf_tail_moves(n):
     """(Move, mu key) for each tree-child pm move of n that moves a leaf,
-    keyed without an edit."""
-    return ((mv, key) for mv, key, _ in _keyed(n, kind="pm") if mv.edge.dst in n.leaves)
+    keyed without an edit; of the stream's triples only those it yields
+    become Moves."""
+    leaves = n.leaves
+    return ((Move._make(succ[:3]), succ[3]) for succ in _keyed(n, kind="pm")
+            if succ[1].dst in leaves)
 
 
 def gap_witness_search(n_leaves, r, budget, seed=0):

@@ -454,15 +454,20 @@ def _mu_key(n: Network) -> bytes:
                 if not left[u]:
                     mu[u] = sum(mu[f.dst] for f in out[u])
                     ready.append(u)
-        n._mu = _mu_bytes(width, labels, list(mu.values()))
+        n._mu = _mu_bytes(_mu_prefix(width, labels), list(mu.values()))
     return n._mu
 
 
-def _mu_bytes(width, labels, packed) -> bytes:
+def _mu_prefix(width, labels) -> bytes:
+    """The part of a mu key fixed by the field width and the sorted labels."""
+    return b"mu%d%r|" % (width, labels)
+
+
+def _mu_bytes(prefix, packed) -> bytes:
     """The mu key of the list of every vertex's packed vector, which it
-    sorts in place."""
+    sorts in place, after the prefix _mu_prefix formats."""
     packed.sort()
-    return b"mu%d%r|%r" % (width, labels, packed)
+    return b"%s%r" % (prefix, packed)
 
 
 def canonical_order(n: Network) -> tuple:
@@ -703,10 +708,12 @@ class _Keyer:
     r'. Its tables, built on the first call, are P(z, x), the number of
     paths from z to x for every vertex x and each of its ancestors z (x
     itself counting one), and, per field width w, mu_w(z): z's vector of
-    path counts to the leaves packed at w bits per field as in _mu_key.
-    Packing is linear, mu_w(z) being the sum over leaves l of
-    P(z, l) << (i_l * w), so each integer identity between count vectors
-    holds between their packings. The result is keyed at width r' + 1.
+    path counts to the leaves packed at w bits per field as in _mu_key,
+    with the key's fixed part at w, formatted once by _mu_prefix. Packing
+    is linear, mu_w(z) being the sum over leaves l of P(z, l) << (i_l * w),
+    so each integer identity between count vectors holds between their
+    packings. The result is keyed at width r' + 1, by _mu_bytes, the one
+    formatter of _mu_key too, so both give the same bytes.
 
     A move changes the paths from z to the leaves only through the edge it
     deletes and the edge it adds. The paths through a deleted edge (u, v)
@@ -786,23 +793,24 @@ class _Keyer:
         self._packed = {}
 
     def _mu(self, width):
-        """mu_width by vertex index, in the topological order of _tables."""
-        mu = self._packed.get(width)
-        if mu is None:
+        """The key prefix at this width, and mu_width by vertex index in the
+        topological order of _tables."""
+        got = self._packed.get(width)
+        if got is None:
             mu = [0] * len(self._index)
             leaf = {lab: v for v, lab in self._net.leaf_labels.items()}
             for i, lab in enumerate(self._labels):
                 for j, k in self._paths[leaf[lab]]:
                     mu[j] += k << (i * width)
-            self._packed[width] = mu
-        return mu
+            got = self._packed[width] = (_mu_prefix(width, self._labels), mu)
+        return got
 
     def key(self, kind, e: Edge, target: Edge = None):
         """(mu key, reticulation count) of the result of the legal move."""
         if self._paths is None:
             self._tables()
         retics = self._retics + _RETIC_CHANGE[kind]
-        mu = self._mu(retics + 1)
+        prefix, mu = self._mu(retics + 1)
         paths, index = self._paths, self._index
         u, v = e.src, e.dst
         moved = mu[index[v]]
@@ -820,7 +828,7 @@ class _Keyer:
                 new[index[u]] = tail  # the new vertex takes u's place
             else:
                 new += (moved, tail)
-        return _mu_bytes(retics + 1, self._labels, new), retics
+        return _mu_bytes(prefix, new), retics
 
 
 def delete_reticulation_edge(n: Network, edge: Edge) -> Network:

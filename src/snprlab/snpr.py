@@ -26,14 +26,17 @@ and the replay; normalize_sequence and agreement's gap search follow it,
 and enforce_global_assumption, whose input need not be tree-child,
 replays on canonical signatures.
 
-Every move is drawn from one generator, and the search and the replay
-read each successor's key from one stream, _keyed. In tree-child space
-it decides and keys each successor of a tree-child network from tables
-read once off the parent (netcore._Keyer) and edits nothing; in the
-wider space it edits each successor and keys it by canonical signature.
-In both spaces a key the search has not seen is stored as its parent key
-and move, and its Network is edited by netcore._edit only when the key is
-first expanded. enumerate_moves edits every successor it yields.
+Every move is drawn from one generator, _moves, as a plain (kind, edge,
+target) triple, and the search and the replay read each successor's key
+from one stream of such triples, _keyed. In tree-child space it decides
+and keys each successor of a tree-child network from tables read once off
+the parent (netcore._Keyer) and edits nothing; in the wider space it edits
+each successor and keys it by canonical signature. In both spaces a key
+the search has not seen is stored as its parent key and the triple, and
+its Network is edited by netcore._edit only when the key is first
+expanded. A Move is built only for a move that leaves the stream's
+callers: enumerate_moves, which edits every successor it yields, and the
+replay's picks.
 """
 
 import heapq
@@ -117,21 +120,21 @@ def apply_move(n: Network, move: Move) -> Network:
 
 
 def _moves(n: Network, kind=None):
-    """Every legal move on n, or only those of the given kind.
+    """Every legal move on n, or only those of the given kind, as a plain
+    (kind, edge, target) triple.
 
     Order is deterministic: all minus moves, then pm, then plus, each
     block sorted by edge tuples. The blocks of other kinds are skipped
-    whole. Each move is legal by construction, so Move's checks are
-    skipped.
+    whole. Each move is legal by construction, so a caller that hands a
+    triple on as a Move builds it with Move._make, skipping Move's checks.
     """
     edges = sorted(n.edges)
-    make = Move._make
 
     if kind in (None, "minus"):
         retics = set(n.reticulations())
         for e in edges:
             if e.dst in retics and n.in_degree(e.src) == 1 and n.out_degree(e.src) == 2:
-                yield make(("minus", e, None))
+                yield ("minus", e, None)
 
     if kind in (None, "pm"):
         for e in edges:
@@ -148,12 +151,12 @@ def _moves(n: Network, kind=None):
                 src_eff = parent_edge.src if t == other_child else t.src
                 if src_eff in blocked:
                     continue
-                yield make(("pm", e, t))
+                yield ("pm", e, t)
 
     if kind in (None, "plus"):
         for e1 in edges:
             for e2 in _plus_tails(n, e1):
-                yield make(("plus", e1, e2))
+                yield ("plus", e1, e2)
 
 
 def _edits(n: Network, tree_child_only: bool = True, kind=None):
@@ -163,7 +166,7 @@ def _edits(n: Network, tree_child_only: bool = True, kind=None):
     With tree_child_only, results failing the tree-child condition are
     dropped: on a tree-child n each move is decided by _Keyer before it is
     edited, and on any other n each result is edited and checked with
-    is_tree_child.
+    is_tree_child. Only the moves kept become Moves.
     """
     keeps = _Keyer(n).keeps_tree_child if tree_child_only and is_tree_child(n) else None
     for move in _moves(n, kind):
@@ -171,28 +174,33 @@ def _edits(n: Network, tree_child_only: bool = True, kind=None):
             continue
         succ = _edit(n, *move)[0]
         if keeps or not tree_child_only or is_tree_child(succ):
-            yield move, succ
+            yield Move._make(move), succ
 
 
 def _keyed(n: Network, tree_child_only: bool = True, kind=None):
-    """(Move, key, reticulation count) for every successor of n, or of the
-    given kind, that _edits keeps, in the order of _moves; the key is
-    _key(tree_child_only).
+    """(kind, edge, target, key, reticulation count) for every successor
+    of n, or of the given kind, that _edits keeps, in the order of _moves;
+    the key is _key(tree_child_only).
 
-    In tree-child space, on a tree-child n, each move is decided and keyed
-    from tables read once off n, and nothing is edited; otherwise each
-    result is edited, checked and keyed by _edits and _key.
+    The stream carries the plain triples of _moves: a caller builds a Move
+    only for what it stores or hands on. In tree-child space, on a
+    tree-child n, each move is decided and keyed from tables read once off
+    n, and nothing is edited; otherwise each result is edited, checked
+    with is_tree_child in tree-child space, and keyed by _key.
     """
     if tree_child_only and is_tree_child(n):
         keyer = _Keyer(n)
+        keeps, key = keyer.keeps_tree_child, keyer.key
         for move in _moves(n, kind):
-            if keyer.keeps_tree_child(*move):
-                yield (move, *keyer.key(*move))
+            if keeps(*move):
+                yield move + key(*move)
         return
     key = _key(tree_child_only)
     retics = n.reticulation_count
-    for move, succ in _edits(n, tree_child_only, kind):
-        yield move, key(succ), retics + _RETIC_CHANGE[move.kind]
+    for move in _moves(n, kind):
+        succ = _edit(n, *move)[0]
+        if not tree_child_only or is_tree_child(succ):
+            yield move + (key(succ), retics + _RETIC_CHANGE[move[0]])
 
 
 def enumerate_moves(n: Network, tree_child_only: bool = True):
@@ -307,8 +315,9 @@ def _find_move_to(n: Network, kind: str, target_sig: bytes,
     the pick deterministic. Moves of other kinds are skipped before any
     edit, and each move is keyed by _keyed, so in tree-child space only
     the match is edited and frozen."""
-    for move, key, _ in _keyed(n, tree_child_only, kind):
-        if key == target_sig:
+    for succ in _keyed(n, tree_child_only, kind):
+        if succ[3] == target_sig:
+            move = Move._make(succ[:3])
             return move, _edit(n, *move)[0]
     raise ContractViolationError(
         "no %s move reaches the required network; the rewrite guaranteed "
@@ -411,7 +420,8 @@ class NeighborCache:
     mu keys in tree-child space, read for a tree-child representative off
     tables that live only for the expansion, with no edit, and canonical
     signatures of edited successors in the wider space. In both spaces a
-    new key is stored as (parent key, Move), and representative() edits
+    new key is stored as (parent key, kind, edge, target), the move as
+    _keyed's plain triple with no Move built, and representative() edits
     and freezes its Network from the parent's on first use, which the
     search makes only when it expands the key. Most keys a search meets
     are never expanded, so most are never frozen. The two kinds of key
@@ -439,9 +449,9 @@ class NeighborCache:
             sig = self._keys.setdefault(sig, sig)
             got = self.rep[sig] = net
         if isinstance(got, tuple):
-            # the parent was expanded, so its representative is frozen
-            parent, move = got
-            got = _edit(self.rep[parent], *move)[0]
+            # (parent key, kind, edge, target): the parent was expanded, so
+            # its representative is frozen
+            got = _edit(self.rep[got[0]], *got[1:])[0]
             sig = self._keys[sig]
             if sig.startswith(b"mu"):
                 got._mu = sig
@@ -457,11 +467,11 @@ class NeighborCache:
             n = self.representative(sig)
             keys = self._keys
             sig = keys[sig]
-            for move, ssig, retics in _keyed(n, tree_child_only):
+            for kind, edge, target, ssig, retics in _keyed(n, tree_child_only):
                 ssig = keys.setdefault(ssig, ssig)
                 if ssig not in self.rep:
-                    self.rep[ssig] = (sig, move)
-                seen.append((ssig, move.kind, WEIGHTS[move.kind], retics))
+                    self.rep[ssig] = (sig, kind, edge, target)
+                seen.append((ssig, kind, WEIGHTS[kind], retics))
             self._succ[sig, tree_child_only] = tuple(seen)
         return self._succ[key]
 

@@ -175,3 +175,34 @@ def test_measure_and_stream_read_one_subset_walk():
     agreement = _functions(_trees()["agreement"])
     for name in ("_min_total_cut", "enumerate_agreement_digraphs"):
         assert "_valid_drops" in set(_names(agreement[name])), name
+
+
+def test_stream_carries_triples_and_one_formatter_writes_mu_keys():
+    # the keyed successor stream and the generator it reads build no Move;
+    # every mu key, a whole network's or a successor's read off the keyer,
+    # is written by netcore._mu_bytes after the per-width prefix, and only
+    # _mu_prefix formats the b"mu" part, so both keep one byte format
+    trees = _trees()
+    snpr = _functions(trees["snpr"])
+    for name in ("_moves", "_keyed"):
+        assert set(_names(snpr[name])).isdisjoint({"Move", "_make"}), name
+    netcore = trees["netcore"]
+    keyer = next(node for node in netcore.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Keyer")
+    methods = {node.name: node for node in keyer.body if isinstance(node, ast.FunctionDef)}
+    functions = _functions(netcore)
+    for name, node in (("_mu_key", functions["_mu_key"]), ("_Keyer.key", methods["key"])):
+        assert "_mu_bytes" in set(_names(node)), name
+    for name, node in (("_mu_key", functions["_mu_key"]), ("_Keyer._mu", methods["_mu"])):
+        assert "_mu_prefix" in set(_names(node)), name
+    formats = sorted((module, name) for module, tree in trees.items()
+                     for name, f in _functions(tree).items() for node in ast.walk(f)
+                     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                     and isinstance(node.left, ast.Constant)
+                     and isinstance(node.left.value, bytes)
+                     and node.left.value.startswith(b"mu"))
+    assert formats == [("netcore", "_mu_prefix")]
+    assert sorted((module, name) for module, tree in trees.items()
+                  for name, f in _functions(tree).items()
+                  if name != "_mu_bytes" and "_mu_bytes" in set(_names(f))) == [
+        ("netcore", "_mu_key"), ("netcore", "key")]

@@ -11,6 +11,7 @@ that of the farthest seeded pairs dtc answers within 3,000 expansions to
 tests/golden/dtc_reach_pairs.txt, which the same command rewrites.
 """
 
+import ast
 import collections
 import hashlib
 import heapq
@@ -24,15 +25,17 @@ import pytest
 
 from snprlab.errors import (BudgetExceededError, ContractViolationError,
                             InvalidNetworkError, MoveError, ParseError)
-from snprlab.netcore import (Edge, Network, _mu_key, canonical_signature,
+from snprlab.netcore import (Edge, Network, _Keyer, _below, _edit, _mu_key,
+                             _plus_tails, canonical_signature,
                              enumerate_tree_child, is_tree_child, isomorphic,
                              isomorphism_map, network_violations, random_network,
                              random_tree_child, validate)
 from snprlab.snpr import (WEIGHTS, Move, MoveSequence, NeighborCache, apply_move,
                           apply_move_detailed, dtc, enforce_global_assumption,
                           enumerate_moves, moves_from_json, moves_to_json,
-                          normalize_sequence, sequence_weight, _find_move_to, _key)
-from snprlab.agreement import mtc
+                          normalize_sequence, sequence_weight, _find_move_to, _key,
+                          _keyed)
+from snprlab.agreement import _leaf_tail_moves, mtc
 from snprlab.phyloio import parse_enewick, write_enewick, write_pnd
 
 MOVE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "move_outcomes.json"
@@ -473,6 +476,123 @@ def test_cache_holds_one_object_per_key(retic_ab_c, triple_ab_c, triple_ac_b,
              for key in (net._mu, net._sig) if key in cache.rep]
     assert len(held) > 3 * len(cache.rep)
     assert len({id(key) for key in held}) == len(cache.rep)
+
+
+def _moves_as_moves(n, kind=None):
+    """The move generator as it was while every legal move became a Move
+    before it was decided: minus, then pm, then plus, each block sorted by
+    edge tuples. The oracle of the triple stream."""
+    edges = sorted(n.edges)
+    if kind in (None, "minus"):
+        retics = set(n.reticulations())
+        for e in edges:
+            if e.dst in retics and n.in_degree(e.src) == 1 and n.out_degree(e.src) == 2:
+                yield Move._make(("minus", e, None))
+    if kind in (None, "pm"):
+        for e in edges:
+            u, v = e.src, e.dst
+            if not (n.in_degree(u) == 1 and n.out_degree(u) == 2):
+                continue
+            parent_edge = n.in_edges(u)[0]
+            other_child = next(f for f in n.out_edges(u) if f != e)
+            blocked = _below(n, v)
+            for t in edges:
+                if t == e or t == parent_edge:
+                    continue
+                if (parent_edge.src if t == other_child else t.src) in blocked:
+                    continue
+                yield Move._make(("pm", e, t))
+    if kind in (None, "plus"):
+        for e1 in edges:
+            for e2 in _plus_tails(n, e1):
+                yield Move._make(("plus", e1, e2))
+
+
+def _edits_as_moves(n, tree_child_only, kind=None):
+    """(Move, successor) pairs of the Move-building stream."""
+    keeps = _Keyer(n).keeps_tree_child if tree_child_only and is_tree_child(n) else None
+    for move in _moves_as_moves(n, kind):
+        if keeps and not keeps(*move):
+            continue
+        succ = _edit(n, *move)[0]
+        if keeps or not tree_child_only or is_tree_child(succ):
+            yield move, succ
+
+
+def _keyed_as_moves(n, tree_child_only, kind=None):
+    """(Move, key, reticulation count) triples of the Move-building
+    stream."""
+    if tree_child_only and is_tree_child(n):
+        keyer = _Keyer(n)
+        for move in _moves_as_moves(n, kind):
+            if keyer.keeps_tree_child(*move):
+                yield (move, *keyer.key(*move))
+        return
+    key = _key(tree_child_only)
+    for move, succ in _edits_as_moves(n, tree_child_only, kind):
+        yield move, key(succ), len(succ.reticulations())
+
+
+MU_KEY = re.compile(rb"mu(\d+)(\(.*\))\|(\[.*\])\Z", re.S)
+
+
+def _mu_fields(key):
+    """(width, labels, packed vectors) of a mu key."""
+    width, labels, packed = MU_KEY.match(key).groups()
+    return int(width), ast.literal_eval(labels.decode()), ast.literal_eval(packed.decode())
+
+
+@pytest.mark.parametrize("tree_child_only", SPACES)
+def test_triple_stream_matches_the_move_stream(tree_child_only):
+    # every tree-child host of at most four leaves and two reticulations
+    # (in the wider space, where each successor is edited and signed, those
+    # of three leaves or fewer and every thirtieth of four), seeded 6- and
+    # 7-leaf hosts, each also one kind at a time, and four hosts that are
+    # not tree-child: _keyed yields the plain triples, keys and counts of
+    # the stream that built a Move for every legal move, in order, and
+    # enumerate_moves, the replay's pick and the leaf tail moves still
+    # hand on equal Moves
+    hosts = [n for leaves in (1, 2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
+    small = hosts[:70]
+    if not tree_child_only:
+        hosts = small + hosts[70::30]
+    seeded = [random_tree_child(leaves, r, seed=s)
+              for leaves in (6, 7) for r in (0, 1, 2) for s in (1, 2)]
+    others = [random_network(3, 2, seed=s) for s in range(4)]
+    assert not any(is_tree_child(n) for n in others)
+    streams = [(n, None) for n in hosts + seeded + others]
+    streams += [(n, kind) for n in seeded for kind in WEIGHTS]
+    keys, count = set(), 0
+    for n, kind in streams:
+        got = list(_keyed(n, tree_child_only, kind))
+        want = [(mv.kind, mv.edge, mv.target, key, retics)
+                for mv, key, retics in _keyed_as_moves(n, tree_child_only, kind)]
+        assert got == want, (write_enewick(n), kind)
+        assert all(type(succ) is tuple for succ in got)
+        if tree_child_only:
+            keys.update((succ[3], succ[4], n.taxa) for succ in got)
+        if got and kind is not None:
+            move, succ = _find_move_to(n, kind, got[-1][3], tree_child_only)
+            assert type(move) is Move
+            assert (move, succ) == next((mv, t) for mv, t in _edits_as_moves(
+                n, tree_child_only, kind) if _key(tree_child_only)(t) == got[-1][3])
+        count += len(got)
+    for n in small + seeded + others:
+        got = list(enumerate_moves(n, tree_child_only))
+        assert got == list(_edits_as_moves(n, tree_child_only))
+        assert all(type(mv) is Move for mv, _ in got)
+    for n in seeded if tree_child_only else ():
+        tails = list(_leaf_tail_moves(n))
+        assert tails == [(mv, key) for mv, key, _ in _keyed_as_moves(n, True, "pm")
+                         if mv.edge.dst in n.leaves]
+        assert all(type(mv) is Move for mv, _ in tails)
+    # each mu key is byte for byte the one format b"mu%d%r|%r" gave it, at
+    # the width one above its reticulation count and over the sorted labels
+    for key, retics, taxa in keys:
+        width, labels, packed = _mu_fields(key)
+        assert (width, labels) == (retics + 1, tuple(sorted(taxa)))
+        assert key == b"mu%d%r|%r" % (width, labels, packed)
+    assert (count, len(keys)) == ((112558, 6039) if tree_child_only else (25526, 0))
 
 
 def _dtc_digest(n, m, cache):
