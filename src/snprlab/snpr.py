@@ -31,12 +31,14 @@ target) triple, and the search and the replay read each successor's key
 from one stream of such triples, _keyed. In tree-child space it decides
 and keys each successor of a tree-child network from tables read once off
 the parent (netcore._Keyer) and edits nothing; in the wider space it edits
-each successor and keys it by canonical signature. In both spaces a key
-the search has not seen is stored as its parent key and the triple, and
-its Network is edited by netcore._edit only when the key is first
-expanded. A Move is built only for a move that leaves the stream's
-callers: enumerate_moves, which edits every successor it yields, and the
-replay's picks.
+each successor and keys it by canonical signature. In both spaces each
+key keeps a record of the first move that met it, its parent key and the
+triple, and a key's Network is edited by netcore._edit only when the key
+is first expanded. dtc reads its witness moves off these records where a
+record is provably the replay's pick, and replays the other hops with
+_find_move_to. A Move is built only for a move that leaves the stream's
+callers: enumerate_moves, which edits every successor it yields, the
+witness moves and the replay's picks.
 """
 
 import heapq
@@ -419,17 +421,25 @@ class NeighborCache:
     with move kind, weight, and reticulation count, as _keyed gives them:
     mu keys in tree-child space, read for a tree-child representative off
     tables that live only for the expansion, with no edit, and canonical
-    signatures of edited successors in the wider space. In both spaces a
-    new key is stored as (parent key, kind, edge, target), the move as
-    _keyed's plain triple with no Move built, and representative() edits
-    and freezes its Network from the parent's on first use, which the
-    search makes only when it expands the key. Most keys a search meets
-    are never expanded, so most are never frozen. The two kinds of key
-    never collide, so one cache serves both modes. Entries ignore any
+    signatures of edited successors in the wider space. The two kinds of
+    key never collide, so one cache serves both modes. Entries ignore any
     reticulation cap so a cache can be shared between searches with
-    different caps. Each key is held as one bytes object, shared by rep,
-    the successor entries and the key a representative stores in its _mu
-    or _sig slot.
+    different caps.
+
+    _keys maps each key to its record, (key, parent key, kind, edge,
+    target): the first move of any expansion that met the key, as _keyed's
+    plain triple with no Move built. A key first met by an expansion is
+    lazy: rep holds its record, and representative() edits and freezes its
+    Network from the parent's on first use, which the search makes only
+    when it expands the key. Most keys a search meets are never expanded,
+    so most are never frozen. A key the caller registers with its Network
+    before any expansion meets it has the record (key, None) until one
+    does; then its record names that move and holds, sixth, the registered
+    Network, which is not that move's edit. A record outlives the
+    freezing, and dtc reads its witness moves off the records
+    (_witness_moves). Each key is held as one bytes object, shared by rep,
+    the records, the successor entries and the key a representative stores
+    in its _mu or _sig slot.
 
     A key's successor order follows the vertex numbering of its
     representative, so sharing a cache between calls keeps every dtc weight
@@ -439,20 +449,20 @@ class NeighborCache:
     def __init__(self):
         self.rep = {}
         self._succ = {}
-        self._keys = {}  # each key of rep mapped to itself
+        self._keys = {}  # each key of rep mapped to its record
 
     def representative(self, sig: bytes, net: Network = None) -> Network:
         got = self.rep.get(sig)
         if got is None:
             if net is None:
                 raise KeyError("no representative known for signature")
-            sig = self._keys.setdefault(sig, sig)
+            self._keys[sig] = (sig, None)
             got = self.rep[sig] = net
         if isinstance(got, tuple):
-            # (parent key, kind, edge, target): the parent was expanded, so
-            # its representative is frozen
-            got = _edit(self.rep[got[0]], *got[1:])[0]
-            sig = self._keys[sig]
+            # the record (key, parent key, kind, edge, target): the parent
+            # was expanded, so its representative is frozen
+            sig = got[0]
+            got = _edit(self.rep[got[1]], *got[2:])[0]
             if sig.startswith(b"mu"):
                 got._mu = sig
             else:
@@ -465,13 +475,15 @@ class NeighborCache:
         if key not in self._succ:
             seen = []
             n = self.representative(sig)
-            keys = self._keys
-            sig = keys[sig]
+            keys, rep = self._keys, self.rep
+            sig = keys[sig][0]
             for kind, edge, target, ssig, retics in _keyed(n, tree_child_only):
-                ssig = keys.setdefault(ssig, ssig)
-                if ssig not in self.rep:
-                    self.rep[ssig] = (sig, kind, edge, target)
-                seen.append((ssig, kind, WEIGHTS[kind], retics))
+                rec = keys.get(ssig)
+                if rec is None:
+                    rec = keys[ssig] = rep[ssig] = (ssig, sig, kind, edge, target)
+                elif rec[1] is None:
+                    rec = keys[ssig] = (rec[0], sig, kind, edge, target, rep[ssig])
+                seen.append((rec[0], kind, WEIGHTS[kind], retics))
             self._succ[sig, tree_child_only] = tuple(seen)
         return self._succ[key]
 
@@ -585,6 +597,49 @@ def _chain(parent, sig):
     return sigs, kinds
 
 
+def _witness_moves(cache: NeighborCache, current: Network, sigs, kinds,
+                   tree_child_only: bool) -> list:
+    """The moves _replay(current, sigs[1:], kinds, tree_child_only) picks,
+    read off cache's records wherever a record is that pick; sigs[0] is the
+    key of current and sigs[i] the key after the i-th move.
+
+    Take a hop from key a to key b whose record names a. The record holds
+    the first triple of _keyed(rep[a], tree_child_only) that reaches b,
+    written when a was expanded (in this space: the two kinds of key never
+    collide), and rep[a] never changes once frozen. Each kind changes the
+    reticulation count by its own amount (_RETIC_CHANGE: -1, 0 or +1), so
+    every triple from a to b has the hop's kind. _keyed filtered to one kind
+    yields that kind's triples in the same order, so the record's triple is
+    also the first of the hop's kind that reaches b: the one
+    _find_move_to(rep[a], kind, b) returns. So when the walk stands on
+    rep[a] itself, an identity test, the record is the replay's pick, and
+    the replay goes on from _edit(rep[a], *triple)[0].
+
+    rep[b] is that edit, built by the same call, when representative()
+    froze it from this record, so the walk steps onto it and the next hop
+    may be read off too. A registered representative, whose record has a
+    sixth field, is not that edit; a lazy key is not frozen, and no record
+    names it. In both cases the walk edits forward instead. Every other hop
+    (into a key met first from elsewhere, or off a network that is not
+    rep[a], such as an endpoint the cache knew before) is replayed by
+    _find_move_to."""
+    rep, keys = cache.rep, cache._keys
+    moves = []
+    for a, b, kind in zip(sigs, sigs[1:], kinds):
+        rec = keys[b]
+        if rec[1] == a and current is rep[a]:
+            move = Move._make(rec[2:5])
+            got = rep[b]
+            if len(rec) == 5 and isinstance(got, Network):
+                current = got
+            else:
+                current = _edit(current, *move)[0]
+        else:
+            move, current = _find_move_to(current, kind, b, tree_child_only)
+        moves.append(move)
+    return moves
+
+
 def dtc(n: Network, m: Network, reticulation_cap=None, *, budget=None,
         cache: NeighborCache = None, witness: bool = True,
         bidirectional=None, tree_child_only: bool = True):
@@ -595,6 +650,12 @@ def dtc(n: Network, m: Network, reticulation_cap=None, *, budget=None,
     maximum). Returns (weight, sequence); the witness sequence ends at a
     network isomorphic to m and is None when witness is False. budget
     caps the number of signature expansions.
+
+    The witness follows the search's chain of keys from n. Each move is
+    read off the cache's record of the first move that met its key when
+    that record is the move _find_move_to would pick, and is replayed
+    otherwise; the proof is in _witness_moves. Either way it is the move
+    the replay of the whole chain picks, byte for byte.
 
     The search always meets in the middle from both ends, and stops once
     the cheapest meeting found is provably optimal: when the two
@@ -633,4 +694,5 @@ def dtc(n: Network, m: Network, reticulation_cap=None, *, budget=None,
     # the backward half lists moves out of m; invert them to run m-ward
     sigs = sigs_f + sigs_b[-2::-1]
     kinds = kinds_f + [REVERSE_KIND[k] for k in reversed(kinds_b)]
-    return weight, MoveSequence(n, _replay(n, sigs[1:], kinds, tree_child_only))
+    return weight, MoveSequence(n, _witness_moves(cache, n, sigs, kinds,
+                                                  tree_child_only))

@@ -95,6 +95,53 @@ def test_search_and_replay_read_one_successor_stream():
         assert names.isdisjoint({"_edits", "canonical_signature"}), name
 
 
+def test_only_the_expansion_writes_first_move_records():
+    # a key's record (key, parent key, kind, edge, target) is written where
+    # an expansion meets the key and nowhere else, and only the cache's
+    # methods and the witness walk read the records
+    tree = _trees()["snpr"]
+    cache = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "NeighborCache")
+    functions = [(name, node) for name, node in _functions(tree).items()
+                 if node not in cache.body] + [
+        ("NeighborCache." + node.name, node) for node in cache.body
+        if isinstance(node, ast.FunctionDef)]
+    assert sorted(name for name, f in functions if "_keys" in set(_names(f))) == [
+        "NeighborCache.__init__", "NeighborCache.representative",
+        "NeighborCache.successors", "_witness_moves"]
+    assert sorted(module for module, other in _trees().items()
+                  if "_keys" in set(_names(other))) == ["snpr"]
+    writers = sorted(name for name, f in functions for node in ast.walk(f)
+                     if isinstance(node, ast.Assign)
+                     and any(isinstance(t, ast.Subscript) for t in node.targets)
+                     and isinstance(node.value, ast.Tuple) and len(node.value.elts) >= 5)
+    assert writers == ["NeighborCache.successors"] * 2
+
+
+def test_dtc_replays_a_move_only_where_no_record_holds_it():
+    # of the functions dtc calls, only the witness walk reaches
+    # _find_move_to, in the branch taken when the hop's record does not
+    # name its source or the walk does not stand on that source's frozen
+    # representative (an identity test); _replay is not reached
+    functions = _functions(_trees()["snpr"])
+    reached, todo = set(), ["dtc"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for n in _names(functions[name]) if n in functions]
+    assert "_replay" not in reached
+    assert sorted(name for name in reached
+                  if "_find_move_to" in set(_names(functions[name]))) == ["_witness_moves"]
+    walk = functions["_witness_moves"]
+    branch = next(node for node in ast.walk(walk) if isinstance(node, ast.If)
+                  and any(isinstance(op, ast.Is) for cmp in ast.walk(node.test)
+                          if isinstance(cmp, ast.Compare) for op in cmp.ops))
+    assert "_find_move_to" not in set(_names(ast.Module(branch.body, [])))
+    assert "_find_move_to" in set(_names(ast.Module(branch.orelse, [])))
+    assert [name for name in _names(walk) if name == "_find_move_to"] == ["_find_move_to"]
+
+
 def test_forest_oracle_stays_independent():
     # maf_rspr cross-checks the digraph measure on trees, so neither it nor
     # any module function it reaches names what agreement imports from

@@ -30,11 +30,12 @@ from snprlab.netcore import (Edge, Network, _Keyer, _below, _edit, _mu_key,
                              enumerate_tree_child, is_tree_child, isomorphic,
                              isomorphism_map, network_violations, random_network,
                              random_tree_child, validate)
-from snprlab.snpr import (WEIGHTS, Move, MoveSequence, NeighborCache, apply_move,
-                          apply_move_detailed, dtc, enforce_global_assumption,
-                          enumerate_moves, moves_from_json, moves_to_json,
-                          normalize_sequence, sequence_weight, _find_move_to, _key,
-                          _keyed)
+from snprlab import snpr
+from snprlab.snpr import (REVERSE_KIND, WEIGHTS, Move, MoveSequence, NeighborCache,
+                          apply_move, apply_move_detailed, dtc,
+                          enforce_global_assumption, enumerate_moves, moves_from_json,
+                          moves_to_json, normalize_sequence, sequence_weight,
+                          _bidirectional, _chain, _find_move_to, _key, _keyed, _replay)
 from snprlab.agreement import _leaf_tail_moves, mtc
 from snprlab.phyloio import parse_enewick, write_enewick, write_pnd
 
@@ -443,9 +444,9 @@ def test_builder_keys_match_frozen_successors(tree_child_only):
 
 @pytest.mark.parametrize("tree_child_only", SPACES)
 def test_cold_dtc_freezes_only_expanded_keys_and_endpoints(tree_child_only):
-    # keys the search meets but never expands stay (parent key, move)
-    # pairs in both spaces; a cache that froze every new key would hold a
-    # Network for each
+    # keys the search meets but never expands stay records of their first
+    # move in both spaces, and the witness walk freezes none; a cache that
+    # froze every new key would hold a Network for each
     n = random_tree_child(4, 1, seed=1)
     m = random_tree_child(4, 1, seed=2)
     key = _key(tree_child_only)
@@ -459,10 +460,10 @@ def test_cold_dtc_freezes_only_expanded_keys_and_endpoints(tree_child_only):
 
 def test_cache_holds_one_object_per_key(retic_ab_c, triple_ab_c, triple_ac_b,
                                         triple_a_bc):
-    # rep, the successor entries, their parent links and the keys
-    # representatives store in their _mu and _sig slots share one bytes
-    # object per distinct key, in both modes and across calls that meet
-    # keys seen before
+    # rep, the successor entries, the records with their parent keys and
+    # the keys representatives store in their _mu and _sig slots share one
+    # bytes object per distinct key, in both modes and across calls that
+    # meet keys seen before
     cache = NeighborCache()
     for tree_child_only in (True, False):
         for a, b in [(triple_ab_c, triple_ac_b), (triple_a_bc, retic_ab_c),
@@ -471,7 +472,9 @@ def test_cache_holds_one_object_per_key(retic_ab_c, triple_ab_c, triple_ac_b,
     held = list(cache.rep)
     held += [ssig for seen in cache._succ.values() for ssig, *_ in seen]
     held += [sig for sig, _ in cache._succ]
-    held += [got[0] for got in cache.rep.values() if isinstance(got, tuple)]
+    held += [key for record in cache._keys.values() for key in record[:2]
+             if key is not None]
+    assert sum(record[1] is not None for record in cache._keys.values()) > len(cache.rep) / 2
     held += [key for net in cache.rep.values() if isinstance(net, Network)
              for key in (net._mu, net._sig) if key in cache.rep]
     assert len(held) > 3 * len(cache.rep)
@@ -635,11 +638,13 @@ DTC_CORPORA = {"three_leaves_two_retics": 4356, "four_leaves_one_retic_sample": 
                "three_leaves_one_retic_tree_child": 576, "three_leaves_one_retic_any": 576}
 
 
-def _corpus_line(a, b, tree_child_only):
+def _corpus_line(a, b, tree_child_only, cache=None):
     """'<weight> <first 16 hex digits of the SHA-256 of the witness's
-    moves_to_json>' of dtc on a fresh cache at the default cap."""
-    w, s = dtc(a, b, tree_child_only=tree_child_only)
-    return "%d %s" % (w, hashlib.sha256(moves_to_json(s).encode()).hexdigest()[:16])
+    moves_to_json>' of dtc at the default cap, on the given cache or a
+    fresh one, and the witness's moves_to_json."""
+    w, s = dtc(a, b, cache=cache, tree_child_only=tree_child_only)
+    text = moves_to_json(s)
+    return "%d %s" % (w, hashlib.sha256(text.encode()).hexdigest()[:16]), text
 
 
 def dtc_corpus_goldens():
@@ -649,17 +654,22 @@ def dtc_corpus_goldens():
                         "at the default cap"}
     for name in DTC_CORPORA:
         pairs, tree_child_only = _dtc_corpus(name)
-        goldens[name] = [_corpus_line(a, b, tree_child_only) for a, b in pairs]
+        goldens[name] = [_corpus_line(a, b, tree_child_only)[0] for a, b in pairs]
     return goldens
 
 
 @pytest.mark.parametrize("name", DTC_CORPORA)
 def test_dtc_corpus_matches_golden(name):
+    # and each witness, read off the cache's records, is the replay's
     want = json.loads(CORPUS_GOLDEN.read_text(encoding="utf-8"))[name]
     pairs, tree_child_only = _dtc_corpus(name)
     assert len(pairs) == len(want) == DTC_CORPORA[name]
     for (a, b), line in zip(pairs, want):
-        assert _corpus_line(a, b, tree_child_only) == line, (
+        cache = NeighborCache()
+        got, text = _corpus_line(a, b, tree_child_only, cache)
+        assert got == line, (write_enewick(a), write_enewick(b))
+        assert got[0] == "0" or text == moves_to_json(
+            _replayed_witness(a, b, cache, tree_child_only)), (
             write_enewick(a), write_enewick(b))
 
 
@@ -687,6 +697,93 @@ def test_dtc_reach_pairs_match_golden():
             if not line.startswith("#")]
     assert len(want) == 12
     assert dtc_reach_lines() == want
+
+
+def _replayed_witness(n, m, cache, tree_child_only):
+    """dtc's witness from n to m as it was built before the cache's
+    records were read: the search's chain of keys, every move replayed
+    from n by _replay. The oracle of _witness_moves. Run on the cache dtc
+    has just used, the search repeats dtc's own and expands nothing new,
+    so the cache grows as under dtc alone."""
+    cap = max(n.reticulation_count, m.reticulation_count) + 1
+    key = _key(tree_child_only)
+    _, meet, parents = _bidirectional(key(n), key(m), cache, cap, None, tree_child_only)
+    sigs_f, kinds_f = _chain(parents[0], meet)
+    sigs_b, kinds_b = _chain(parents[1], meet)
+    sigs = sigs_f + sigs_b[-2::-1]
+    kinds = kinds_f + [REVERSE_KIND[k] for k in reversed(kinds_b)]
+    return MoveSequence(n, _replay(n, sigs[1:], kinds, tree_child_only))
+
+
+@pytest.mark.parametrize("tree_child_only", SPACES)
+def test_witness_on_a_shared_cache_matches_the_replay(tree_child_only):
+    # every ordered pair of 3-leaf networks with at most two reticulations
+    # in tree-child space (at most one in the wider space), all through one
+    # cache: later calls start on networks the cache holds under another
+    # numbering and pass through earlier calls' endpoints, and the moves
+    # read off the records are still the replay's, byte for byte. The
+    # corpus goldens check the same on fresh caches
+    nets = list(enumerate_tree_child(3, 2 if tree_child_only else 1))
+    cache = NeighborCache()
+    for a in nets:
+        for b in nets:
+            w, seq = dtc(a, b, cache=cache, tree_child_only=tree_child_only)
+            assert w == 0 or moves_to_json(seq) == moves_to_json(
+                _replayed_witness(a, b, cache, tree_child_only)), (
+                write_enewick(a), write_enewick(b))
+
+
+def _shifted(n, by=100):
+    """n with every vertex id raised by `by`: the same network under
+    another numbering."""
+    return validate([(e.src + by, e.dst + by) for e in n.edges],
+                    {v + by: label for v, label in n.leaf_labels.items()})
+
+
+def test_witness_edits_past_an_earlier_endpoint():
+    # an earlier call registers, under another numbering, the network a
+    # later call's path passes through in the middle, or the one it starts
+    # from. The hop into the middle one is read off its record, which names
+    # the hop's source, but the walk must edit forward and not step onto
+    # the registered Network; a start the cache holds under another
+    # numbering is not the network the records were written from
+    a, c = parse_enewick("((a,b),c);"), parse_enewick("((((c)#H1,a),#H1),b);")
+    middle = dtc(a, c)[1].networks[1]
+    key = _mu_key(middle)
+    for earlier, through in ((middle, True), (a, False)):
+        cache = NeighborCache()
+        dtc(_shifted(earlier), _shifted(earlier), cache=cache)
+        w, seq = dtc(a, c, cache=cache)
+        assert w == 3 and _mu_key(seq.networks[1]) == key
+        if through:
+            record = cache._keys[key]
+            assert len(record) == 6 and record[1] == _mu_key(a)
+        assert moves_to_json(seq) == moves_to_json(_replayed_witness(a, c, cache, True))
+
+
+def test_dtc_replays_only_what_the_records_do_not_hold(monkeypatch, retic_ab_c,
+                                                       triple_a_bc, triple_ab_c,
+                                                       triple_ac_b):
+    # the distance-1 pair and the one-pm pair read their move off the
+    # record of m; on the baseline pair, distance 4 in three moves, the
+    # first is read off, the move into the meeting key, which m's
+    # expansion met first, is replayed, and so is the last, off a network
+    # that is no key's representative
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return _find_move_to(*args)
+
+    monkeypatch.setattr(snpr, "_find_move_to", counting)
+    for a, b, kinds in ((retic_ab_c, triple_a_bc, ["minus"]),
+                        (triple_ab_c, triple_ac_b, ["pm"])):
+        w, seq = dtc(a, b)
+        assert [mv.kind for mv in seq.moves] == kinds
+        assert calls == []
+    n, m = random_tree_child(5, 1, seed=1), random_tree_child(5, 1, seed=2)
+    w, seq = dtc(n, m)
+    assert (w, len(seq.moves), len(calls)) == (4, 3, 2)
 
 
 def test_move_weights_bound_the_stop():
