@@ -260,25 +260,14 @@ def _kept(n: Network, mask):
     return [e for i, e in enumerate(n.edges) if not mask >> i & 1]
 
 
-def _children_first(h: Network):
-    """The vertices of h, each after all of its children."""
-    left = {v: h.out_degree(v) for v in h.vertices}
-    order = sorted(h.leaves)
-    for v in order:
-        for p in h.parents(v):
-            left[p] -= 1
-            if not left[p]:
-                order.append(p)
-    return order
-
-
 def _split_test(n: Network, m: Network):
     """A display test for the kept edges of n that builds nothing.
 
     Returns splits_fit(mask), where mask holds the bits of the dropped
     edge indices of n. It is False only when m does not display the
     subset's digraph D, by one of two rules; find_embedding decides the
-    rest.
+    rest. Both rules walk one plan of n's vertices in the order of n's
+    leaf-cluster table, which lists each vertex after its children.
 
     Splits. Some vertex v of n keeps both of its out-edges, the leaves
     reachable through them over kept edges are Y1 and Y2, and no vertex of
@@ -294,7 +283,7 @@ def _split_test(n: Network, m: Network):
 
     Forced chains. Every split fits, and the forced chains of D's edges in
     m give some vertex of m two owners; then m does not display D (proof in
-    embed._forced_chains_clash). A second pass over the same children-first
+    embed._forced_chain). A second pass over the same children-first
     plan reads D off the mask as the built digraph would give it, since D
     suppresses exactly the vertices that keep one in- and one out-edge.
     Such a vertex passes on the forced image, in m, that its kept child
@@ -318,7 +307,7 @@ def _split_test(n: Network, m: Network):
              for kids in map(m.children, m.vertices) if len(kids) == 2]
 
     index = {e: i for i, e in enumerate(n.edges)}
-    order = _children_first(n)
+    order = _leaf_clusters(n)[2]  # each vertex after its children
     at = {v: i for i, v in enumerate(order)}
     plan = [(bit.get(n.leaf_labels.get(v), 0),
              tuple((at[e.dst], 1 << index[e]) for e in n.out_edges(v)))
@@ -425,7 +414,8 @@ def _min_total_cut(n, m, floor=1, subset_budget=None):
     split of m, or by forced chains that give a vertex of m two owners (a
     chain climbs from a leaf or a forced image, the shared top of both
     child chains of a digraph vertex, and below rho or a reticulation it
-    climbs to the root of m or the first reticulation). The test skips
+    climbs to the root of m or the first reticulation; proof in
+    embed._forced_chain). The test skips
     nothing that could become the best, and the stream order, the first
     optimum and its witness stay those of a loop without it.
 

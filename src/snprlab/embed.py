@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from .errors import (ContractViolationError, EmbeddingError,
                      InvalidDigraphError, InvalidNetworkError, MoveError)
-from .netcore import (Network, _RETIC_CHANGE, _cluster_bits, _flatten_origin,
-                      _leaf_clusters, is_tree_child)
+from .netcore import (Network, _RETIC_CHANGE, _flatten_origin, _leaf_clusters,
+                      is_tree_child)
 from .digraphcore import PhyloDigraph, digraph_signature, is_tree_child_digraph
 from .snpr import apply_move_detailed
 
@@ -307,19 +307,23 @@ def _check_taxa(a, b):
                              % (sorted(a.taxa), sorted(b.taxa)))
 
 
-def _forced_chains_clash(d: PhyloDigraph, n: Network) -> bool:
-    """True when the forced chains of d's edges in n clash; then n does not
-    display d.
+def _forced_chain(n: Network, v, y):
+    """The host vertices above v, in climbing order, of the forced chain in
+    n of a digraph edge whose lower end has the image v, a vertex with one
+    in-edge, and whose upper end has the leaves y below it (bits of
+    _leaf_clusters(n)); y is None when the upper end is rho or a
+    reticulation, whose chain climbs to the root of n or the first
+    reticulation. The last vertex is the chain's top.
 
-    Chains. Take an edge (p, x) of d where every embedding sends x to one
-    host vertex h, with one in-edge; a leaf x has its host leaf for h. Let
-    Y be the leaves below p in d. The chain of (p, x) climbs from h: it
-    starts with h's in-edge and goes on with the in-edge of each vertex it
-    reaches while that vertex has one in-edge and its leaves do not cover
-    Y. So it ends at the first vertex, its top, that covers Y or has
-    another in-degree. When p is the root marker rho of its component, or
-    a reticulation of d, the chain ignores Y: it climbs on to the root of n
-    or to the first vertex with two in-edges.
+    Chains. Take an edge (p, x) of a digraph d where every embedding sends
+    x to one host vertex h, with one in-edge; a leaf x has its host leaf
+    for h. Let Y be the leaves below p in d. The chain of (p, x) climbs
+    from h: it starts with h's in-edge and goes on with the in-edge of
+    each vertex it reaches while that vertex has one in-edge and its
+    leaves do not cover Y. So it ends at the first vertex, its top, that
+    covers Y or has another in-degree. When p is the root marker rho of
+    its component, or a reticulation of d, the chain ignores Y: it climbs
+    on to the root of n or to the first vertex with two in-edges.
 
     Every embedding routes the edge (p, x) of d through that chain. Proof:
     the image w of p lies above every leaf of Y, as p does in d, so w covers
@@ -356,49 +360,12 @@ def _forced_chains_clash(d: PhyloDigraph, n: Network) -> bool:
     that lists children before their parents decides each image before
     the parent's edge climbs from it.
 
-    The test is only a necessary condition: when n displays d no owners
-    clash, and the search runs as it would without the test.
-
-    The chains are climbed by _forced_chain, which the split test of
-    agreement climbs as well, and their owners claimed by _claim. The leaf
-    clusters of n are read off its table (_leaf_clusters), built once per
-    host; each host vertex is claimed at most once before the test stops,
-    so it costs time linear in the sizes of d and n.
+    So when the chains of d's edges, claimed through _claim, give some
+    host vertex two owners, n does not display d. The rule is only a
+    necessary condition: when n displays d no owners clash. The split
+    test of agreement applies it to the digraph an edge mask forms, before
+    the digraph is built.
     """
-    bit, leaf, _ = _leaf_clusters(n)
-    owner = {n.root: d.rho_component.rho}
-    for c in d.components:
-        if not c.edges:
-            continue
-        out, inn = c._adjacency()
-        image = {}  # the forced images of c's vertices
-        # _cluster_bits lists each vertex after its children
-        for p, y in _cluster_bits(c, bit).items():
-            if p in c.leaf_labels:
-                image[p] = leaf[c.leaf_labels[p]]
-                continue
-            if p == c.rho or len(inn[p]) == 2:
-                y = None
-            tops = []
-            for e in out[p]:
-                if e.dst in image:
-                    chain = _forced_chain(n, image[e.dst], y)
-                    if not _claim(owner, chain, e, p):
-                        return True
-                    tops.append(chain[-1])
-            if len(tops) == 2 and tops[0] == tops[1]:
-                image[p] = tops[0]
-    return False
-
-
-def _forced_chain(n: Network, v, y):
-    """The host vertices above v, in climbing order, of the forced chain in
-    n of a digraph edge whose lower end has the image v, a vertex with one
-    in-edge, and whose upper end has the leaves y below it (bits of
-    _leaf_clusters(n)); y is None when the upper end is rho or a
-    reticulation, whose chain climbs to the root of n or the first
-    reticulation. The last vertex is the chain's top. See
-    _forced_chains_clash."""
     below = _leaf_clusters(n)[2]
     inn = n._adjacency()[1]
     chain = []
@@ -412,8 +379,8 @@ def _forced_chain(n: Network, v, y):
 def _claim(owner, chain, inner, top):
     """Record in owner, a dict from host vertices to their owners, that the
     vertices of a chain of _forced_chain below its top belong to inner and
-    its top to top; False when one of them already has another owner. See
-    _forced_chains_clash."""
+    its top to top; False when one of them already has another owner
+    (proof in _forced_chain)."""
     for v in chain[:-1]:
         if v in owner:
             return False
@@ -422,25 +389,16 @@ def _claim(owner, chain, inner, top):
 
 
 def find_embedding(d: PhyloDigraph, n: Network):
-    """First embedding of d in n, or None when n does not display d.
-
-    Digraphs whose forced chains clash (_forced_chains_clash) are
-    rejected before the search starts; for every other digraph the search
-    decides, so the result is the search's own.
-    """
+    """First embedding of d in n in the search's order, or None when n does
+    not display d."""
     _check_taxa(d, n)
-    if _forced_chains_clash(d, n):
-        return None
     got = _Search(d, n).solve(limit=1)
     return got[0] if got else None
 
 
 def enumerate_embeddings(d: PhyloDigraph, n: Network):
-    """All embeddings of d in n, deduplicated by host edge set, sorted;
-    none when the forced chains clash (_forced_chains_clash)."""
+    """All embeddings of d in n, deduplicated by host edge set, sorted."""
     _check_taxa(d, n)
-    if _forced_chains_clash(d, n):
-        return
     seen = {}
     for m in _Search(d, n).solve():
         key = tuple(sorted(m.host_edges()))

@@ -172,34 +172,35 @@ def _functions(tree):
 
 
 def test_embed_owns_the_display_decision():
-    # both embedding searches reject by the forced-chain check first, and no
-    # function of agreement runs the check on a built digraph: after the
-    # split test, which claims the same chains on the edge mask, a
-    # candidate is judged only through find_embedding; the split test and
-    # the check climb a chain through one helper of embed, which alone
-    # reads the host's in-edges on the way up, from a leaf or a forced
-    # image, below rho or a reticulation too, and claim its vertices
-    # through one helper of embed as well
+    # embed's two searches decide display by the search alone, and the
+    # forced-chain rule runs in one place, the split test's mask pass: no
+    # function of the package runs it on a built digraph. The mask pass
+    # climbs a chain through one helper of embed, which alone reads the
+    # host's in-edges on the way up, from a leaf or a forced image, below
+    # rho or a reticulation too, and claims its vertices through one
+    # helper of embed as well
     trees = _trees()
     embed = _functions(trees["embed"])
     agreement = _functions(trees["agreement"])
+    for retired in ("_forced_chains_clash", "_children_first"):
+        assert sorted((module, name) for module, tree in trees.items()
+                      for name, f in _functions(tree).items()
+                      if retired in {name, *_names(f)}) == [], retired
     for name in ("find_embedding", "enumerate_embeddings"):
-        assert "_forced_chains_clash" in set(_names(embed[name])), name
-    assert [name for name, node in agreement.items()
-            if "_forced_chains_clash" in set(_names(node))] == []
+        names = set(_names(embed[name]))
+        assert "_Search" in names, name
+        assert names.isdisjoint({"_forced_chain", "_claim"}), name
     for helper in ("_forced_chain", "_claim"):
-        assert helper in set(_names(embed["_forced_chains_clash"])), helper
         assert helper in set(_names(agreement["_split_test"])), helper
     # the climb from a host vertex is defined once, in embed, and only the
-    # check and the split test's chain pass call it
+    # split test's chain pass calls it
     assert sorted((module, name) for module, tree in trees.items()
                   for name in _functions(tree) if name == "_forced_chain") == [
         ("embed", "_forced_chain")]
     assert sorted((module, name) for module, tree in trees.items()
                   for name, f in _functions(tree).items()
                   if "_forced_chain" in set(_names(f))) == [
-        ("agreement", "_split_test"), ("agreement", "chains_clash"),
-        ("embed", "_forced_chains_clash")]
+        ("agreement", "_split_test"), ("agreement", "chains_clash")]
     # the root and reticulation cases are one test of y against None,
     # inside the climb
     chain = embed["_forced_chain"]
@@ -214,6 +215,34 @@ def test_embed_owns_the_display_decision():
                   if isinstance(node, ast.Attribute) and node.attr in upward
                   and isinstance(node.value, ast.Name) and node.value.id == "m") == []
     assert [name for name, f in agreement.items() if "_adjacency" in set(_names(f))] == []
+
+
+def test_every_private_function_has_a_caller_in_src():
+    # a private function or class that nothing in the package names outside
+    # its own body is dead code or an oracle kept for the tests, and
+    # belongs in tests/
+    trees = _trees()
+    private = [(module, node) for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    assert len(private) > 100  # the walk sees the package
+
+    def named_outside(tree, skip):
+        # the names of tree, the body of skip left out
+        if tree is skip:
+            return
+        if isinstance(tree, ast.Name):
+            yield tree.id
+        elif isinstance(tree, ast.Attribute):
+            yield tree.attr
+        elif isinstance(tree, ast.alias):
+            yield tree.name
+        for child in ast.iter_child_nodes(tree):
+            yield from named_outside(child, skip)
+
+    assert sorted("%s.%s" % (module, node.name) for module, node in private
+                  if not any(node.name in set(named_outside(tree, node))
+                             for tree in trees.values())) == []
 
 
 def test_measure_and_stream_read_one_subset_walk():
