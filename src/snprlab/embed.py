@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from .errors import (ContractViolationError, EmbeddingError,
                      InvalidDigraphError, InvalidNetworkError, MoveError)
-from .netcore import (Network, _RETIC_CHANGE, _flatten_origin, _leaf_clusters,
-                      is_tree_child)
+from .netcore import (Network, _RETIC_CHANGE, _check_taxa, _flatten_origin,
+                      _leaf_clusters, is_tree_child)
 from .digraphcore import PhyloDigraph, digraph_signature, is_tree_child_digraph
 from .snpr import apply_move_detailed
 
@@ -298,13 +298,6 @@ class _Search:
             else:
                 break
         return results
-
-
-def _check_taxa(a, b):
-    # a and b are networks or digraphs; both carry taxa
-    if a.taxa != b.taxa:
-        raise EmbeddingError("leaf sets differ: %r vs %r"
-                             % (sorted(a.taxa), sorted(b.taxa)))
 
 
 def _forced_chain(n: Network, v, y):

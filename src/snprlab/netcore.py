@@ -16,7 +16,7 @@ from array import array
 from typing import NamedTuple
 
 from . import _canon
-from .errors import BudgetExceededError, InvalidNetworkError, MoveError
+from .errors import BudgetExceededError, EmbeddingError, InvalidNetworkError, MoveError
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -391,6 +391,14 @@ def _require_tree_child_pair(n: Network, m: Network):
             raise InvalidNetworkError(["%s network is not tree-child" % side])
 
 
+def _check_taxa(a, b):
+    """Raise EmbeddingError, naming both sorted leaf sets, when a and b,
+    networks or digraphs, are on different leaf sets."""
+    if a.taxa != b.taxa:
+        raise EmbeddingError("leaf sets differ: %r vs %r"
+                             % (sorted(a.taxa), sorted(b.taxa)))
+
+
 def _canon_input(graphs, labels):
     """Vertices, arc pairs and seeds for _canon of labelled graphs together.
 
@@ -702,7 +710,20 @@ class _Keyer:
       h. A tail equal to the head names its upper half and gives t two
       edges into h. The result is tree-child iff the tail is not the head,
       neither y nor b is a reticulation, and x is a or has a child of
-      in-degree one besides y.
+      in-degree one besides y. The clause "x is a" adds nothing: a tail out
+      of x is the head or x's other out-edge (x, b), and b outside the
+      reticulations is then such a child.
+
+    So each rule is read once per moved edge e, and each target costs set
+    lookups; snpr._moves reads the same facts to yield only the moves kept.
+    For pm, _pm_edge reads whether v is a reticulation and whether p keeps
+    a child of in-degree one once u is replaced by c; a target then needs b
+    outside the reticulations if v is one, and a in (u, p) if p keeps no
+    such child, a = u naming the merged edge. For plus, _plus_head reads
+    whether y is a reticulation and whether x has a child of in-degree one
+    besides y: a head failing either fails every tail, and any other head
+    keeps exactly its tails that differ from it and end outside the
+    reticulations. Both are the rules above, factor for factor.
 
     key(kind, e, target) gives the result's mu key and reticulation count
     r'. Its tables, built on the first call, are P(z, x), the number of
@@ -753,23 +774,32 @@ class _Keyer:
         self._paths = None
 
     def keeps_tree_child(self, kind, e: Edge, target: Edge = None) -> bool:
-        """Whether the result of the legal move is tree-child."""
+        """Whether the result of the legal move is tree-child, from the
+        per-edge facts that snpr._moves reads once per edge."""
         if kind == "minus":
             return True
-        retic, out = self._retic, self._out
-        u, v = e.src, e.dst
-        a, b = target.src, target.dst
         if kind == "plus":
-            if target == e or v in retic or b in retic:
-                return False
-            return a == u or any(f.dst not in retic for f in out[u] if f != e)
-        if v in retic and b in retic:
-            return False
+            return self._plus_head(e) and target != e and target.dst not in self._retic
+        barred, ends = self._pm_edge(e)
+        return target.dst not in barred and (ends is None or target.src in ends)
+
+    def _plus_head(self, e: Edge) -> bool:
+        """Whether any plus move with head edge e = (x, y) keeps tree-child:
+        y is not a reticulation and x has a child of in-degree one besides y."""
+        retic = self._retic
+        return e.dst not in retic and any(f.dst not in retic for f in self._out[e.src] if f != e)
+
+    def _pm_edge(self, e: Edge):
+        """(barred, ends) for the pm moves deleting e = (u, v): a target (a, b)
+        keeps tree-child iff b is not in barred (the reticulations if v is
+        one) and ends is None (p keeps a child of in-degree one once u is
+        replaced by c) or a is in ends, (u, p)."""
+        retic, out = self._retic, self._out
+        u = e.src
         p = self._inn[u][0].src
-        if a in (u, p):  # a == u names the merged edge p -> c
-            return True
         c = next(f.dst for f in out[u] if f != e)
-        return any((c if f.dst == u else f.dst) not in retic for f in out[p])
+        free = any((c if f.dst == u else f.dst) not in retic for f in out[p])
+        return (retic if e.dst in retic else ()), (None if free else (u, p))
 
     def _tables(self):
         n, out = self._net, self._out

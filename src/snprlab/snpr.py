@@ -28,17 +28,18 @@ replays on canonical signatures.
 
 Every move is drawn from one generator, _moves, as a plain (kind, edge,
 target) triple, and the search and the replay read each successor's key
-from one stream of such triples, _keyed. In tree-child space it decides
-and keys each successor of a tree-child network from tables read once off
-the parent (netcore._Keyer) and edits nothing; in the wider space it edits
-each successor and keys it by canonical signature. In both spaces each
-key keeps a record of the first move that met it, its parent key and the
-triple, and a key's Network is edited by netcore._edit only when the key
-is first expanded. dtc reads its witness moves off these records where a
-record is provably the replay's pick, and replays the other hops with
-_find_move_to. A Move is built only for a move that leaves the stream's
-callers: enumerate_moves, which edits every successor it yields, the
-witness moves and the replay's picks.
+from one stream of such triples, _keyed. In tree-child space, on a
+tree-child network, _moves itself applies the tree-child rule, read once
+per edge off the parent's netcore._Keyer, and yields only the moves kept;
+_keyed keys each from the keyer's tables and edits nothing. In the wider
+space it edits each successor and keys it by canonical signature. In both
+spaces each key keeps a record of the first move that met it, its parent
+key and the triple, and a key's Network is edited by netcore._edit only
+when the key is first expanded. dtc reads its witness moves off these
+records where a record is provably the replay's pick, and replays the
+other hops with _find_move_to. A Move is built only for a move that leaves
+the stream's callers: enumerate_moves, which edits every successor it
+yields, the witness moves and the replay's picks.
 """
 
 import heapq
@@ -46,11 +47,11 @@ import itertools
 import json
 from typing import NamedTuple, Optional
 
-from .errors import (BudgetExceededError, ContractViolationError,
+from .errors import (BudgetExceededError, ContractViolationError, EmbeddingError,
                      InvalidNetworkError, MoveError, ParseError)
-from .netcore import (Edge, Network, _RETIC_CHANGE, _below, _edit, _Keyer, _mu_key,
-                      _plus_tails, _require_tree_child_pair, canonical_signature,
-                      is_tree_child)
+from .netcore import (Edge, Network, _RETIC_CHANGE, _below, _check_taxa, _edit, _Keyer,
+                      _mu_key, _plus_tails, _require_tree_child_pair,
+                      canonical_signature, is_tree_child)
 from .phyloio import parse_pnd, write_pnd
 
 WEIGHTS = {"minus": 1, "plus": 1, "pm": 2}
@@ -121,7 +122,7 @@ def apply_move(n: Network, move: Move) -> Network:
     return _edit(n, *move)[0]
 
 
-def _moves(n: Network, kind=None):
+def _moves(n: Network, kind=None, keyer: _Keyer = None):
     """Every legal move on n, or only those of the given kind, as a plain
     (kind, edge, target) triple.
 
@@ -129,25 +130,38 @@ def _moves(n: Network, kind=None):
     block sorted by edge tuples. The blocks of other kinds are skipped
     whole. Each move is legal by construction, so a caller that hands a
     triple on as a Move builds it with Move._make, skipping Move's checks.
+
+    Given the _Keyer of a tree-child n, it yields only the moves whose
+    results stay tree-child, in the same order: the tree-child rule is
+    applied here, read once per edge from the keyer's facts (_pm_edge,
+    _plus_head, the rule's proof in _Keyer), and each target costs set
+    lookups. A plus head that fails its facts is skipped before its tails
+    are listed. Every minus move keeps tree-child.
     """
-    edges = sorted(n.edges)
+    edges = n.edges
+    out, inn = n._adjacency()
 
     if kind in (None, "minus"):
-        retics = set(n.reticulations())
+        retics = {v for v, es in inn.items() if len(es) == 2}
         for e in edges:
-            if e.dst in retics and n.in_degree(e.src) == 1 and n.out_degree(e.src) == 2:
+            if e.dst in retics and len(inn[e.src]) == 1 and len(out[e.src]) == 2:
                 yield ("minus", e, None)
 
     if kind in (None, "pm"):
+        barred, ends = (), None
         for e in edges:
             u, v = e.src, e.dst
-            if not (n.in_degree(u) == 1 and n.out_degree(u) == 2):
+            if not (len(inn[u]) == 1 and len(out[u]) == 2):
                 continue
-            parent_edge = n.in_edges(u)[0]
-            other_child = next(f for f in n.out_edges(u) if f != e)
+            parent_edge = inn[u][0]
+            other_child = next(f for f in out[u] if f != e)
+            if keyer is not None:
+                barred, ends = keyer._pm_edge(e)
             blocked = _below(n, v)
             for t in edges:
-                if t == e or t == parent_edge:
+                if t == e or t == parent_edge or t.dst in barred:
+                    continue
+                if ends is not None and t.src not in ends:
                     continue
                 # the out-edge of u doubles as the name of the merged edge
                 src_eff = parent_edge.src if t == other_child else t.src
@@ -156,9 +170,13 @@ def _moves(n: Network, kind=None):
                 yield ("pm", e, t)
 
     if kind in (None, "plus"):
+        barred = () if keyer is None else keyer._retic
         for e1 in edges:
+            if keyer is not None and not keyer._plus_head(e1):
+                continue
             for e2 in _plus_tails(n, e1):
-                yield ("plus", e1, e2)
+                if e2.dst not in barred and (keyer is None or e2 != e1):
+                    yield ("plus", e1, e2)
 
 
 def _edits(n: Network, tree_child_only: bool = True, kind=None):
@@ -166,16 +184,15 @@ def _edits(n: Network, tree_child_only: bool = True, kind=None):
     given kind, in the order of _moves.
 
     With tree_child_only, results failing the tree-child condition are
-    dropped: on a tree-child n each move is decided by _Keyer before it is
-    edited, and on any other n each result is edited and checked with
-    is_tree_child. Only the moves kept become Moves.
+    dropped: on a tree-child n, _moves applies the rule with n's _Keyer and
+    yields only the moves kept, before any edit, and on any other n each
+    result is edited and checked with is_tree_child. Only the moves kept
+    become Moves.
     """
-    keeps = _Keyer(n).keeps_tree_child if tree_child_only and is_tree_child(n) else None
-    for move in _moves(n, kind):
-        if keeps and not keeps(*move):
-            continue
+    keyer = _Keyer(n) if tree_child_only and is_tree_child(n) else None
+    for move in _moves(n, kind, keyer):
         succ = _edit(n, *move)[0]
-        if keeps or not tree_child_only or is_tree_child(succ):
+        if keyer is not None or not tree_child_only or is_tree_child(succ):
             yield Move._make(move), succ
 
 
@@ -186,16 +203,16 @@ def _keyed(n: Network, tree_child_only: bool = True, kind=None):
 
     The stream carries the plain triples of _moves: a caller builds a Move
     only for what it stores or hands on. In tree-child space, on a
-    tree-child n, each move is decided and keyed from tables read once off
-    n, and nothing is edited; otherwise each result is edited, checked
-    with is_tree_child in tree-child space, and keyed by _key.
+    tree-child n, _moves yields only the moves kept, decided with n's
+    _Keyer, which keys each from tables read once off n, and nothing is
+    edited; otherwise each result is edited, checked with is_tree_child in
+    tree-child space, and keyed by _key.
     """
     if tree_child_only and is_tree_child(n):
         keyer = _Keyer(n)
-        keeps, key = keyer.keeps_tree_child, keyer.key
-        for move in _moves(n, kind):
-            if keeps(*move):
-                yield move + key(*move)
+        key = keyer.key
+        for move in _moves(n, kind, keyer):
+            yield move + key(*move)
         return
     key = _key(tree_child_only)
     retics = n.reticulation_count
@@ -491,8 +508,10 @@ class NeighborCache:
 def _check_dtc_inputs(n, m, reticulation_cap, tree_child_only):
     if tree_child_only:
         _require_tree_child_pair(n, m)
-    if n.taxa != m.taxa:
-        raise InvalidNetworkError(["networks are on different leaf sets"])
+    try:
+        _check_taxa(n, m)
+    except EmbeddingError as exc:
+        raise InvalidNetworkError([str(exc)]) from None
     floor = max(n.reticulation_count, m.reticulation_count)
     cap = reticulation_cap if reticulation_cap is not None else floor + 1
     if cap < floor:

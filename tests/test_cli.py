@@ -371,3 +371,13 @@ def test_console_entry_point(files, tmp_path):
                               capture_output=True, text=True)
         assert proc.returncode == 0, (module, proc.stderr)
         assert proc.stdout == "1\t2\t2\ttrue\n", module
+
+
+@pytest.mark.parametrize("command", ["distance", "mtc", "bounds", "maf"])
+def test_leaf_set_mismatch_names_both_sets(files, capsys, command):
+    # every two-network command rejects networks on different leaf sets
+    # with one error line naming both sets, sorted, and prints nothing
+    a = files("a.nwk", TRIPLE_AB_C)
+    b = files("b.nwk", "((a,b),d);")
+    assert run(capsys, command, a, b) == (
+        1, "", "error: leaf sets differ: ['a', 'b', 'c'] vs ['a', 'b', 'd']\n")

@@ -282,3 +282,31 @@ def test_stream_carries_triples_and_one_formatter_writes_mu_keys():
                   for name, f in _functions(tree).items()
                   if name != "_mu_bytes" and "_mu_bytes" in set(_names(f))) == [
         ("netcore", "_mu_key"), ("netcore", "key")]
+
+
+def test_one_tree_child_rule_and_one_move_generator():
+    # the tree-child rule of a move's result is read once per edge by two
+    # helpers of the keyer, which both the per-move verdict and the move
+    # generator call; the two successor streams hand the keyer to the
+    # generator and judge no move themselves, and no other function of the
+    # package yields a pm or plus triple
+    trees = _trees()
+    snpr, netcore = _functions(trees["snpr"]), _functions(trees["netcore"])
+    helpers = {"_pm_edge", "_plus_head"}
+    assert sorted((module, name) for module, tree in trees.items()
+                  for name in _functions(tree) if name in helpers) == [
+        ("netcore", "_plus_head"), ("netcore", "_pm_edge")]
+    for name, f in (("keeps_tree_child", netcore["keeps_tree_child"]),
+                    ("_moves", snpr["_moves"])):
+        assert helpers <= set(_names(f)), name
+    for name in ("_keyed", "_edits"):
+        assert "keeps_tree_child" not in set(_names(snpr[name])), name
+        calls = [node for node in ast.walk(snpr[name]) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "_moves"]
+        assert 3 in [len(call.args) for call in calls], name
+    yielders = sorted((module, name) for module, tree in trees.items()
+                      for name, f in _functions(tree).items() for node in ast.walk(f)
+                      if isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple)
+                      and isinstance(node.value.elts[0], ast.Constant)
+                      and node.value.elts[0].value in ("pm", "plus"))
+    assert yielders == [("snpr", "_moves")] * 2

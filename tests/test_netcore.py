@@ -27,6 +27,7 @@ from snprlab.netcore import (
     Edge,
     _Keyer,
     _canon_input,
+    _edit,
     _mu_key,
     canonical_signature,
     delete_reticulation_edge,
@@ -42,7 +43,7 @@ from snprlab.netcore import (
     validate,
 )
 from snprlab.phyloio import parse_enewick, write_enewick
-from snprlab.snpr import enumerate_moves
+from snprlab.snpr import _moves, enumerate_moves
 
 
 def count_identity_holds(n):
@@ -185,15 +186,20 @@ class _Host(NamedTuple):
     keyer_misses: list
 
 
+def _small_tree_child_hosts():
+    """Every tree-child network of at most four leaves and two
+    reticulations, the one-leaf host first."""
+    return [n for leaves in (1, 2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
+
+
 @functools.cache
 def _frozen_moves():
     """One pass for the two tests below, which read the same results:
-    every move of every tree-child host of at most four leaves and two
-    reticulations, the one-leaf host first, then of four hosts that are
-    not tree-child, each result edited and frozen once. A _Host per host.
+    every move of every tree-child host of _small_tree_child_hosts, then of
+    four hosts that are not tree-child, each result edited and frozen once.
+    A _Host per host.
     """
-    hosts = [n for leaves in (1, 2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
-    hosts += [random_network(3, 2, seed=s) for s in range(4)]
+    hosts = _small_tree_child_hosts() + [random_network(3, 2, seed=s) for s in range(4)]
     found = []
     for n in hosts:
         keyer = _Keyer(n) if is_tree_child(n) else None
@@ -236,6 +242,34 @@ def test_keyer_decides_and_keys_every_move_as_its_edit():
     assert [miss for h in hosts for miss in h.keyer_misses] == []
     assert sum((h.verdicts for h in hosts), collections.Counter()) == {
         True: 107424, False: 194113}
+
+
+def test_moves_apply_the_tree_child_rule_once_per_edge():
+    # given the host's keyer, _moves yields exactly the moves keeps_tree_child
+    # keeps, in the unfiltered order, for each kind alone and all together.
+    # Both sides read the keyer's per-edge facts, so on twelve larger seeded
+    # hosts every move is also edited and checked whole by is_tree_child,
+    # which a wrong fact fails
+    seeded = [random_tree_child(6 + s % 3, 1 + s // 4, seed=s) for s in range(12)]
+    small = _small_tree_child_hosts()
+    assert len(small) == 1585
+    assert sorted({(len(n.leaves), n.reticulation_count) for n in seeded}) == [
+        (leaves, retics) for leaves in (6, 7, 8) for retics in (1, 2, 3)]
+    for n in small + seeded:
+        keyer = _Keyer(n)
+        for kind in (None, "minus", "pm", "plus"):
+            kept = [t for t in _moves(n, kind) if keyer.keeps_tree_child(*t)]
+            assert list(_moves(n, kind, keyer)) == kept, (write_enewick(n), kind)
+    decided = collections.Counter()
+    for n in seeded:
+        keyer = _Keyer(n)
+        for t in _moves(n):
+            verdict = is_tree_child(_edit(n, *t)[0])
+            assert keyer.keeps_tree_child(*t) == verdict, (write_enewick(n), t)
+            decided[t[0], verdict] += 1
+    # every kind is decided both ways, so the seeded check sees each factor
+    assert set(decided) == {("minus", True)} | {
+        (kind, verdict) for kind in ("pm", "plus") for verdict in (True, False)}
 
 
 def test_mu_key_splits_like_canonical_signature():
