@@ -7,11 +7,12 @@ from typing import NamedTuple
 from .errors import (
     BudgetExceededError,
     ContractViolationError,
+    EmbeddingError,
     InvalidDigraphError,
     InvalidNetworkError,
 )
-from .netcore import (Network, _check_taxa, _leaf_clusters, _mu_key,
-                      _require_tree_child_pair, random_tree_child)
+from .netcore import (Network, _leaf_clusters, _mu_key, _require_tree_child_pair,
+                      _taxa_mismatch, random_tree_child)
 from .digraphcore import (
     digraph_signature,
     is_tree_child_digraph,
@@ -21,7 +22,8 @@ from .digraphcore import (
     _quotient_with_paths,
     _rho_first,
 )
-from .embed import Embedding, _claim, _forced_chain, extend, find_embedding
+from .embed import (Embedding, _check_taxa, _claim, _forced_chain, extend,
+                    find_embedding)
 from .snpr import Move, _keyed, apply_move, dtc
 
 
@@ -653,7 +655,9 @@ def maf_rspr(t: Network, u: Network, budget=None) -> int:
         if net.reticulation_count:
             raise InvalidNetworkError(
                 ["%s input has reticulations" % side])
-    _check_taxa(t, u)
+    mismatch = _taxa_mismatch(t, u)
+    if mismatch:
+        raise EmbeddingError(mismatch)
     par1, kids1, index1 = _marked_tree(t)
     par2, kids2, index2 = _marked_tree(u)
     twin = [0] * len(par1)

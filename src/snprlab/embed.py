@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from .errors import (ContractViolationError, EmbeddingError,
                      InvalidDigraphError, InvalidNetworkError, MoveError)
-from .netcore import (Network, _RETIC_CHANGE, _check_taxa, _flatten_origin,
-                      _leaf_clusters, is_tree_child)
+from .netcore import (Network, _RETIC_CHANGE, _flatten_origin, _leaf_clusters,
+                      _taxa_mismatch, is_tree_child)
 from .digraphcore import PhyloDigraph, digraph_signature, is_tree_child_digraph
 from .snpr import apply_move_detailed
 
@@ -379,6 +379,14 @@ def _claim(owner, chain, inner, top):
             return False
         owner[v] = inner
     return owner.setdefault(chain[-1], top) == top
+
+
+def _check_taxa(a, b):
+    """Raise EmbeddingError, naming both sorted leaf sets, when a and b are
+    on different leaf sets."""
+    mismatch = _taxa_mismatch(a, b)
+    if mismatch:
+        raise EmbeddingError(mismatch)
 
 
 def find_embedding(d: PhyloDigraph, n: Network):

@@ -16,7 +16,7 @@ from array import array
 from typing import NamedTuple
 
 from . import _canon
-from .errors import BudgetExceededError, EmbeddingError, InvalidNetworkError, MoveError
+from .errors import BudgetExceededError, InvalidNetworkError, MoveError
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -391,12 +391,13 @@ def _require_tree_child_pair(n: Network, m: Network):
             raise InvalidNetworkError(["%s network is not tree-child" % side])
 
 
-def _check_taxa(a, b):
-    """Raise EmbeddingError, naming both sorted leaf sets, when a and b,
-    networks or digraphs, are on different leaf sets."""
+def _taxa_mismatch(a, b):
+    """The message naming both sorted leaf sets when a and b, networks or
+    digraphs, are on different leaf sets, else None; each caller raises it
+    as its own error."""
     if a.taxa != b.taxa:
-        raise EmbeddingError("leaf sets differ: %r vs %r"
-                             % (sorted(a.taxa), sorted(b.taxa)))
+        return "leaf sets differ: %r vs %r" % (sorted(a.taxa), sorted(b.taxa))
+    return None
 
 
 def _canon_input(graphs, labels):
@@ -686,12 +687,12 @@ class _Keyer:
     network n from tables read once off n, before any edit. A caller makes
     one per expansion and drops it after; nothing of it is stored on n.
 
-    keeps_tree_child(kind, e, target) says whether the result is
-    tree-child: every vertex with out-edges has a child of in-degree at
-    most one. No move changes the in-degree of a vertex of n that it
-    keeps, since each edge it deletes or subdivides into a kept vertex is
-    replaced by exactly one edge into it. So only the new vertices and the
-    vertices whose children change can fail:
+    The tree-child rule says whether the result of a move is tree-child:
+    every vertex with out-edges has a child of in-degree at most one. No
+    move changes the in-degree of a vertex of n that it keeps, since each
+    edge it deletes or subdivides into a kept vertex is replaced by exactly
+    one edge into it. So only the new vertices and the vertices whose
+    children change can fail:
 
     - minus on (u, v), u with parent p and other child c, v with other
       parent q and child w: p trades u for c, and q trades v for w. In n,
@@ -715,7 +716,8 @@ class _Keyer:
       reticulations is then such a child.
 
     So each rule is read once per moved edge e, and each target costs set
-    lookups; snpr._moves reads the same facts to yield only the moves kept.
+    lookups; snpr._moves reads these facts to yield only the moves kept,
+    and keeps_tree_child(head, tail) decides one plus move from them.
     For pm, _pm_edge reads whether v is a reticulation and whether p keeps
     a child of in-degree one once u is replaced by c; a target then needs b
     outside the reticulations if v is one, and a in (u, p) if p keeps no
@@ -773,15 +775,11 @@ class _Keyer:
         self._retic = {v for v, es in self._inn.items() if len(es) == 2}
         self._paths = None
 
-    def keeps_tree_child(self, kind, e: Edge, target: Edge = None) -> bool:
-        """Whether the result of the legal move is tree-child, from the
-        per-edge facts that snpr._moves reads once per edge."""
-        if kind == "minus":
-            return True
-        if kind == "plus":
-            return self._plus_head(e) and target != e and target.dst not in self._retic
-        barred, ends = self._pm_edge(e)
-        return target.dst not in barred and (ends is None or target.src in ends)
+    def keeps_tree_child(self, head: Edge, tail: Edge) -> bool:
+        """Whether the result of the legal plus move from head to tail, a
+        reticulation insertion, is tree-child, from the head's facts that
+        snpr._moves reads too."""
+        return self._plus_head(head) and tail != head and tail.dst not in self._retic
 
     def _plus_head(self, e: Edge) -> bool:
         """Whether any plus move with head edge e = (x, y) keeps tree-child:
@@ -947,7 +945,7 @@ def random_network(n_leaves, n_reticulations, seed=0, require_tree_child=False):
             if h not in tails:
                 tails[h] = _insertion_tails(net, heads[h])
             e1, e2 = heads[h], tails[h][i - starts[h]]
-            if not require_tree_child or keeps("plus", e1, e2):
+            if not require_tree_child or keeps(e1, e2):
                 net = _edit(net, "plus", e1, e2)[0]
                 break
         else:
@@ -991,7 +989,7 @@ def enumerate_tree_child(n_leaves, max_reticulations=0, leaf_limit=5):
         for _, net in sorted(level.items()):
             keeps = _Keyer(net).keeps_tree_child
             for e1, e2 in _reticulation_insertions(net):
-                if keeps("plus", e1, e2):
+                if keeps(e1, e2):
                     succ = _edit(net, "plus", e1, e2)[0]
                     nxt.setdefault(canonical_signature(succ), succ)
         level = nxt

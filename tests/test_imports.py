@@ -286,19 +286,19 @@ def test_stream_carries_triples_and_one_formatter_writes_mu_keys():
 
 def test_one_tree_child_rule_and_one_move_generator():
     # the tree-child rule of a move's result is read once per edge by two
-    # helpers of the keyer, which both the per-move verdict and the move
-    # generator call; the two successor streams hand the keyer to the
-    # generator and judge no move themselves, and no other function of the
-    # package yields a pm or plus triple
+    # helpers of the keyer, which the move generator calls; the per-move
+    # verdict of a reticulation insertion calls the plus one. The two
+    # successor streams hand the keyer to the generator and judge no move
+    # themselves, and no other function of the package yields a pm or plus
+    # triple
     trees = _trees()
     snpr, netcore = _functions(trees["snpr"]), _functions(trees["netcore"])
     helpers = {"_pm_edge", "_plus_head"}
     assert sorted((module, name) for module, tree in trees.items()
                   for name in _functions(tree) if name in helpers) == [
         ("netcore", "_plus_head"), ("netcore", "_pm_edge")]
-    for name, f in (("keeps_tree_child", netcore["keeps_tree_child"]),
-                    ("_moves", snpr["_moves"])):
-        assert helpers <= set(_names(f)), name
+    assert helpers <= set(_names(snpr["_moves"]))
+    assert "_plus_head" in set(_names(netcore["keeps_tree_child"]))
     for name in ("_keyed", "_edits"):
         assert "keeps_tree_child" not in set(_names(snpr[name])), name
         calls = [node for node in ast.walk(snpr[name]) if isinstance(node, ast.Call)

@@ -27,7 +27,6 @@ from snprlab.netcore import (
     Edge,
     _Keyer,
     _canon_input,
-    _edit,
     _mu_key,
     canonical_signature,
     delete_reticulation_edge,
@@ -180,28 +179,32 @@ def test_tree_child_definition_agrees_with_patterns():
 
 class _Host(NamedTuple):
     tree_child: bool
+    seeded: bool  # one of the larger seeded hosts, outside the pinned counts
     moves: int
-    filtered: bool  # the tree-child stream is the full one filtered
-    verdicts: collections.Counter  # tree-child hosts only
+    filtered: bool  # the tree-child stream is the full one filtered, each kind too
+    verdicts: collections.Counter  # (kind, verdict), tree-child hosts only
     keyer_misses: list
 
 
-def _small_tree_child_hosts():
-    """Every tree-child network of at most four leaves and two
-    reticulations, the one-leaf host first."""
-    return [n for leaves in (1, 2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
+def _seeded_hosts():
+    """Twelve seeded tree-child hosts, of six to eight leaves and one to
+    three reticulations."""
+    return [random_tree_child(6 + s % 3, 1 + s // 4, seed=s) for s in range(12)]
 
 
 @functools.cache
 def _frozen_moves():
     """One pass for the two tests below, which read the same results:
-    every move of every tree-child host of _small_tree_child_hosts, then of
-    four hosts that are not tree-child, each result edited and frozen once.
-    A _Host per host.
+    every move of every tree-child host of at most four leaves and two
+    reticulations, the one-leaf host first, then of four hosts that are
+    not tree-child, then of the _seeded_hosts, each result edited and
+    frozen once. A _Host per host.
     """
-    hosts = _small_tree_child_hosts() + [random_network(3, 2, seed=s) for s in range(4)]
+    hosts = [n for leaves in (1, 2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
+    hosts += [random_network(3, 2, seed=s) for s in range(4)]
+    seeded = _seeded_hosts()
     found = []
-    for n in hosts:
+    for i, n in enumerate(hosts + seeded):
         keyer = _Keyer(n) if is_tree_child(n) else None
         moves, kept, verdicts, misses = 0, [], collections.Counter(), []
         for mv, succ in enumerate_moves(n, tree_child_only=False):
@@ -210,66 +213,57 @@ def _frozen_moves():
             if verdict:
                 kept.append((mv, succ))
             if keyer is not None:
-                verdicts[verdict] += 1
-                key = (_mu_key(succ), len(succ.reticulations()))
-                if keyer.keeps_tree_child(*mv) != verdict or keyer.key(*mv) != key:
+                verdicts[mv.kind, verdict] += 1
+                if keyer.key(*mv) != (_mu_key(succ), len(succ.reticulations())):
                     misses.append((write_enewick(n), mv))
-        found.append(_Host(keyer is not None, moves, list(enumerate_moves(n)) == kept,
+        filtered = list(enumerate_moves(n)) == kept
+        if keyer is not None:
+            # _moves applies the rule itself given the keyer, one kind at a time too
+            filtered &= all(list(_moves(n, kind, keyer)) == [mv for mv, _ in kept
+                                                             if mv.kind == kind]
+                            for kind in ("minus", "pm", "plus"))
+        found.append(_Host(keyer is not None, i >= len(hosts), moves, filtered,
                            verdicts, misses))
     return found
 
 
 def test_tree_child_filter_matches_build_then_check():
-    # tree-child hosts decide each successor before it is built; the others
-    # build it and check it whole. Either way the kept stream must be the
-    # full stream filtered by is_tree_child, move for move. The hosts have
-    # two leaves or more
-    hosts = _frozen_moves()[1:]
-    assert sum(not h.tree_child for h in hosts) == 4
+    # tree-child hosts decide each successor before it is built, in _moves,
+    # once per moved edge; the others build it and check it whole. Either
+    # way the kept stream must be the full stream filtered by is_tree_child,
+    # move for move, and on tree-child hosts each kind's stream too. The
+    # pinned hosts have two leaves or more
+    hosts = _frozen_moves()
+    pinned = [h for h in hosts[1:] if not h.seeded]
+    assert sum(not h.tree_child for h in pinned) == 4
     assert all(h.filtered for h in hosts)
-    assert sum(h.moves for h in hosts) == 302085
+    assert sum(h.moves for h in pinned) == 302085
+    assert sum(h.moves for h in hosts if h.seeded) == 6048
 
 
 def test_keyer_decides_and_keys_every_move_as_its_edit():
     # every move of every tree-child host of at most four leaves and two
-    # reticulations, rejected ones included: the verdict, the mu key and
-    # the reticulation count read off the parent's tables must be those of
-    # the frozen result, checked whole by is_tree_child, keyed by _mu_key
-    # and counted by in-degree (the kept ones are compared with the cache's
+    # reticulations, and of the seeded ones, rejected moves included: the
+    # mu key and the reticulation count read off the parent's tables must
+    # be those of the frozen result, keyed by _mu_key and counted by
+    # in-degree, and the verdicts checked whole by is_tree_child are those
+    # the filter above matches (the kept ones are compared with the cache's
     # representatives in tests/test_snpr.py)
     hosts = [h for h in _frozen_moves() if h.tree_child]
-    assert len(hosts) == 1585
+    pinned = [h for h in hosts if not h.seeded]
+    assert len(pinned) == 1585
     assert [miss for h in hosts for miss in h.keyer_misses] == []
-    assert sum((h.verdicts for h in hosts), collections.Counter()) == {
-        True: 107424, False: 194113}
-
-
-def test_moves_apply_the_tree_child_rule_once_per_edge():
-    # given the host's keyer, _moves yields exactly the moves keeps_tree_child
-    # keeps, in the unfiltered order, for each kind alone and all together.
-    # Both sides read the keyer's per-edge facts, so on twelve larger seeded
-    # hosts every move is also edited and checked whole by is_tree_child,
-    # which a wrong fact fails
-    seeded = [random_tree_child(6 + s % 3, 1 + s // 4, seed=s) for s in range(12)]
-    small = _small_tree_child_hosts()
-    assert len(small) == 1585
-    assert sorted({(len(n.leaves), n.reticulation_count) for n in seeded}) == [
+    verdicts = collections.Counter()
+    for h in pinned:
+        for (_, verdict), count in h.verdicts.items():
+            verdicts[verdict] += count
+    assert verdicts == {True: 107424, False: 194113}
+    # on the seeded hosts pm and plus moves go both ways, so the filter
+    # is seen to keep and to reject each kind it can reject
+    assert set(sum((h.verdicts for h in hosts if h.seeded), collections.Counter())) == {
+        ("minus", True)} | {(kind, v) for kind in ("pm", "plus") for v in (True, False)}
+    assert sorted({(len(n.leaves), n.reticulation_count) for n in _seeded_hosts()}) == [
         (leaves, retics) for leaves in (6, 7, 8) for retics in (1, 2, 3)]
-    for n in small + seeded:
-        keyer = _Keyer(n)
-        for kind in (None, "minus", "pm", "plus"):
-            kept = [t for t in _moves(n, kind) if keyer.keeps_tree_child(*t)]
-            assert list(_moves(n, kind, keyer)) == kept, (write_enewick(n), kind)
-    decided = collections.Counter()
-    for n in seeded:
-        keyer = _Keyer(n)
-        for t in _moves(n):
-            verdict = is_tree_child(_edit(n, *t)[0])
-            assert keyer.keeps_tree_child(*t) == verdict, (write_enewick(n), t)
-            decided[t[0], verdict] += 1
-    # every kind is decided both ways, so the seeded check sees each factor
-    assert set(decided) == {("minus", True)} | {
-        (kind, verdict) for kind in ("pm", "plus") for verdict in (True, False)}
 
 
 def test_mu_key_splits_like_canonical_signature():

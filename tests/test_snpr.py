@@ -20,6 +20,7 @@ import pathlib
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -250,6 +251,26 @@ def test_sequence_weight_four_additions(triple_ab_c):
     s = MoveSequence(triple_ab_c, moves)
     assert sequence_weight(s) == 4
     assert s.end.reticulation_count == 4
+
+
+def test_sequence_keeps_one_tuple_of_move_fields(retic_ab_c):
+    # a kept sequence, such as a witness the caller holds on to, stores its
+    # moves as one flat tuple of their fields, not a Move each; moves
+    # builds equal Moves on every read
+    moves = [Move("minus", Edge(3, 6)), Move("pm", Edge(2, 6), Edge(3, 5))]
+    s = MoveSequence(retic_ab_c, iter(moves))
+    assert s.moves == tuple(moves) and len(s) == 2
+    assert all(type(mv) is Move for mv in s.moves)
+    assert s._fields == ("minus", Edge(3, 6), None, "pm", Edge(2, 6), Edge(3, 5))
+    one = moves[1:]
+    tracemalloc.start()
+    try:
+        kept = [MoveSequence(retic_ab_c, one) for _ in range(1000)]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # about 120 bytes each on 64-bit CPython; a tuple of one Move took 176
+    assert len(kept) == 1000 and size < 150 * 1000
 
 
 def test_moves_json_roundtrip(retic_ab_c):
@@ -512,13 +533,11 @@ def _moves_as_moves(n, kind=None):
 
 
 def _edits_as_moves(n, tree_child_only, kind=None):
-    """(Move, successor) pairs of the Move-building stream."""
-    keeps = _Keyer(n).keeps_tree_child if tree_child_only and is_tree_child(n) else None
+    """(Move, successor) pairs of the Move-building stream, each successor
+    built and, in tree-child space, checked whole by is_tree_child."""
     for move in _moves_as_moves(n, kind):
-        if keeps and not keeps(*move):
-            continue
         succ = _edit(n, *move)[0]
-        if keeps or not tree_child_only or is_tree_child(succ):
+        if not tree_child_only or is_tree_child(succ):
             yield move, succ
 
 
@@ -527,9 +546,8 @@ def _keyed_as_moves(n, tree_child_only, kind=None):
     stream."""
     if tree_child_only and is_tree_child(n):
         keyer = _Keyer(n)
-        for move in _moves_as_moves(n, kind):
-            if keyer.keeps_tree_child(*move):
-                yield (move, *keyer.key(*move))
+        for move, _ in _edits_as_moves(n, True, kind):
+            yield (move, *keyer.key(*move))
         return
     key = _key(tree_child_only)
     for move, succ in _edits_as_moves(n, tree_child_only, kind):
@@ -552,7 +570,8 @@ def test_triple_stream_matches_the_move_stream(tree_child_only):
     # of three leaves or fewer and every thirtieth of four), seeded 6- and
     # 7-leaf hosts, each also one kind at a time, and four hosts that are
     # not tree-child: _keyed yields the plain triples, keys and counts of
-    # the stream that built a Move for every legal move, in order, and
+    # the stream that built a Move for every legal move and, in tree-child
+    # space, kept it when its edited result passed is_tree_child, in order, and
     # enumerate_moves, the replay's pick and the leaf tail moves still
     # hand on equal Moves
     hosts = [n for leaves in (1, 2, 3, 4) for n in enumerate_tree_child(leaves, 2)]
